@@ -16,11 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embedding import DivergedLoss
-from .errors import PipelineError
-
-
-class EmptyTrainSet(PipelineError):
-    """A model was given no training rows."""
+from .errors import EmptyTrainSet
+from .neural import softmax_rows
 
 
 @dataclass
@@ -80,15 +77,9 @@ def _check_xy(x, y, l=None):
     return x, y, classes
 
 
-def _softmax(z: np.ndarray) -> np.ndarray:
-    z = z - z.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
-
-
 def logistic_loss_and_grad(weights, biases, x, y_idx):
     """Mean cross-entropy and its gradient; y_idx is 0-based."""
-    probs = _softmax(x @ weights.T + biases)
+    probs = softmax_rows(x @ weights.T + biases)
     n = len(x)
     loss = float(-np.mean(np.log(probs[np.arange(n), y_idx])))
     d = probs.copy()

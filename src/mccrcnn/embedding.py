@@ -2,7 +2,7 @@
 
 The trainer minimizes the weighted least-squares objective
 
-    J = sum over nonzero X_ij of f(X_ij) * (w_i . wt_j + b_i + bt_j - ln X_ij)^2
+    J = sum over nonzero X[i][j] of f(X[i][j]) * (w[i] . wt[j] + b[i] + bt[j] - ln X[i][j])^2
     f(x) = (x / x_max)^alpha  for x < x_max, else 1
 
 with per-parameter AdaGrad updates (accumulators start at 1.0, so the

@@ -11,3 +11,7 @@ class PipelineError(Exception):
 
 class ConfigError(PipelineError):
     """Invalid or incomplete configuration."""
+
+
+class EmptyTrainSet(PipelineError):
+    """A model was given no training samples."""

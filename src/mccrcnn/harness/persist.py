@@ -9,11 +9,17 @@ save/load cycle reproduces parameters bit for bit.
 Ablation models simply omit the missing part: the header records 0 for
 its dimensions and the loader infers the architecture from which blocks
 are present.
+
+Each format carries its own version.  Embeddings (GLOVEEMB) are v1.
+Models (MCCRCNN) are v2: the LSTM is stored as the two stacked blocks
+lstm.w (4h x (k + h)) and lstm.b (4h); v1 model files, which held eight
+per-gate blocks, are refused with FormatVersionMismatch.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 from pathlib import Path
 
 import numpy as np
@@ -23,8 +29,9 @@ from ..errors import PipelineError
 from ..neural import GatedConvParams, LstmParams, ModelParams
 
 _EMB_MAGIC = "GLOVEEMB"
+_EMB_VERSION = "v1"
 _MODEL_MAGIC = "MCCRCNN"
-_VERSION = "v1"
+_MODEL_VERSION = "v2"
 
 
 class FormatVersionMismatch(PipelineError):
@@ -37,9 +44,8 @@ class CorruptFile(PipelineError):
 
 def _append_block(lines: list[str], name: str, arr: np.ndarray) -> None:
     a = np.asarray(arr, dtype=np.float64)
-    shape = a.shape if a.ndim > 1 else (1, a.shape[0])
     lines.append(name + " " + " ".join(str(d) for d in a.shape))
-    for row in a.reshape(-1, shape[-1]):
+    for row in a.reshape(-1, a.shape[-1]):
         lines.append(" ".join(repr(float(v)) for v in row))
 
 
@@ -51,7 +57,7 @@ def _write_checkpoint(path, lines: list[str]) -> None:
         fh.write(f"checksum {digest}\n")
 
 
-def _read_checked_lines(path, magic: str) -> list[str]:
+def _read_checked_lines(path, magic: str, version: str) -> list[str]:
     text = Path(path).read_text(encoding="utf-8")
     lines = text.split("\n")
     if lines and lines[-1] == "":
@@ -61,8 +67,8 @@ def _read_checked_lines(path, magic: str) -> list[str]:
     head = lines[0].split()
     if len(head) < 2 or head[0] != magic:
         raise FormatVersionMismatch(f"{path}: not a {magic} checkpoint")
-    if head[1] != _VERSION:
-        raise FormatVersionMismatch(f"{path}: format {head[1]}, expected {_VERSION}")
+    if head[1] != version:
+        raise FormatVersionMismatch(f"{path}: format {head[1]}, expected {version}")
     if not lines[-1].startswith("checksum "):
         raise CorruptFile(f"{path}: missing checksum line")
     payload = "\n".join(lines[:-1]) + "\n"
@@ -93,12 +99,8 @@ class _BlockReader:
         dims = tuple(int(d) for d in head[1:])
         if dims != shape:
             raise CorruptFile(f"{self.path}: block {name} has shape {dims}, expected {shape}")
-        last = shape[-1] if len(shape) > 1 else shape[0]
-        rows = 1
-        for d in shape[:-1] if len(shape) > 1 else ():
-            rows *= d
-        if len(shape) == 1:
-            rows = 1
+        last = shape[-1]
+        rows = math.prod(shape[:-1])  # 1 for a 1-D block
         out = np.empty((rows, last), dtype=np.float64)
         for r in range(rows):
             parts = self.next_line().split()
@@ -117,7 +119,7 @@ class _BlockReader:
 
 def save_embedding(path, table: EmbeddingTable) -> None:
     nv, k = len(table.tokens), table.k
-    lines = [f"{_EMB_MAGIC} {_VERSION} {nv} {k}", f"tokens {nv}"]
+    lines = [f"{_EMB_MAGIC} {_EMB_VERSION} {nv} {k}", f"tokens {nv}"]
     lines.extend(table.tokens)
     _append_block(lines, "w", table.w)
     _append_block(lines, "w_ctx", table.w_ctx)
@@ -127,7 +129,7 @@ def save_embedding(path, table: EmbeddingTable) -> None:
 
 
 def load_embedding(path) -> EmbeddingTable:
-    lines = _read_checked_lines(path, _EMB_MAGIC)
+    lines = _read_checked_lines(path, _EMB_MAGIC, _EMB_VERSION)
     head = lines[0].split()
     try:
         nv, k = int(head[2]), int(head[3])
@@ -153,12 +155,10 @@ def save_model(path, params: ModelParams, seq_len: int) -> None:
     h = params.lstm.hidden if params.lstm is not None else 0
     c = params.conv.out_channels if params.conv is not None else 0
     w = params.conv.width if params.conv is not None else 0
-    lines = [f"{_MODEL_MAGIC} {_VERSION} {k} {h} {c} {w} {params.l} {seq_len}"]
+    lines = [f"{_MODEL_MAGIC} {_MODEL_VERSION} {k} {h} {c} {w} {params.l} {seq_len}"]
     if params.lstm is not None:
-        for gate in ("f", "i", "o", "c"):
-            _append_block(lines, f"lstm.w_{gate}", getattr(params.lstm, f"w_{gate}"))
-        for gate in ("f", "i", "o", "c"):
-            _append_block(lines, f"lstm.b_{gate}", getattr(params.lstm, f"b_{gate}"))
+        _append_block(lines, "lstm.w", params.lstm.w)
+        _append_block(lines, "lstm.b", params.lstm.b)
     if params.conv is not None:
         _append_block(lines, "conv.w", params.conv.w)
         _append_block(lines, "conv.b", params.conv.b)
@@ -170,7 +170,7 @@ def save_model(path, params: ModelParams, seq_len: int) -> None:
 
 
 def load_model(path) -> tuple[ModelParams, int]:
-    lines = _read_checked_lines(path, _MODEL_MAGIC)
+    lines = _read_checked_lines(path, _MODEL_MAGIC, _MODEL_VERSION)
     head = lines[0].split()
     try:
         k, h, c, w, l, seq_len = (int(v) for v in head[2:8])
@@ -181,12 +181,8 @@ def load_model(path) -> tuple[ModelParams, int]:
     reader = _BlockReader(path, lines, 1)
     lstm = None
     if h > 0:
-        gates_w = {g: reader.array(f"lstm.w_{g}", (h, k + h)) for g in ("f", "i", "o", "c")}
-        gates_b = {g: reader.array(f"lstm.b_{g}", (h,)) for g in ("f", "i", "o", "c")}
-        lstm = LstmParams(
-            w_f=gates_w["f"], w_i=gates_w["i"], w_o=gates_w["o"], w_c=gates_w["c"],
-            b_f=gates_b["f"], b_i=gates_b["i"], b_o=gates_b["o"], b_c=gates_b["c"],
-        )
+        lstm = LstmParams(w=reader.array("lstm.w", (4 * h, k + h)),
+                          b=reader.array("lstm.b", (4 * h,)))
     conv = None
     if c > 0:
         in_ch = h if h > 0 else k

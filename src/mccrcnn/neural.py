@@ -9,7 +9,11 @@ Forward pass for one T x k input matrix:
 
 The LSTM is the standard formulation: gates f, i, o and candidate state
 act on z_t = [x_t ; h_{t-1}] with sigmoid/tanh nonlinearities, h_0 = c_0
-= 0.  The convolution zero-pads (w - 1) / 2 frames on both sides (odd w
+= 0.  Its parameters are one stacked weight W (4h x (k + h)) and bias b
+(4h), with row blocks in the order f, i, o, c: the sigmoid acts on the
+first 3h rows of W z_t + b and tanh on the last h.  The input part of W
+is applied to all T steps in one matmul before the recurrence.  The
+convolution zero-pads (w - 1) / 2 frames on both sides (odd w
 only) so the time length is preserved.  Ablations are configuration, not
 code: arch "lstm" pools the LSTM output directly, arch "gcnn" convolves
 the raw input.
@@ -30,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embedding import DivergedLoss
-from .errors import PipelineError
+from .errors import EmptyTrainSet, PipelineError
 from .features import FeatureMatrix
 
 log = logging.getLogger(__name__)
@@ -40,20 +44,13 @@ class EvenKernelWidth(PipelineError):
     """Symmetric padding needs an odd convolution width."""
 
 
-class EmptyTrainSet(PipelineError):
-    """Training was given no samples."""
-
-
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # the tanh identity cannot overflow for any finite x
+    return 0.5 * (1.0 + np.tanh(x / 2.0))
 
 
-def _softmax_rows(z: np.ndarray) -> np.ndarray:
+def softmax_rows(z: np.ndarray) -> np.ndarray:
+    """Softmax of each row of a 2-D array, shifted by the row max."""
     z = z - z.max(axis=1, keepdims=True)
     e = np.exp(z)
     return e / e.sum(axis=1, keepdims=True)
@@ -61,24 +58,22 @@ def _softmax_rows(z: np.ndarray) -> np.ndarray:
 
 @dataclass
 class LstmParams:
-    """Gate weight matrices are (h, k + h); order of z is [x ; h_prev]."""
+    """Stacked gates: w is (4h, k + h) over z = [x ; h_prev], b is (4h,).
 
-    w_f: np.ndarray
-    w_i: np.ndarray
-    w_o: np.ndarray
-    w_c: np.ndarray
-    b_f: np.ndarray
-    b_i: np.ndarray
-    b_o: np.ndarray
-    b_c: np.ndarray
+    Row blocks are f, i, o, c (h rows each); the sigmoid acts on the
+    first 3h rows and tanh on the candidate block c.
+    """
+
+    w: np.ndarray
+    b: np.ndarray
 
     @property
     def hidden(self) -> int:
-        return self.w_f.shape[0]
+        return self.w.shape[0] // 4
 
     @property
     def input_dim(self) -> int:
-        return self.w_f.shape[1] - self.w_f.shape[0]
+        return self.w.shape[1] - self.hidden
 
 
 @dataclass
@@ -156,21 +151,12 @@ class TrainConfig:
     optimizer: str = "adagrad"  # "adagrad" | "sgd"
 
 
-#: hyperparameter presets for the two reference sequence models
-PRESETS = {
-    "glove_lstm": TrainConfig(learning_rate=0.001, epochs=20, hidden=128),
-    "ngram_lstm": TrainConfig(learning_rate=0.002, epochs=15, hidden=20),
-}
-
-
 def named_params(params: ModelParams) -> dict[str, np.ndarray]:
     """Flat name -> array view of every trainable tensor, fixed order."""
     out: dict[str, np.ndarray] = {}
     if params.lstm is not None:
-        for gate in ("f", "i", "o", "c"):
-            out[f"lstm.w_{gate}"] = getattr(params.lstm, f"w_{gate}")
-        for gate in ("f", "i", "o", "c"):
-            out[f"lstm.b_{gate}"] = getattr(params.lstm, f"b_{gate}")
+        out["lstm.w"] = params.lstm.w
+        out["lstm.b"] = params.lstm.b
     if params.conv is not None:
         out["conv.w"] = params.conv.w
         out["conv.b"] = params.conv.b
@@ -197,14 +183,7 @@ def init_params(model_cfg: ModelConfig, input_dim: int, classes: int,
     pooled_dim = None
     if model_cfg.arch in ("mcc_rcnn", "lstm"):
         z_dim = input_dim + hidden
-        lstm = LstmParams(
-            w_f=uniform((hidden, z_dim), z_dim),
-            w_i=uniform((hidden, z_dim), z_dim),
-            w_o=uniform((hidden, z_dim), z_dim),
-            w_c=uniform((hidden, z_dim), z_dim),
-            b_f=np.zeros(hidden), b_i=np.zeros(hidden),
-            b_o=np.zeros(hidden), b_c=np.zeros(hidden),
-        )
+        lstm = LstmParams(w=uniform((4 * hidden, z_dim), z_dim), b=np.zeros(4 * hidden))
         pooled_dim = hidden
     if model_cfg.arch in ("mcc_rcnn", "gcnn"):
         in_ch = hidden if model_cfg.arch == "mcc_rcnn" else input_dim
@@ -229,82 +208,65 @@ def init_params(model_cfg: ModelConfig, input_dim: int, classes: int,
 def _lstm_forward_batch(p: LstmParams, x: np.ndarray):
     b, t, k = x.shape
     h = p.hidden
-    zs = np.zeros((b, t, k + h))
-    fs = np.zeros((b, t, h))
-    is_ = np.zeros((b, t, h))
-    os_ = np.zeros((b, t, h))
-    cands = np.zeros((b, t, h))
-    cs = np.zeros((b, t, h))
-    tcs = np.zeros((b, t, h))
-    hs = np.zeros((b, t, h))
+    # input projection of every step at once; the loop adds h_prev @ W_h
+    xw = x @ p.w[:, :k].T + p.b
+    w_h = np.ascontiguousarray(p.w[:, k:].T)
+    gates = np.empty((b, t, 4 * h))  # activated f, i, o, candidate
+    cs = np.empty((b, t, h))
+    tcs = np.empty((b, t, h))
+    hs = np.empty((b, t, h))
     h_prev = np.zeros((b, h))
     c_prev = np.zeros((b, h))
     for step in range(t):
-        z = np.concatenate([x[:, step, :], h_prev], axis=1)
-        f = _sigmoid(z @ p.w_f.T + p.b_f)
-        i = _sigmoid(z @ p.w_i.T + p.b_i)
-        o = _sigmoid(z @ p.w_o.T + p.b_o)
-        cand = np.tanh(z @ p.w_c.T + p.b_c)
-        c = f * c_prev + i * cand
+        a = xw[:, step] + h_prev @ w_h
+        g = gates[:, step]
+        g[:, :3 * h] = _sigmoid(a[:, :3 * h])
+        g[:, 3 * h:] = np.tanh(a[:, 3 * h:])
+        c = g[:, :h] * c_prev + g[:, h:2 * h] * g[:, 3 * h:]
         tc = np.tanh(c)
-        h_out = o * tc
-        zs[:, step] = z
-        fs[:, step] = f
-        is_[:, step] = i
-        os_[:, step] = o
-        cands[:, step] = cand
+        h_prev = g[:, 2 * h:3 * h] * tc
+        c_prev = c
         cs[:, step] = c
         tcs[:, step] = tc
-        hs[:, step] = h_out
-        h_prev, c_prev = h_out, c
-    cache = {"z": zs, "f": fs, "i": is_, "o": os_, "cand": cands,
-             "c": cs, "tc": tcs, "x_shape": (b, t, k)}
+        hs[:, step] = h_prev
+    cache = {"x": x, "gates": gates, "c": cs, "tc": tcs, "h": hs}
     return hs, cache
 
 
 def _lstm_backward(p: LstmParams, cache: dict, dh_seq: np.ndarray):
     """BPTT. Returns (param grads dict with lstm.* keys, dX)."""
-    b, t, k = cache["x_shape"]
+    x = cache["x"]
+    b, t, k = x.shape
     h = p.hidden
-    grads = {
-        "lstm.w_f": np.zeros_like(p.w_f), "lstm.w_i": np.zeros_like(p.w_i),
-        "lstm.w_o": np.zeros_like(p.w_o), "lstm.w_c": np.zeros_like(p.w_c),
-        "lstm.b_f": np.zeros_like(p.b_f), "lstm.b_i": np.zeros_like(p.b_i),
-        "lstm.b_o": np.zeros_like(p.b_o), "lstm.b_c": np.zeros_like(p.b_c),
-    }
-    dx = np.zeros((b, t, k))
+    gates = cache["gates"]
+    w_h = p.w[:, k:]
+    da = np.empty((b, t, 4 * h))  # pre-activation gradients, rows f, i, o, c
     dh_next = np.zeros((b, h))
     dc_next = np.zeros((b, h))
     for step in range(t - 1, -1, -1):
-        z = cache["z"][:, step]
-        f = cache["f"][:, step]
-        i = cache["i"][:, step]
-        o = cache["o"][:, step]
-        cand = cache["cand"][:, step]
+        g = gates[:, step]
+        f = g[:, :h]
+        i = g[:, h:2 * h]
+        o = g[:, 2 * h:3 * h]
+        cand = g[:, 3 * h:]
         tc = cache["tc"][:, step]
-        c_prev = cache["c"][:, step - 1] if step > 0 else np.zeros((b, h))
+        c_prev = cache["c"][:, step - 1] if step > 0 else 0.0
 
         dh = dh_seq[:, step] + dh_next
-        do = dh * tc * o * (1.0 - o)
         dc = dc_next + dh * o * (1.0 - tc * tc)
-        df = dc * c_prev * f * (1.0 - f)
-        di = dc * cand * i * (1.0 - i)
-        dcand = dc * i * (1.0 - cand * cand)
-
-        grads["lstm.w_f"] += df.T @ z
-        grads["lstm.w_i"] += di.T @ z
-        grads["lstm.w_o"] += do.T @ z
-        grads["lstm.w_c"] += dcand.T @ z
-        grads["lstm.b_f"] += df.sum(axis=0)
-        grads["lstm.b_i"] += di.sum(axis=0)
-        grads["lstm.b_o"] += do.sum(axis=0)
-        grads["lstm.b_c"] += dcand.sum(axis=0)
-
-        dz = df @ p.w_f + di @ p.w_i + do @ p.w_o + dcand @ p.w_c
-        dx[:, step] = dz[:, :k]
-        dh_next = dz[:, k:]
+        d = da[:, step]
+        d[:, :h] = dc * c_prev * f * (1.0 - f)
+        d[:, h:2 * h] = dc * cand * i * (1.0 - i)
+        d[:, 2 * h:3 * h] = dh * tc * o * (1.0 - o)
+        d[:, 3 * h:] = dc * i * (1.0 - cand * cand)
+        dh_next = d @ w_h
         dc_next = dc * f
-    return grads, dx
+
+    h_prev = np.concatenate([np.zeros((b, 1, h)), cache["h"][:, :-1]], axis=1)
+    z = np.concatenate([x, h_prev], axis=2).reshape(b * t, k + h)
+    da_flat = da.reshape(b * t, 4 * h)
+    grads = {"lstm.w": da_flat.T @ z, "lstm.b": da_flat.sum(axis=0)}
+    return grads, da @ p.w[:, :k]
 
 
 def lstm_forward(p: LstmParams, x: np.ndarray):
@@ -403,7 +365,7 @@ def _forward_batch(params: ModelParams, x: np.ndarray):
     cache["pool_shape"] = cur.shape
     cache["pooled"] = pooled
     logits = pooled @ params.dense_w.T + params.dense_b
-    probs = _softmax_rows(logits)
+    probs = softmax_rows(logits)
     return probs, cache
 
 

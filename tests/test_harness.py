@@ -22,6 +22,8 @@ from mccrcnn.harness.ingest import (
 from mccrcnn.harness.persist import (
     CorruptFile,
     FormatVersionMismatch,
+    _append_block,
+    _write_checkpoint,
     load_embedding,
     load_model,
     save_embedding,
@@ -333,6 +335,28 @@ def test_checkpoint_version_gate_beats_checksum(tmp_path):
         load_embedding(model_path)  # wrong magic for this loader
 
 
+def write_v1_model(path, params, seq_len):
+    """A model file in the v1 layout, with eight per-gate LSTM blocks."""
+    h = params.lstm.hidden
+    lines = [f"MCCRCNN v1 {params.input_dim} {h} {params.conv.out_channels} "
+             f"{params.conv.width} {params.l} {seq_len}"]
+    for kind, arr in (("w", params.lstm.w), ("b", params.lstm.b)):
+        for n, gate in enumerate("fioc"):
+            _append_block(lines, f"lstm.{kind}_{gate}", arr[n * h:(n + 1) * h])
+    for name, arr in named_params(params).items():
+        if not name.startswith("lstm."):
+            _append_block(lines, name, arr)
+    _write_checkpoint(path, lines)
+
+
+def test_v1_model_checkpoint_is_refused(tmp_path):
+    params = init_params(ModelConfig(), input_dim=3, classes=2, hidden=4)
+    path = tmp_path / "model.ckpt"
+    write_v1_model(path, params, seq_len=8)
+    with pytest.raises(FormatVersionMismatch, match="format v1, expected v2"):
+        load_model(path)
+
+
 # --------------------------------------------------------------------- CLI
 
 def test_cli_pipeline_end_to_end(tmp_path, capsys):
@@ -384,6 +408,23 @@ def test_cli_exit_codes(tmp_path, capsys):
     cfg = write_cfg(tmp_path)  # corpus directory never generated
     assert main(["ingest", str(cfg)]) == 3
     capsys.readouterr()
+
+
+def test_cli_eval_refuses_v1_model_with_exit_3(tmp_path, capsys):
+    cfg = write_cfg(tmp_path)
+    assert main(["gen", str(cfg)]) == 0
+    assert main(["train", str(cfg)]) == 0
+    capsys.readouterr()
+    ckpt = tmp_path / "out" / "model.ckpt"
+    params, seq_len = load_model(ckpt)
+    write_v1_model(ckpt, params, seq_len)
+    proc = subprocess.run(
+        [sys.executable, "-m", "mccrcnn.harness.cli", "eval", str(cfg)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "format v1, expected v2" in proc.stderr
 
 
 def test_console_script_entry_point(tmp_path):

@@ -1,6 +1,7 @@
 """LSTM, gated convolution, pooling, and the trained classifier."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from mccrcnn.neural import (
     predict,
     train,
 )
+from mccrcnn.neural import _lstm_backward, _sigmoid
 
 
 def sig(x):
@@ -34,11 +36,10 @@ def sig(x):
 
 
 def tiny_lstm():
+    # stacked rows f, i, o, c of one hidden unit over z = [x, h_prev]
     return LstmParams(
-        w_f=np.array([[0.5, -0.3]]), w_i=np.array([[0.2, 0.4]]),
-        w_o=np.array([[-0.1, 0.6]]), w_c=np.array([[0.7, -0.5]]),
-        b_f=np.array([0.1]), b_i=np.array([-0.2]),
-        b_o=np.array([0.05]), b_c=np.array([0.0]),
+        w=np.array([[0.5, -0.3], [0.2, 0.4], [-0.1, 0.6], [0.7, -0.5]]),
+        b=np.array([0.1, -0.2, 0.05, 0.0]),
     )
 
 
@@ -77,6 +78,115 @@ def test_lstm_batch_agrees_with_single():
     for i in range(5):
         single_h, _ = lstm_forward(params, xs[i])
         assert np.allclose(batch_h[i], single_h, atol=1e-14)
+
+
+def test_sigmoid_matches_logistic_and_saturates_quietly():
+    x = np.linspace(-30.0, 30.0, 6001)
+    assert np.max(np.abs(_sigmoid(x) - 1.0 / (1.0 + np.exp(-x)))) <= 1e-15
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        far = _sigmoid(np.array([-1e4, 1e4]))
+    assert np.isfinite(far).all()
+    assert ((far >= 0.0) & (far <= 1.0)).all()
+
+
+# A frozen copy of the four-gate LSTM (separate f, i, o, c weight and bias
+# arrays, one matmul per gate per step) that the stacked layout replaced.
+
+def four_gate_forward(gw, gb, x):
+    b, t, k = x.shape
+    h = gw["f"].shape[0]
+    cache = {name: np.zeros((b, t, h)) for name in ("f", "i", "o", "c", "cand", "tc")}
+    cache["z"] = np.zeros((b, t, k + h))
+    hs = np.zeros((b, t, h))
+    h_prev = np.zeros((b, h))
+    c_prev = np.zeros((b, h))
+    for step in range(t):
+        z = np.concatenate([x[:, step, :], h_prev], axis=1)
+        f = 1.0 / (1.0 + np.exp(-(z @ gw["f"].T + gb["f"])))
+        i = 1.0 / (1.0 + np.exp(-(z @ gw["i"].T + gb["i"])))
+        o = 1.0 / (1.0 + np.exp(-(z @ gw["o"].T + gb["o"])))
+        cand = np.tanh(z @ gw["c"].T + gb["c"])
+        c = f * c_prev + i * cand
+        tc = np.tanh(c)
+        h_prev, c_prev = o * tc, c
+        for name, val in (("z", z), ("f", f), ("i", i), ("o", o), ("cand", cand),
+                          ("c", c), ("tc", tc)):
+            cache[name][:, step] = val
+        hs[:, step] = h_prev
+    return hs, cache
+
+
+def four_gate_backward(gw, cache, dh_seq):
+    b, t, h = dh_seq.shape
+    k = cache["z"].shape[2] - h
+    dw = {g: np.zeros_like(gw[g]) for g in "fioc"}
+    db = {g: np.zeros(h) for g in "fioc"}
+    dx = np.zeros((b, t, k))
+    dh_next = np.zeros((b, h))
+    dc_next = np.zeros((b, h))
+    for step in range(t - 1, -1, -1):
+        z = cache["z"][:, step]
+        f, i, o = cache["f"][:, step], cache["i"][:, step], cache["o"][:, step]
+        cand, tc = cache["cand"][:, step], cache["tc"][:, step]
+        c_prev = cache["c"][:, step - 1] if step > 0 else np.zeros((b, h))
+        dh = dh_seq[:, step] + dh_next
+        dc = dc_next + dh * o * (1.0 - tc * tc)
+        dgate = {
+            "f": dc * c_prev * f * (1.0 - f),
+            "i": dc * cand * i * (1.0 - i),
+            "o": dh * tc * o * (1.0 - o),
+            "c": dc * i * (1.0 - cand * cand),
+        }
+        dz = np.zeros((b, k + h))
+        for g in "fioc":
+            dw[g] += dgate[g].T @ z
+            db[g] += dgate[g].sum(axis=0)
+            dz += dgate[g] @ gw[g]
+        dx[:, step] = dz[:, :k]
+        dh_next = dz[:, k:]
+        dc_next = dc * f
+    return dw, db, dx
+
+
+def rel_err(got, want):
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("b,t", [(1, 1), (1, 7), (5, 1), (5, 7)])
+def test_stacked_lstm_matches_four_gate_reference(b, t):
+    k, h = 3, 4
+    params = init_params(ModelConfig(arch="lstm"), input_dim=k, classes=3,
+                         hidden=h, seed=11)
+    rng = np.random.default_rng(12)
+    params.lstm.b[:] = rng.normal(scale=0.5, size=4 * h)  # nonzero biases
+    gw = {g: params.lstm.w[n * h:(n + 1) * h] for n, g in enumerate("fioc")}
+    gb = {g: params.lstm.b[n * h:(n + 1) * h] for n, g in enumerate("fioc")}
+    x = rng.normal(size=(b, t, k))
+    labels = [1 + n % 3 for n in range(b)]
+
+    want_h, ref_cache = four_gate_forward(gw, gb, x)
+    got_h, cache = lstm_forward(params.lstm, x)
+    assert rel_err(got_h, want_h) <= 1e-12
+
+    # the head above the LSTM, written out to get dL/dH for the reference
+    pooled, arg = max_pool_over_time(want_h)
+    logits = pooled @ params.dense_w.T + params.dense_b
+    probs = np.exp(logits - logits.max(axis=1, keepdims=True))
+    probs /= probs.sum(axis=1, keepdims=True)
+    want_loss = -np.mean(np.log(probs[np.arange(b), np.array(labels) - 1]))
+    dlogits = probs.copy()
+    dlogits[np.arange(b), np.array(labels) - 1] -= 1.0
+    dlogits /= b
+    dh_seq = max_pool_backward(arg, want_h.shape, dlogits @ params.dense_w)
+    dw, db, want_dx = four_gate_backward(gw, ref_cache, dh_seq)
+
+    loss, grads = loss_and_gradients(params, list(zip(x, labels)))
+    assert abs(loss - want_loss) <= 1e-12 * abs(want_loss)
+    assert rel_err(grads["lstm.w"], np.vstack([dw[g] for g in "fioc"])) <= 1e-12
+    assert rel_err(grads["lstm.b"], np.concatenate([db[g] for g in "fioc"])) <= 1e-12
+    _, got_dx = _lstm_backward(params.lstm, cache, dh_seq)
+    assert rel_err(got_dx, want_dx) <= 1e-12
 
 
 def test_lstm_shapes():
@@ -168,10 +278,11 @@ def test_forward_matches_scalar_reimplementation():
         z = [x[t, 0], x[t, 1], h_prev[0], h_prev[1]]
         h_new, c_new = [], []
         for u in range(2):
-            f = sig(sum(p.w_f[u][j] * z[j] for j in range(4)) + p.b_f[u])
-            i = sig(sum(p.w_i[u][j] * z[j] for j in range(4)) + p.b_i[u])
-            o = sig(sum(p.w_o[u][j] * z[j] for j in range(4)) + p.b_o[u])
-            cand = math.tanh(sum(p.w_c[u][j] * z[j] for j in range(4)) + p.b_c[u])
+            # stacked rows: f at u, i at 2 + u, o at 4 + u, c at 6 + u
+            f = sig(sum(p.w[u][j] * z[j] for j in range(4)) + p.b[u])
+            i = sig(sum(p.w[2 + u][j] * z[j] for j in range(4)) + p.b[2 + u])
+            o = sig(sum(p.w[4 + u][j] * z[j] for j in range(4)) + p.b[4 + u])
+            cand = math.tanh(sum(p.w[6 + u][j] * z[j] for j in range(4)) + p.b[6 + u])
             c = f * c_prev[u] + i * cand
             c_new.append(c)
             h_new.append(o * math.tanh(c))
@@ -237,14 +348,18 @@ def test_init_is_seeded_and_biases_zero():
     a = init_params(ModelConfig(), input_dim=3, classes=2, hidden=4, seed=5)
     b = init_params(ModelConfig(), input_dim=3, classes=2, hidden=4, seed=5)
     c = init_params(ModelConfig(), input_dim=3, classes=2, hidden=4, seed=6)
-    assert np.array_equal(a.lstm.w_f, b.lstm.w_f)
+    assert np.array_equal(a.lstm.w, b.lstm.w)
     assert np.array_equal(a.dense_w, b.dense_w)
-    assert not np.array_equal(a.lstm.w_f, c.lstm.w_f)
-    for name in ("b_f", "b_i", "b_o", "b_c"):
-        assert not getattr(a.lstm, name).any()
+    assert not np.array_equal(a.lstm.w, c.lstm.w)
+    assert a.lstm.w.shape == (16, 7) and a.lstm.b.shape == (16,)
+    assert not a.lstm.b.any()
     assert not a.conv.b.any() and not a.conv.g.any() and not a.dense_b.any()
     bound = 1.0 / math.sqrt(3 + 4)
-    assert abs(a.lstm.w_f).max() <= bound
+    assert abs(a.lstm.w).max() <= bound
+    # one stacked draw equals the four per-gate (h, k + h) draws, in order
+    rng = np.random.default_rng(5)
+    gates = [rng.uniform(-bound, bound, size=(4, 7)) for _ in "fioc"]
+    assert np.array_equal(a.lstm.w, np.vstack(gates))
 
 
 # --------------------------------------------------------------- gradients
@@ -287,8 +402,7 @@ def test_named_params_covers_every_tensor():
                          classes=2, hidden=4, seed=0)
     names = list(named_params(params))
     assert names == [
-        "lstm.w_f", "lstm.w_i", "lstm.w_o", "lstm.w_c",
-        "lstm.b_f", "lstm.b_i", "lstm.b_o", "lstm.b_c",
+        "lstm.w", "lstm.b",
         "conv.w", "conv.b", "conv.v", "conv.g",
         "dense.w", "dense.b",
     ]
