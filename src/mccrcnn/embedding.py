@@ -11,6 +11,16 @@ nonzero co-occurrence entries.  Everything is float64 and fully
 deterministic under a seed.  The final embedding of a token is the sum of
 its center and context vectors.
 
+The updates are sequential in the shuffled order, but they are applied
+one dependency level at a time.  Entry (i, j) touches only center row i
+and context row j, so its level is one more than the highest level of
+any earlier entry that shares its i or its j.  Entries of one level share
+no row, so they run as one gather -> compute -> scatter, and each reads
+exactly the state the one-entry-at-a-time loop would have given it.  The
+arithmetic is the same element-wise IEEE operations in the same order,
+and each dot product goes through the same BLAS routine, so the result
+is bit for bit that of the one-entry loop.
+
 Co-occurrence counting uses a symmetric window: tokens at positions p and
 q of the same sequence with 0 < |p - q| <= window contribute 1/|p - q| to
 both X[i][j] and X[j][i].  Both directions are accumulated back to back
@@ -203,6 +213,13 @@ def train_glove(cooc: CooccurrenceMatrix, vocab: Vocabulary, k: int,
                 seed: int = 0) -> tuple[EmbeddingTable, list[float]]:
     """Train embeddings by per-entry AdaGrad on shuffled nonzero entries.
 
+    Each epoch draws a permutation and runs its entries level by level
+    (see the module docstring): an entry's level is one past the last
+    level of an earlier entry with the same center or context row, and a
+    level updates all its entries at once.  The tables and the losses are
+    bit-identical to applying the entries one at a time in permutation
+    order.
+
     Returns the table and the loss history: element 0 is J at
     initialization, element e is J after epoch e.  Raises DivergedLoss if
     J ever becomes non-finite.
@@ -232,15 +249,31 @@ def train_glove(cooc: CooccurrenceMatrix, vocab: Vocabulary, k: int,
         diff = np.einsum("nk,nk->n", w[ii], w_ctx[jj]) + b[ii] + b_ctx[jj] - logx
         return float(np.sum(fx * diff * diff))
 
+    i_list, j_list = ii.tolist(), jj.tolist()
     losses = [current_loss()]
     for epoch in range(epochs):
-        for t in rng.permutation(len(xs)):
+        perm = rng.permutation(len(xs))
+        # level of an entry: one past the last level that touched its rows
+        last_i, last_j = [0] * n, [0] * n
+        levels = []
+        for t in perm.tolist():
+            i, j = i_list[t], j_list[t]
+            lv = max(last_i[i], last_j[j]) + 1
+            last_i[i] = last_j[j] = lv
+            levels.append(lv)
+        order = perm[np.argsort(levels, kind="stable")]
+        bounds = np.cumsum(np.bincount(levels)).tolist()
+        for lo, hi in zip(bounds, bounds[1:]):
+            t = order[lo:hi]
             i, j = ii[t], jj[t]
             wi, wj = w[i], w_ctx[j]
-            diff = wi @ wj + b[i] + b_ctx[j] - logx[t]
+            # one (1, k) @ (k, 1) per entry is the BLAS dot of wi @ wj;
+            # einsum or a row sum would add the k terms in another order
+            dot = (wi[:, None, :] @ wj[:, :, None])[:, 0, 0]
+            diff = dot + b[i] + b_ctx[j] - logx[t]
             coef = 2.0 * fx[t] * diff
-            gw = coef * wj
-            gwc = coef * wi
+            gw = coef[:, None] * wj
+            gwc = coef[:, None] * wi
             w[i] = wi - learning_rate * gw / np.sqrt(acc_w[i])
             w_ctx[j] = wj - learning_rate * gwc / np.sqrt(acc_wc[j])
             b[i] -= learning_rate * coef / np.sqrt(acc_b[i])

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import logging
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -76,9 +76,14 @@ class NgramFeatureSet:
     n: int
     grams: tuple[tuple[str, ...], ...]
     limit: int
+    _index: dict[tuple[str, ...], int] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_index", {g: i for i, g in enumerate(self.grams)})
 
     def index(self) -> dict[tuple[str, ...], int]:
-        return {g: i for i, g in enumerate(self.grams)}
+        """Gram -> rank, built once per feature set."""
+        return self._index
 
 
 @dataclass(frozen=True)
@@ -114,10 +119,12 @@ def sequence_to_matrix(seq: TokenSequence, table: EmbeddingTable, t: int = 512) 
     """Embed a sequence into a T x k matrix (truncate head / zero pad)."""
     if t < 1:
         raise ValueError("t must be >= 1")
+    # final vectors plus one trailing zero row that every OOV token reads
+    vectors = np.vstack([table.w + table.w_ctx, np.zeros((1, table.k))])
+    oov = len(vectors) - 1
+    rows = [table._row.get(tok, oov) for tok in seq.tokens[:t]]
     out = np.zeros((t, table.k), dtype=np.float64)
-    for pos, tok in enumerate(seq.tokens[:t]):
-        if tok in table:
-            out[pos] = table.vector(tok)
+    out[:len(rows)] = vectors[rows]
     return FeatureMatrix(
         sample_id=seq.sample_id, values=out,
         provenance=_KIND_TO_PROVENANCE[seq.kind],

@@ -22,6 +22,14 @@ from mccrcnn.embedding import (
     write_text_embeddings,
 )
 from mccrcnn.extraction import SequenceKind, TokenSequence
+from mccrcnn.harness import experiments
+from mccrcnn.harness.config import (
+    EmbeddingSettings,
+    ExperimentConfig,
+    ModelSettings,
+    TrainSettings,
+)
+from mccrcnn.harness.synth import SyntheticCorpusSpec, generate_synthetic_corpus
 
 
 def seqs(*token_lists):
@@ -223,6 +231,131 @@ def test_final_vector_is_center_plus_context():
     table, _ = train_glove(cooc, v, k=4, epochs=3, seed=1)
     for r, tok in enumerate(table.tokens):
         assert np.array_equal(table.vector(tok), table.w[r] + table.w_ctx[r])
+
+
+# ------------------------------------------- exactness of the level schedule
+
+def reference_train_glove(cooc, vocab, k, epochs=50, learning_rate=0.05,
+                          x_max=100.0, alpha=0.75, seed=0):
+    """Frozen one-entry-at-a-time AdaGrad loop: what train_glove must equal."""
+    n = cooc.vocab_size
+    rng = np.random.default_rng(seed)
+    span = 0.5 / k
+    w = rng.uniform(-span, span, size=(n, k))
+    w_ctx = rng.uniform(-span, span, size=(n, k))
+    b = rng.uniform(-span, span, size=n)
+    b_ctx = rng.uniform(-span, span, size=n)
+    acc_w = np.ones_like(w)
+    acc_wc = np.ones_like(w_ctx)
+    acc_b = np.ones_like(b)
+    acc_bc = np.ones_like(b_ctx)
+    items = sorted(cooc.entries.items())
+    ii = np.array([i - 1 for (i, _j), _v in items], dtype=np.intp)
+    jj = np.array([j - 1 for (_i, j), _v in items], dtype=np.intp)
+    xs = np.array([v for _k, v in items], dtype=np.float64)
+    logx = np.log(xs)
+    fx = np.where(xs < x_max, (xs / x_max) ** alpha, 1.0)
+
+    def current_loss():
+        diff = np.einsum("nk,nk->n", w[ii], w_ctx[jj]) + b[ii] + b_ctx[jj] - logx
+        return float(np.sum(fx * diff * diff))
+
+    losses = [current_loss()]
+    for _epoch in range(epochs):
+        for t in rng.permutation(len(xs)):
+            i, j = ii[t], jj[t]
+            wi, wj = w[i], w_ctx[j]
+            diff = wi @ wj + b[i] + b_ctx[j] - logx[t]
+            coef = 2.0 * fx[t] * diff
+            gw = coef * wj
+            gwc = coef * wi
+            w[i] = wi - learning_rate * gw / np.sqrt(acc_w[i])
+            w_ctx[j] = wj - learning_rate * gwc / np.sqrt(acc_wc[j])
+            b[i] -= learning_rate * coef / np.sqrt(acc_b[i])
+            b_ctx[j] -= learning_rate * coef / np.sqrt(acc_bc[j])
+            acc_w[i] += gw * gw
+            acc_wc[j] += gwc * gwc
+            acc_b[i] += coef * coef
+            acc_bc[j] += coef * coef
+        losses.append(current_loss())
+    table = EmbeddingTable(tokens=vocab.ordered_tokens(), w=w, w_ctx=w_ctx, b=b, b_ctx=b_ctx)
+    return table, losses
+
+
+def assert_same_fit(got, want):
+    (t1, l1), (t2, l2) = got, want
+    assert l1 == l2
+    assert t1.tokens == t2.tokens
+    for name in ("w", "w_ctx", "b", "b_ctx"):
+        assert np.array_equal(getattr(t1, name), getattr(t2, name)), name
+
+
+def exactness_cases():
+    """(co-occurrence matrix, vocabulary) pairs for the level schedule."""
+    corpora = [seqs(["a", "a", "a"])]  # |V| = 1: a single (1, 1) entry
+    rng = np.random.default_rng(21)
+    for _ in range(5):
+        nv = int(rng.integers(2, 61))
+        corpora.append(seqs(*[
+            [f"t{int(rng.integers(nv))}" for _ in range(int(rng.integers(2, 70)))]
+            for _ in range(int(rng.integers(1, 5)))
+        ]))
+    cases = []
+    for corpus in corpora:
+        v = build_vocab(corpus)
+        cases.append((count_cooccurrence(corpus, v, window=4), v))
+    # a chain: every entry shares center row 1, so each level holds one entry
+    chain = Vocabulary(token_to_id={f"t{j}": j for j in range(1, 9)},
+                       counts={f"t{j}": 1 for j in range(1, 9)}, min_count=1)
+    entries = {(1, j): 1.0 + j / 3 for j in range(1, 9)}
+    cases.append((CooccurrenceMatrix(entries=entries, window=1, vocab_size=8), chain))
+    return cases
+
+
+@pytest.mark.parametrize("k", [1, 5, 24, 50])
+def test_train_glove_bit_identical_to_one_entry_loop(k):
+    for cooc, v in exactness_cases():
+        for seed in (0, 13):
+            assert_same_fit(train_glove(cooc, v, k=k, epochs=5, seed=seed),
+                            reference_train_glove(cooc, v, k=k, epochs=5, seed=seed))
+
+
+def test_train_glove_bit_identical_with_learning_settings():
+    corpus = small_corpus()
+    v = build_vocab(corpus)
+    cooc = count_cooccurrence(corpus, v, window=5)
+    kw = dict(k=7, epochs=4, learning_rate=0.2, x_max=3.0, alpha=0.5, seed=4)
+    assert_same_fit(train_glove(cooc, v, **kw), reference_train_glove(cooc, v, **kw))
+
+
+def test_b2_report_unchanged_with_reference_trainer(tmp_path, monkeypatch):
+    """End to end: the suite's GloVe fits and its report match the frozen loop."""
+    corpus = tmp_path / "corpus"
+    generate_synthetic_corpus(
+        SyntheticCorpusSpec(families=3, samples_per_family=6, seed=5), corpus)
+
+    def run(trainer, name):
+        fits = []
+
+        def recording(*args, **kw):
+            fits.append(trainer(*args, **kw))
+            return fits[-1]
+
+        monkeypatch.setattr(experiments, "train_glove", recording)
+        cfg = ExperimentConfig(
+            seed=5, corpus=corpus, labels=corpus / "labels.csv", out_dir=tmp_path / name,
+            folds=2, embedding=EmbeddingSettings(k=6, window=4, epochs=4),
+            model=ModelSettings(seq_len=16, hidden=6, conv_channels=6),
+            train=TrainSettings(epochs=2, batch_size=4),
+        )
+        return experiments.run_experiment("B2", cfg).read_bytes(), fits
+
+    report, fits = run(train_glove, "level")
+    want_report, want_fits = run(reference_train_glove, "reference")
+    assert report == want_report
+    assert len(fits) == len(want_fits) == 4  # opcode and api table per fold
+    for got, want in zip(fits, want_fits):
+        assert_same_fit(got, want)
 
 
 # ---------------------------------------------------------------- cosine

@@ -62,6 +62,28 @@ def test_matrix_unknown_tokens_become_zero_rows():
     assert not m.values[1].any()
 
 
+def test_matrix_matches_per_token_vectors():
+    rng = np.random.default_rng(8)
+    toks = ["mov", "push", "pop", "xor"]
+    k = 4
+    table = EmbeddingTable(
+        tokens=tuple(toks), w=rng.normal(size=(4, k)), w_ctx=rng.normal(size=(4, k)),
+        b=np.zeros(4), b_ctx=np.zeros(4),
+    )
+    pool = toks + ["mystery", "nop"]
+    cases = [[], ["mystery", "nop", "mystery"]]  # empty and all-OOV
+    cases += [[pool[int(i)] for i in rng.integers(6, size=int(rng.integers(1, 12)))]
+              for _ in range(20)]
+    for tokens in cases:
+        for t in (1, 3, 8, 15):  # shorter and longer than the sequence
+            got = sequence_to_matrix(seq(tokens), table, t=t).values
+            want = np.zeros((t, k))
+            for pos, tok in enumerate(tokens[:t]):
+                if tok in table:
+                    want[pos] = table.vector(tok)
+            assert np.array_equal(got, want), (tokens, t)
+
+
 def test_matrix_api_kind_sets_provenance():
     t = table_for(["CreateFileA"])
     m = sequence_to_matrix(seq(["CreateFileA"], kind=SequenceKind.API), t, t=1)
@@ -174,6 +196,30 @@ def test_ngram_id_sequence_ranks_and_pads():
     # position 3 has no full bigram, positions 4..5 are padding
     assert ids.tolist() == [1, 2, 0, 0, 0, 0]
     assert ngram_id_sequence(seq(["a", "b", "a"]), fs, t=1).tolist() == [1]
+
+
+def test_ngram_index_is_rank_of_each_gram():
+    fs = select_ngram_features([seq(["a", "b", "c", "a", "b"])], n=2, limit=10)
+    assert fs.index() == {g: r for r, g in enumerate(fs.grams)}
+    assert fs.index() is fs.index()
+    assert fs == select_ngram_features([seq(["a", "b", "c", "a", "b"])], n=2, limit=10)
+
+
+def test_ngram_vector_and_ids_match_naive_recount():
+    rng = np.random.default_rng(4)
+    alphabet = ["a", "b", "c", "d", "e"]
+    for trial in range(30):
+        corpus = [seq([alphabet[int(i)] for i in rng.integers(5, size=int(rng.integers(0, 25)))])
+                  for _ in range(4)]
+        n = int(rng.integers(1, 4))
+        fs = select_ngram_features(corpus, n=n, limit=int(rng.integers(1, 12)))
+        for s in corpus:
+            grams = [tuple(s.tokens[p:p + n]) for p in range(len(s.tokens) - n + 1)]
+            want = [sum(g == sel for g in grams) for sel in fs.grams]
+            assert ngram_vector(s, fs).tolist() == want, trial
+            t = 10
+            ids = [fs.grams.index(g) + 1 if g in fs.grams else 0 for g in grams[:t]]
+            assert ngram_id_sequence(s, fs, t).tolist() == ids + [0] * (t - len(ids)), trial
 
 
 def test_onehot_rows():
