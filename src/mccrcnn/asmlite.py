@@ -51,11 +51,15 @@ class EmptyFile(PipelineError):
 #: mnemonics that declare data rather than executable instructions
 DATA_DIRECTIVES = frozenset({"db", "dw", "dd", "dq", "align"})
 
-_SECTION_ADDR = re.compile(
-    r"^(?P<section>[A-Za-z_.$][A-Za-z0-9_.$]*):(?P<addr>[0-9A-Fa-f]{1,16})(?=\s|$)"
+#: SECTION:HEXADDR, then the code part up to the first ';' outside single quotes
+_LINE = re.compile(
+    r"([A-Za-z_.$][A-Za-z0-9_.$]*):([0-9A-Fa-f]{1,16})(?=\s|\Z)((?:[^';]+|'[^']*'?)*)"
 )
-_HEX_BYTE = re.compile(r"^(?:[0-9A-Fa-f]{2}|\?\?)$")
-_MNEMONIC = re.compile(r"^[A-Za-z][A-Za-z0-9]*$")
+#: greedy byte columns; backtracking walks back to the last mnemonic-shaped token
+_INSN = re.compile(r"\s*(?:(?:[0-9A-Fa-f]{2}|\?\?)\s+)*([A-Za-z][A-Za-z0-9]*)(?!\S)(.*)")
+#: one operand of whitespace-normalised text: a run between commas outside single
+#: quotes (an unclosed quote runs to the end), with no space at either end
+_OPERAND = re.compile(r"(?:[^,' ]|'[^']*'?)(?:[^,']|'[^']*'?)*(?<! )")
 _LABEL = re.compile(r"^[A-Za-z_.@?$][A-Za-z0-9_.@?$]*:$")
 
 
@@ -95,35 +99,6 @@ class AsmFile:
         return "\n".join(ln.raw for ln in self.lines)
 
 
-def _strip_comment(text: str) -> str:
-    # a ';' inside single quotes (string data) does not start a comment
-    in_quote = False
-    for pos, ch in enumerate(text):
-        if ch == "'":
-            in_quote = not in_quote
-        elif ch == ";" and not in_quote:
-            return text[:pos]
-    return text
-
-
-def _split_operands(text: str) -> tuple[str, ...]:
-    parts: list[str] = []
-    buf: list[str] = []
-    in_quote = False
-    for ch in text:
-        if ch == "'":
-            in_quote = not in_quote
-            buf.append(ch)
-        elif ch == "," and not in_quote:
-            parts.append("".join(buf))
-            buf = []
-        else:
-            buf.append(ch)
-    parts.append("".join(buf))
-    cleaned = (" ".join(p.split()) for p in parts)
-    return tuple(p for p in cleaned if p)
-
-
 def parse_line(line: str) -> ParsedLine:
     """Parse a single source line (no newline). Total: never raises on content.
 
@@ -132,18 +107,14 @@ def parse_line(line: str) -> ParsedLine:
     """
     if "\n" in line:
         raise ValueError("parse_line expects a single line without newline")
-    body = line.rstrip("\r")
-    if not body.strip():
-        return ParsedLine(kind=LineKind.BLANK, raw=line)
-
-    m = _SECTION_ADDR.match(body)
+    m = _LINE.match(line)
     if m is None:
-        return ParsedLine(kind=LineKind.UNPARSED, raw=line)
-    section = m.group("section")
-    address = int(m.group("addr"), 16)
+        kind = LineKind.UNPARSED if line.strip() else LineKind.BLANK
+        return ParsedLine(kind=kind, raw=line)
+    section, addr, code = m.groups()
+    address = int(addr, 16)
 
-    content = _strip_comment(body[m.end():])
-    tokens = content.split()
+    tokens = code.split(None, 2)
     if not tokens:
         # address-only or comment-only line
         return ParsedLine(kind=LineKind.UNPARSED, raw=line, section=section, address=address)
@@ -159,21 +130,15 @@ def parse_line(line: str) -> ParsedLine:
             label=tokens[0],
         )
 
-    # skip byte columns, backtracking to the last mnemonic-shaped token
-    j = 0
-    while j < len(tokens) and _HEX_BYTE.match(tokens[j]):
-        j += 1
-    while j > 0 and (j == len(tokens) or not _MNEMONIC.match(tokens[j])):
-        j -= 1
-    if j == len(tokens) or not _MNEMONIC.match(tokens[j]):
+    insn = _INSN.match(code)
+    if insn is None:
         return ParsedLine(kind=LineKind.UNPARSED, raw=line, section=section, address=address)
-
-    mnemonic = tokens[j].lower()
-    operands = _split_operands(" ".join(tokens[j + 1:]))
+    mnemonic, rest = insn.groups()
+    mnemonic = mnemonic.lower()
     kind = LineKind.DATA_DIRECTIVE if mnemonic in DATA_DIRECTIVES else LineKind.INSTRUCTION
     return ParsedLine(
         kind=kind, raw=line, section=section, address=address,
-        mnemonic=mnemonic, operands=operands,
+        mnemonic=mnemonic, operands=tuple(_OPERAND.findall(" ".join(rest.split()))),
     )
 
 

@@ -145,7 +145,7 @@ def knn_predict(train_x, train_y, queries, k_neighbors: int = 5) -> np.ndarray:
     out = np.zeros(len(queries), dtype=np.int64)
     for qi, q in enumerate(queries):
         dist = np.sqrt(((train_x - q) ** 2).sum(axis=1))
-        order = sorted(range(len(dist)), key=lambda i: (dist[i], i))[:k]
+        order = np.argsort(dist, kind="stable")[:k]
         votes: dict[int, list[float]] = {}
         for i in order:
             votes.setdefault(int(train_y[i]), []).append(float(dist[i]))

@@ -28,6 +28,8 @@ def read_labels(path) -> dict[str, int]:
         raw = p.read_text(encoding="utf-8")
     except OSError as exc:
         raise MissingLabels(f"cannot read label table {p}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise MissingLabels(f"label table {p} is not UTF-8 text: {exc}") from exc
     labels: dict[str, int] = {}
     for lineno, line in enumerate(raw.split("\n"), start=1):
         line = line.strip()

@@ -58,7 +58,10 @@ def _write_checkpoint(path, lines: list[str]) -> None:
 
 
 def _read_checked_lines(path, magic: str, version: str) -> list[str]:
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise CorruptFile(f"{path}: not UTF-8 text: {exc}") from exc
     lines = text.split("\n")
     if lines and lines[-1] == "":
         lines.pop()

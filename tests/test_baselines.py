@@ -165,6 +165,43 @@ def test_knn_matches_brute_force_oracle():
         assert got.tolist() == want, trial
 
 
+def reference_knn_predict(train_x, train_y, queries, k_neighbors):
+    """knn_predict as it ranked before argsort: sorted() on (distance, index)."""
+    k = min(k_neighbors, len(train_x))
+    out = []
+    for q in np.atleast_2d(queries):
+        dist = np.sqrt(((train_x - q) ** 2).sum(axis=1))
+        order = sorted(range(len(dist)), key=lambda i: (dist[i], i))[:k]
+        votes = {}
+        for i in order:
+            votes.setdefault(int(train_y[i]), []).append(float(dist[i]))
+        best = max(votes.values(), key=len)
+        tied = [c for c, ds in votes.items() if len(ds) == len(best)]
+        if len(tied) > 1:
+            tied.sort(key=lambda c: (float(np.mean(votes[c])), c))
+        out.append(tied[0])
+    return out
+
+
+def test_knn_argsort_ranking_matches_sorted_ranking_under_ties():
+    # points on a small integer grid: many exactly equal distances, and
+    # with two or three classes and even k, many vote ties
+    rng = np.random.default_rng(5)
+    ties = 0
+    for trial in range(40):
+        n = int(rng.integers(4, 40))
+        d = int(rng.integers(1, 4))
+        train_x = rng.integers(0, 3, size=(n, d)).astype(np.float64)
+        train_y = rng.integers(1, int(rng.integers(2, 4)) + 1, size=n)
+        queries = rng.integers(0, 3, size=(12, d)).astype(np.float64)
+        for k in (1, 2, 4, 6, n + 3):
+            got = knn_predict(train_x, train_y, queries, k_neighbors=k)
+            assert got.tolist() == reference_knn_predict(train_x, train_y, queries, k), (trial, k)
+        dist = np.sqrt(((train_x - queries[0]) ** 2).sum(axis=1))
+        ties += len(dist) - len(np.unique(dist))
+    assert ties > 100
+
+
 def test_knn_vote_tie_breaks_on_mean_distance_then_class():
     # classes 1 and 2 each get one vote; class 2's neighbour is closer
     train_x = np.array([[0.0], [3.0]])

@@ -335,6 +335,26 @@ def test_checkpoint_version_gate_beats_checksum(tmp_path):
         load_embedding(model_path)  # wrong magic for this loader
 
 
+@pytest.mark.parametrize("kind", ["model", "embedding"])
+def test_every_byte_set_to_ff_gives_a_typed_error(tmp_path, kind):
+    # 0xFF is never valid UTF-8, so each flip must surface as a typed error
+    path = tmp_path / "small.ckpt"
+    if kind == "model":
+        params = init_params(ModelConfig(conv_channels=2, kernel_width=1),
+                             input_dim=2, classes=2, hidden=1, seed=3)
+        save_model(path, params, seq_len=4)
+        load = load_model
+    else:
+        save_embedding(path, random_table(seed=3, nv=2, k=2))
+        load = load_embedding
+    load(path)
+    data = path.read_bytes()
+    for pos in range(len(data)):
+        path.write_bytes(data[:pos] + b"\xff" + data[pos + 1:])
+        with pytest.raises((CorruptFile, FormatVersionMismatch)):
+            load(path)
+
+
 def write_v1_model(path, params, seq_len):
     """A model file in the v1 layout, with eight per-gate LSTM blocks."""
     h = params.lstm.hidden
@@ -408,6 +428,40 @@ def test_cli_exit_codes(tmp_path, capsys):
     cfg = write_cfg(tmp_path)  # corpus directory never generated
     assert main(["ingest", str(cfg)]) == 3
     capsys.readouterr()
+
+
+def test_cli_exit_code_matrix(tmp_path, capsys):
+    cfg = write_cfg(tmp_path)
+    assert main(["gen", str(cfg)]) == 0
+    out = tmp_path / "out"
+    out.mkdir()
+    params = init_params(ModelConfig(), input_dim=6, classes=2, hidden=4, seed=1)
+    save_model(out / "model.ckpt", params, seq_len=16)
+    model = (out / "model.ckpt").read_bytes()
+    (tmp_path / "latin1.ini").write_bytes(BASE_INI.encode() + b"# caf\xe9\n")
+    write_cfg(tmp_path, BASE_INI.replace("seed = 5\n", ""), "noseed.ini")
+    write_cfg(tmp_path, ini_text(data={"corpus": "absent"}), "nocorpus.ini")
+    write_cfg(tmp_path, ini_text(data={"labels": "latin1.csv"}), "latin1labels.ini")
+    (tmp_path / "latin1.csv").write_bytes(b"Id,Class\n01_0000,1\n\xff,2\n")
+    flipped_to_ff = model[:40] + b"\xff" + model[41:]
+    head, block, row = model.split(b"\n")[:3]
+    digit = len(head) + len(block) + 2 + row.index(b".") - 1  # first float's units digit
+    flipped_digit = model[:digit] + (b"7" if model[digit] != ord("7") else b"8") + model[digit + 1:]
+    cases = [
+        ("ingest", "latin1.ini", None, 2),
+        ("ingest", "noseed.ini", None, 2),
+        ("ingest", "nocorpus.ini", None, 3),
+        ("ingest", "latin1labels.ini", None, 3),
+        ("eval", "cfg.ini", flipped_to_ff, 3),
+        ("eval", "cfg.ini", flipped_digit, 3),
+    ]
+    for verb, name, model_bytes, code in cases:
+        if model_bytes is not None:
+            (out / "model.ckpt").write_bytes(model_bytes)
+        assert main([verb, str(tmp_path / name)]) == code, (verb, name)
+        err = capsys.readouterr().err
+        assert err.startswith("config error:" if code == 2 else "error:"), err
+        assert "Traceback" not in err
 
 
 def test_cli_eval_refuses_v1_model_with_exit_3(tmp_path, capsys):
