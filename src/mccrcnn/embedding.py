@@ -26,6 +26,13 @@ q of the same sequence with 0 < |p - q| <= window contribute 1/|p - q| to
 both X[i][j] and X[j][i].  Both directions are accumulated back to back
 per position pair, so the matrix is symmetric bit for bit, not just up to
 rounding.  Zero entries are never stored.
+
+The counts are taken on integer ids, a chunk of whole sequences at a
+time, expanding at most COOC_CHUNK_TOKENS center positions at once, so
+the temporaries stay bounded however long the corpus or a sequence is.  Each chunk adds its
+increments in stream order into one running table, never as a chunk
+subtotal, so every entry is the same sum of the same terms in the same
+order as counting one pair at a time.
 """
 
 from __future__ import annotations
@@ -33,6 +40,7 @@ from __future__ import annotations
 import logging
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -55,6 +63,10 @@ class ZeroVector(PipelineError):
 
 #: id 0 is reserved for padding and never assigned to a token
 PAD_ID = 0
+
+#: positions (tokens and the gaps between sequences) counted per
+#: co-occurrence chunk; the temporaries scale with this times the window
+COOC_CHUNK_TOKENS = 1024
 
 
 @dataclass(frozen=True)
@@ -138,26 +150,54 @@ def count_cooccurrence(corpus, vocab: Vocabulary, window: int = 8) -> Cooccurren
     """
     if window < 1:
         raise ValueError("window must be >= 1")
-    entries: dict[tuple[int, int], float] = {}
+    base = len(vocab) + 1  # pair key i * base + j for ids i <= j in 1..|V|
     get_id = vocab.token_to_id.get
+    gap = np.zeros(window, dtype=np.int64)  # no pair spans a gap, nor two sequences
+    keys = np.zeros(0, dtype=np.int64)
+    sums = np.zeros(0, dtype=np.float64)
+    chunk, size = [], 0
     for seq in corpus:
-        ids = [get_id(tok, PAD_ID) for tok in seq.tokens]
-        n = len(ids)
-        for p in range(n):
-            center = ids[p]
-            if center == PAD_ID:
-                continue
-            for q in range(p + 1, min(n, p + window + 1)):
-                other = ids[q]
-                if other == PAD_ID:
-                    continue
-                inc = 1.0 / (q - p)
-                # symmetric pair updated back to back: bitwise symmetry
-                key = (center, other)
-                entries[key] = entries.get(key, 0.0) + inc
-                key = (other, center)
-                entries[key] = entries.get(key, 0.0) + inc
+        toks = seq.tokens
+        chunk += [np.fromiter(map(get_id, toks, repeat(PAD_ID)), np.int64, len(toks)), gap]
+        size += len(toks) + window
+        if size >= COOC_CHUNK_TOKENS:
+            keys, sums = _add_pairs(keys, sums, np.concatenate(chunk), window, base)
+            chunk, size = [], 0
+    if chunk:
+        keys, sums = _add_pairs(keys, sums, np.concatenate(chunk), window, base)
+    lo, hi, sums = (keys // base).tolist(), (keys % base).tolist(), sums.tolist()
+    entries = dict(zip(zip(lo, hi), sums))
+    entries.update(zip(zip(hi, lo), sums))
     return CooccurrenceMatrix(entries=entries, window=window, vocab_size=len(vocab))
+
+
+def _add_pairs(keys, sums, ids, window, base):
+    """Add the pairs of one chunk of sequences to the sorted table (keys, sums).
+
+    ``ids`` holds whole sequences, each followed by ``window`` PAD_IDs.
+    The table holds X[i][j] for i <= j only: X[j][i] gets the same
+    increments in the same order.  A pair of equal tokens adds its
+    increment twice, back to back, as its two directions do.  Increments
+    go in stream order (center position, then distance) straight into the
+    running sums, so each entry is ((0.0 + a1) + a2) + ... exactly as
+    when counting one pair at a time.  At most COOC_CHUNK_TOKENS centers
+    are expanded at once, so one long sequence needs no more memory.
+    """
+    inc = 1.0 / np.arange(1, window + 1)
+    for lo in range(0, len(ids) - window, COOC_CHUNK_TOKENS):
+        a = ids[lo:lo + COOC_CHUNK_TOKENS + window]
+        center = np.broadcast_to(a[:-window, None], (len(a) - window, window))
+        other = np.lib.stride_tricks.sliding_window_view(a[1:], window)  # [p, d-1] = a[p+d]
+        hit = (center != PAD_ID) & (other != PAD_ID)
+        center, other = center[hit], other[hit]
+        times = 1 + (center == other)
+        pair_keys = np.repeat(np.minimum(center, other) * base + np.maximum(center, other), times)
+        merged, where = np.unique(np.concatenate([keys, pair_keys]), return_inverse=True)
+        total = np.zeros(len(merged))
+        total[where[:len(keys)]] = sums
+        np.add.at(total, where[len(keys):], np.repeat(np.broadcast_to(inc, hit.shape)[hit], times))
+        keys, sums = merged, total
+    return keys, sums
 
 
 def _weight(x: np.ndarray, x_max: float, alpha: float) -> np.ndarray:

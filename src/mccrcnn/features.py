@@ -13,9 +13,9 @@ models).
 from __future__ import annotations
 
 import logging
-from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -194,31 +194,43 @@ def select_ngram_features(corpus, n: int, limit: int = 700) -> NgramFeatureSet:
 
     Ties break lexicographically on the gram tuple, so selection is
     deterministic.
+
+    Grams are counted as integer keys.  A token's key is its rank in
+    sorted order, and an m-gram's key is the rank of the pair (key of
+    its (m-1)-gram prefix, key of its last token), so keys sort exactly
+    as the gram tuples do and never exceed the number of positions.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if limit < 1:
         raise ValueError("limit must be >= 1")
-    counts: Counter[tuple[str, ...]] = Counter()
-    for seq in corpus:
-        toks = seq.tokens
-        for i in range(len(toks) - n + 1):
-            counts[tuple(toks[i:i + n])] += 1
-    ordered = sorted(counts, key=lambda g: (-counts[g], g))
-    return NgramFeatureSet(n=n, grams=tuple(ordered[:limit]), limit=limit)
+    seqs = [seq.tokens for seq in corpus]
+    vocab = sorted(set(chain.from_iterable(seqs)))
+    rank = {tok: r for r, tok in enumerate(vocab)}
+    lengths = np.array([len(toks) for toks in seqs], dtype=np.int64)
+    total = int(lengths.sum())
+    ids = np.fromiter(map(rank.__getitem__, chain.from_iterable(seqs)), np.int64, total)
+    left = np.repeat(np.cumsum(lengths), lengths) - np.arange(total)  # tokens from p on
+    starts = np.flatnonzero(left >= n)
+    key = np.zeros(len(starts), dtype=np.int64)
+    for m in range(n):
+        _, first, key, counts = np.unique(
+            key * len(vocab) + ids[starts + m],
+            return_index=True, return_inverse=True, return_counts=True)
+    top = np.argsort(-counts, kind="stable")[:limit]  # count ties stay in gram order
+    grams = tuple(tuple(vocab[r] for r in ids[p:p + n].tolist())
+                  for p in starts[first[top]].tolist())
+    return NgramFeatureSet(n=n, grams=grams, limit=limit)
 
 
 def ngram_vector(seq: TokenSequence, feature_set: NgramFeatureSet) -> np.ndarray:
     """Raw count vector over the selected grams (int64)."""
-    idx = feature_set.index()
-    out = np.zeros(len(feature_set.grams), dtype=np.int64)
+    size = len(feature_set.grams)
     toks = seq.tokens
-    n = feature_set.n
-    for i in range(len(toks) - n + 1):
-        j = idx.get(tuple(toks[i:i + n]))
-        if j is not None:
-            out[j] += 1
-    return out
+    grams = zip(*(toks[i:] for i in range(feature_set.n)))
+    # unselected grams count in one extra slot that is cut off
+    hits = np.fromiter(map(feature_set.index().get, grams, repeat(size)), dtype=np.int64)
+    return np.bincount(hits, minlength=size + 1)[:size]
 
 
 def ngram_id_sequence(seq: TokenSequence, feature_set: NgramFeatureSet, t: int) -> np.ndarray:

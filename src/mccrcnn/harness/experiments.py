@@ -312,8 +312,10 @@ def _experiment_b2(cfg, dataset, rep):
 
 def _experiment_c(cfg, dataset, rep):
     for fold, train_split, test_split in _iter_folds(cfg, dataset):
+        # each table is fit once: its seed depends on the layer and fold only
+        op_table, api_table = fit_tables("fused", train_split, cfg, fold)
         for which in ("opcode", "api", "fused"):
-            to_matrix = glove_matrixer(which, train_split, cfg, fold)
+            to_matrix = matrix_fn(which, op_table, api_table, cfg.model.seq_len)
             _run_nn(f"{which}_mccrcnn", "mcc_rcnn", to_matrix, cfg, fold,
                     train_split, test_split, rep, dataset.l)
 

@@ -58,8 +58,14 @@ def _write_checkpoint(path, lines: list[str]) -> None:
 
 
 def _read_checked_lines(path, magic: str, version: str) -> list[str]:
+    """Lines above the checksum line.
+
+    The bytes are decoded strictly, with no newline translation, and the
+    file must end with `checksum <sha256>` and one newline exactly as the
+    writer wrote them, so a changed line ending fails the check.
+    """
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_bytes().decode("utf-8")
     except UnicodeDecodeError as exc:
         raise CorruptFile(f"{path}: not UTF-8 text: {exc}") from exc
     lines = text.split("\n")
@@ -72,12 +78,11 @@ def _read_checked_lines(path, magic: str, version: str) -> list[str]:
         raise FormatVersionMismatch(f"{path}: not a {magic} checkpoint")
     if head[1] != version:
         raise FormatVersionMismatch(f"{path}: format {head[1]}, expected {version}")
-    if not lines[-1].startswith("checksum "):
+    if not lines[-1].startswith("checksum ") or not text.endswith("\n"):
         raise CorruptFile(f"{path}: missing checksum line")
     payload = "\n".join(lines[:-1]) + "\n"
-    want = lines[-1].split()[-1]
-    got = hashlib.sha256(payload.encode("utf-8")).hexdigest()
-    if got != want:
+    digest = hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    if lines[-1] != f"checksum {digest}":
         raise CorruptFile(f"{path}: checksum mismatch")
     return lines[:-1]
 

@@ -432,8 +432,6 @@ def loss_and_gradients(params: ModelParams, batch):
 def _to_matrix_default(payload):
     if isinstance(payload, FeatureMatrix):
         return payload.values
-    if hasattr(payload, "to_matrix"):
-        return payload.to_matrix()
     return np.asarray(payload, dtype=np.float64)
 
 

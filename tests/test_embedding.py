@@ -1,10 +1,12 @@
 """Vocabulary, co-occurrence counting, and the GloVe trainer."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from mccrcnn import embedding
 from mccrcnn.embedding import (
     PAD_ID,
     CooccurrenceMatrix,
@@ -130,6 +132,111 @@ def test_cooc_symmetry_is_bitwise():
         x = count_cooccurrence(corpus, v, window=int(rng.integers(1, 6)))
         for (i, j), value in x.entries.items():
             assert x.entries[(j, i)] == value  # exact equality, no tolerance
+
+
+# ------------------------------- exactness of the chunked integer counting
+
+def reference_count_cooccurrence(corpus, vocab, window=8):
+    """Frozen one-pair-at-a-time dict loop: what count_cooccurrence must equal."""
+    entries = {}
+    get_id = vocab.token_to_id.get
+    for seq in corpus:
+        ids = [get_id(tok, PAD_ID) for tok in seq.tokens]
+        n = len(ids)
+        for p in range(n):
+            center = ids[p]
+            if center == PAD_ID:
+                continue
+            for q in range(p + 1, min(n, p + window + 1)):
+                other = ids[q]
+                if other == PAD_ID:
+                    continue
+                inc = 1.0 / (q - p)
+                key = (center, other)
+                entries[key] = entries.get(key, 0.0) + inc
+                key = (other, center)
+                entries[key] = entries.get(key, 0.0) + inc
+    return CooccurrenceMatrix(entries=entries, window=window, vocab_size=len(vocab))
+
+
+def assert_same_counts(got, want):
+    assert (got.window, got.vocab_size) == (want.window, want.vocab_size)
+    assert sorted(got.entries) == sorted(want.entries)
+    for key, value in want.entries.items():
+        assert type(got.entries[key]) is float
+        assert got.entries[key].hex() == value.hex(), key
+
+
+def cooc_cases():
+    """(corpus, min_count, window): random corpora plus the edge cases."""
+    rng = np.random.default_rng(31)
+    cases = [
+        (seqs([]), 1, 3),
+        (seqs([], ["a"], [], ["b", "a"]), 1, 4),  # empty and shorter than the window
+        (seqs(["a"] * 40, ["a", "a"]), 1, 5),  # |V| = 1: only self pairs
+        (seqs(["a", "b", "c"], ["c", "b", "a", "a"]), 1, 12),
+        (seqs(["a", "x", "b", "y", "a", "b"], ["x", "a", "a", "b"]), 2, 3),  # OOV x, y
+    ]
+    for _ in range(30):
+        nv = int(rng.integers(1, 40))
+        corpus = seqs(*[
+            # a skewed draw, so some tokens fall under min_count
+            [f"t{int(nv * rng.random() ** 2)}" for _ in range(int(rng.integers(0, 90)))]
+            for _ in range(int(rng.integers(1, 8)))
+        ])
+        cases.append((corpus, int(rng.integers(1, 4)), int(rng.integers(1, 13))))
+    return cases
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 16, None])
+def test_cooc_bit_identical_to_one_pair_loop(chunk, monkeypatch):
+    """Every entry is the same float, with chunks down to one position."""
+    if chunk is not None:
+        monkeypatch.setattr(embedding, "COOC_CHUNK_TOKENS", chunk)
+    for corpus, min_count, window in cooc_cases():
+        try:
+            v = build_vocab(corpus, min_count=min_count)
+        except EmptyVocabulary:
+            continue
+        assert_same_counts(count_cooccurrence(corpus, v, window=window),
+                           reference_count_cooccurrence(corpus, v, window=window))
+    all_oov = seqs([], ["a", "b", "a"], [])
+    v = build_vocab(seqs(["q"]))
+    assert_same_counts(count_cooccurrence(all_oov, v, window=2),
+                       reference_count_cooccurrence(all_oov, v, window=2))
+
+
+@pytest.fixture(scope="module")
+def seed1_streams(tmp_path_factory):
+    """Opcode and API sequences of the seed-1 corpus, 3 families x 100."""
+    corpus = tmp_path_factory.mktemp("seed1") / "corpus"
+    generate_synthetic_corpus(
+        SyntheticCorpusSpec(families=3, samples_per_family=100, seed=1), corpus)
+    cfg = ExperimentConfig(seed=1, corpus=corpus, labels=corpus / "labels.csv")
+    payloads = experiments.prepare_dataset(cfg).payloads()
+    return [p[0] for p in payloads], [p[1] for p in payloads]
+
+
+def test_cooc_bit_identical_on_seed1_streams(seed1_streams):
+    for stream in seed1_streams:
+        v = build_vocab(stream)
+        assert_same_counts(count_cooccurrence(stream, v),
+                           reference_count_cooccurrence(stream, v))
+
+
+def test_cooc_temporaries_stay_bounded(seed1_streams):
+    """The chunked count needs well under a megabyte beyond its result."""
+    opcodes = seed1_streams[0]
+    assert sum(len(s.tokens) for s in opcodes) > 30 * embedding.COOC_CHUNK_TOKENS
+    v = build_vocab(opcodes)
+    tracemalloc.start()
+    try:
+        cooc = count_cooccurrence(opcodes, v)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(cooc.entries) > 0
+    assert peak - held < 1_000_000
 
 
 # ------------------------------------------------------------------ loss
@@ -356,6 +463,32 @@ def test_b2_report_unchanged_with_reference_trainer(tmp_path, monkeypatch):
     assert len(fits) == len(want_fits) == 4  # opcode and api table per fold
     for got, want in zip(fits, want_fits):
         assert_same_fit(got, want)
+
+
+def test_suite_c_fits_each_table_once_per_fold(tmp_path, monkeypatch):
+    """Opcode, API and fused variants share one opcode and one API fit."""
+    corpus = tmp_path / "corpus"
+    generate_synthetic_corpus(
+        SyntheticCorpusSpec(families=3, samples_per_family=6, seed=5), corpus)
+    seeds = []
+
+    def recording(*args, **kw):
+        seeds.append(kw["seed"])
+        return train_glove(*args, **kw)
+
+    monkeypatch.setattr(experiments, "train_glove", recording)
+    cfg = ExperimentConfig(
+        seed=5, corpus=corpus, labels=corpus / "labels.csv", out_dir=tmp_path / "out",
+        folds=2, embedding=EmbeddingSettings(k=6, window=4, epochs=4),
+        model=ModelSettings(seq_len=16, hidden=6, conv_channels=6),
+        train=TrainSettings(epochs=2, batch_size=4),
+    )
+    experiments.run_experiment("C", cfg)
+    assert seeds == [
+        experiments.derive_seed(5, stage, fold)
+        for fold in (1, 2)
+        for stage in (experiments.STAGE_EMBED_OP, experiments.STAGE_EMBED_API)
+    ]
 
 
 # ---------------------------------------------------------------- cosine

@@ -1,5 +1,7 @@
 """Opcode line scan and the control-flow API walk on hand-traced programs."""
 
+import random
+
 import pytest
 
 from mccrcnn.asmlite import parse_asm_file
@@ -311,6 +313,58 @@ def test_walk_all_ret_variants_stop():
             f".text:00401000 {r}",
             ".text:00401001 call ds:Alpha",
         ) == [], r
+
+
+def random_program(rng):
+    """A seeded random jump/call graph as listing lines.
+
+    Targets include the instruction itself, other instructions, labels
+    that point into data, addresses past the code, registers, and
+    imports, so every kind of edge and dead end occurs.
+    """
+    n = rng.randint(1, 40)
+    addrs = [0x401000 + 3 * i for i in range(n)]
+    lines = [".idata:0040F000 extrn Alpha:dword", ".idata:0040F004 extrn Beta:dword",
+             ".data:00403000 data_label:", ".data:00403000 db 0"]
+    if rng.random() < 0.7:
+        lines.append(f".text:{rng.choice(addrs):08X} start:")
+    for i, addr in enumerate(addrs):
+        if rng.random() < 0.3:
+            lines.append(f".text:{addr:08X} loc_{addr:X}:")
+        target = rng.choice([
+            f"loc_{addr:X}",  # self-loop
+            f"loc_{rng.choice(addrs):X}",
+            f"short loc_{rng.choice(addrs):X}",
+            f"{rng.choice(addrs):X}h",
+            "data_label",  # out of the code section
+            "loc_500000",  # past the code
+            "eax",
+            "ds:Alpha", "Beta",
+        ])
+        mnemonic = rng.choice(["mov", "push", "jmp", "jz", "jnz", "call", "call", "retn"])
+        operand = {"mov": " eax, 1", "push": " eax", "retn": ""}.get(mnemonic, " " + target)
+        lines.append(f".text:{addr:08X} {mnemonic}{operand}")
+    if rng.random() < 0.3:
+        lines.append(f".text:{addrs[-1]:08X} nop")  # duplicate address
+    if rng.random() < 0.2:
+        rng.shuffle(lines)  # out of address order
+    return program(*lines)
+
+
+def test_walk_terminates_on_random_graphs():
+    rng = random.Random(7)
+    for trial in range(400):
+        asm = random_program(rng)
+        graph = build_relation_graph(asm)
+        code = {ln.address for ln in asm.lines if ln.section == ".text" and ln.mnemonic}
+        assert all(dst in code for _src, dst, _kind in graph.jump_edges), trial
+        assert all(dst in code for _site, dst, _ret in graph.call_edges), trial
+        out = extract_key_api_sequence(graph, asm).tokens
+        # each call site is visited at most once, so emits at most once
+        sites = [name for _addr, name in graph.api_sites]
+        assert len(out) <= len(sites), trial
+        assert all(out.count(name) <= sites.count(name) for name in set(out)), trial
+        assert extract_key_api_sequence(build_relation_graph(asm), asm).tokens == out
 
 
 # -------------------------------------------------------------- sequences

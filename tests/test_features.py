@@ -1,6 +1,7 @@
 """Feature matrices, label joins, and n-gram featurizers."""
 
 import logging
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from mccrcnn.features import (
     DuplicateId,
     EmptyJoin,
     IdMismatch,
+    NgramFeatureSet,
     Provenance,
     ShapeMismatch,
     fuse,
@@ -220,6 +222,72 @@ def test_ngram_vector_and_ids_match_naive_recount():
             t = 10
             ids = [fs.grams.index(g) + 1 if g in fs.grams else 0 for g in grams[:t]]
             assert ngram_id_sequence(s, fs, t).tolist() == ids + [0] * (t - len(ids)), trial
+
+
+# ----------------------------- exactness of the integer-id n-gram counting
+
+def reference_select_ngram_features(corpus, n, limit=700):
+    """Frozen tuple-Counter selection: what select_ngram_features must equal."""
+    counts = Counter()
+    for s in corpus:
+        toks = s.tokens
+        for i in range(len(toks) - n + 1):
+            counts[tuple(toks[i:i + n])] += 1
+    ordered = sorted(counts, key=lambda g: (-counts[g], g))
+    return NgramFeatureSet(n=n, grams=tuple(ordered[:limit]), limit=limit)
+
+
+def reference_ngram_vector(s, feature_set):
+    """Frozen per-position lookup loop: what ngram_vector must equal."""
+    idx = feature_set.index()
+    out = np.zeros(len(feature_set.grams), dtype=np.int64)
+    toks = s.tokens
+    n = feature_set.n
+    for i in range(len(toks) - n + 1):
+        j = idx.get(tuple(toks[i:i + n]))
+        if j is not None:
+            out[j] += 1
+    return out
+
+
+def ngram_corpora():
+    """Random corpora plus the edge cases, each with held-out sequences."""
+    rng = np.random.default_rng(17)
+    corpora = [
+        [],
+        [seq([]), seq(["a"]), seq([])],  # empty and shorter than most n
+        [seq(["a"] * 30), seq(["a", "a"])],  # |V| = 1
+        [seq(["b", "a"] * 6), seq(["a", "b"] * 6)],  # every n-gram count tied
+        [seq(["é", "Z", "a", "10", "9", "a b", ""])],  # code-point order, odd tokens
+    ]
+    for _ in range(25):
+        nv = int(rng.integers(1, 30))
+        corpora.append([
+            seq([f"t{int(nv * rng.random() ** 2)}" for _ in range(int(rng.integers(0, 60)))])
+            for _ in range(int(rng.integers(1, 7)))
+        ])
+    # held-out sequences carry grams and tokens the selection never saw
+    held_out = [seq([]), seq(["a"]), seq(["oov", "a", "a", "t0", "t1", "t0", "t1", "oov"])]
+    return [(corpus, corpus + held_out) for corpus in corpora]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_ngram_selection_and_vectors_match_tuple_counting(n):
+    for corpus, apply_to in ngram_corpora():
+        distinct = len(reference_select_ngram_features(corpus, n, limit=10**9).grams)
+        for limit in sorted({1, 3, max(1, distinct - 1), max(1, distinct), distinct + 5}):
+            got = select_ngram_features(corpus, n, limit)
+            want = reference_select_ngram_features(corpus, n, limit)
+            assert got == want and got.grams == want.grams, (n, limit)
+            for s in apply_to:
+                vec = ngram_vector(s, got)
+                assert vec.dtype == np.int64
+                assert np.array_equal(vec, reference_ngram_vector(s, want)), (n, limit)
+
+
+def test_ngram_selection_accepts_a_one_shot_iterable():
+    corpus = [seq(["a", "b", "a", "c"]), seq(["c", "a", "b"])]
+    assert select_ngram_features(iter(corpus), 2, 10) == select_ngram_features(corpus, 2, 10)
 
 
 def test_onehot_rows():

@@ -335,23 +335,45 @@ def test_checkpoint_version_gate_beats_checksum(tmp_path):
         load_embedding(model_path)  # wrong magic for this loader
 
 
-@pytest.mark.parametrize("kind", ["model", "embedding"])
-def test_every_byte_set_to_ff_gives_a_typed_error(tmp_path, kind):
-    # 0xFF is never valid UTF-8, so each flip must surface as a typed error
-    path = tmp_path / "small.ckpt"
+def small_checkpoint(path, kind):
+    """Write a small model or embedding checkpoint; returns its loader."""
     if kind == "model":
         params = init_params(ModelConfig(conv_channels=2, kernel_width=1),
                              input_dim=2, classes=2, hidden=1, seed=3)
         save_model(path, params, seq_len=4)
-        load = load_model
-    else:
-        save_embedding(path, random_table(seed=3, nv=2, k=2))
-        load = load_embedding
+        return load_model
+    save_embedding(path, random_table(seed=3, nv=2, k=2))
+    return load_embedding
+
+
+@pytest.mark.parametrize("kind", ["model", "embedding"])
+def test_every_byte_set_to_ff_gives_a_typed_error(tmp_path, kind):
+    # 0xFF is never valid UTF-8, so each flip must surface as a typed error
+    path = tmp_path / "small.ckpt"
+    load = small_checkpoint(path, kind)
     load(path)
     data = path.read_bytes()
     for pos in range(len(data)):
         path.write_bytes(data[:pos] + b"\xff" + data[pos + 1:])
         with pytest.raises((CorruptFile, FormatVersionMismatch)):
+            load(path)
+
+
+@pytest.mark.parametrize("kind", ["model", "embedding"])
+def test_changed_line_endings_are_corrupt(tmp_path, kind):
+    """Each newline turned to CR, or the last one to other whitespace, fails."""
+    path = tmp_path / "small.ckpt"
+    load = small_checkpoint(path, kind)
+    data = path.read_bytes()
+    assert data.endswith(b"\n")
+    variants = [data[:pos] + b"\r" + data[pos + 1:]
+                for pos in range(len(data)) if data[pos:pos + 1] == b"\n"]
+    variants += [data[:-1] + bytes([b]) for b in range(256)
+                 if chr(b).isspace() and b != ord("\n")]
+    variants += [data.replace(b"\n", b"\r\n"), data[:-1], data + b"\n"]
+    for variant in variants:
+        path.write_bytes(variant)
+        with pytest.raises(CorruptFile):
             load(path)
 
 
