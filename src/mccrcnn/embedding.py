@@ -192,7 +192,10 @@ def _add_pairs(keys, sums, ids, window, base):
         center, other = center[hit], other[hit]
         times = 1 + (center == other)
         pair_keys = np.repeat(np.minimum(center, other) * base + np.maximum(center, other), times)
-        merged, where = np.unique(np.concatenate([keys, pair_keys]), return_inverse=True)
+        # return_index makes np.unique sort stably, the sort train_glove
+        # already runs; its default sort alone maps ~0.6 MB more of numpy
+        merged, _, where = np.unique(np.concatenate([keys, pair_keys]),
+                                     return_index=True, return_inverse=True)
         total = np.zeros(len(merged))
         total[where[:len(keys)]] = sums
         np.add.at(total, where[len(keys):], np.repeat(np.broadcast_to(inc, hit.shape)[hit], times))
