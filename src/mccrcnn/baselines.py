@@ -43,7 +43,6 @@ class LinearModel:
 
     weights: np.ndarray  # (l, d)
     biases: np.ndarray   # (l,)
-    kind: str            # "logistic" or "linear_svm"
 
     def scores(self, x: np.ndarray) -> np.ndarray:
         return np.asarray(x, dtype=np.float64) @ self.weights.T + self.biases
@@ -88,15 +87,13 @@ def logistic_loss_and_grad(weights, biases, x, y_idx):
     return loss, d.T @ x, d.sum(axis=0)
 
 
-def train_logistic(x, y, l=None, learning_rate: float = 0.5, epochs: int = 200,
-                   seed: int = 0):
+def train_logistic(x, y, l=None, learning_rate: float = 0.5, epochs: int = 200):
     """Multinomial logistic regression by full-batch gradient descent.
 
     Weights start at zero (the untrained model predicts the uniform
-    distribution), so runs are deterministic regardless of seed.  Returns
-    (model, per-epoch loss history).
+    distribution), so runs are deterministic.  Returns (model, per-epoch
+    loss history).
     """
-    del seed  # zero init, kept in the signature for interface symmetry
     x, y, classes = _check_xy(x, y, l)
     weights = np.zeros((classes, x.shape[1]))
     biases = np.zeros(classes)
@@ -109,7 +106,7 @@ def train_logistic(x, y, l=None, learning_rate: float = 0.5, epochs: int = 200,
         losses.append(loss)
         weights -= learning_rate * dw
         biases -= learning_rate * db
-    return LinearModel(weights=weights, biases=biases, kind="logistic"), losses
+    return LinearModel(weights=weights, biases=biases), losses
 
 
 def train_nb(x, y, l=None, alpha: float = 1.0) -> NaiveBayesModel:
@@ -168,13 +165,12 @@ def svm_objective(weights, biases, x, y, c_reg: float):
 
 
 def train_svm(x, y, l=None, learning_rate: float = 0.01, epochs: int = 200,
-              c_reg: float = 1.0, seed: int = 0):
+              c_reg: float = 1.0):
     """One-vs-rest linear SVM by full-batch subgradient descent.
 
     With c_reg = 0 only the L2 term remains and the weights shrink toward
     zero.  Returns (model, per-epoch objective history).
     """
-    del seed  # zero init, deterministic
     x, y, classes = _check_xy(x, y, l)
     weights = np.zeros((classes, x.shape[1]))
     biases = np.zeros(classes)
@@ -188,4 +184,4 @@ def train_svm(x, y, l=None, learning_rate: float = 0.01, epochs: int = 200,
         coef = np.where(active, -targets, 0.0) * (c_reg / n)
         weights -= learning_rate * (weights + coef.T @ x)
         biases -= learning_rate * coef.sum(axis=0)
-    return LinearModel(weights=weights, biases=biases, kind="linear_svm"), history
+    return LinearModel(weights=weights, biases=biases), history

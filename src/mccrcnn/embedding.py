@@ -351,38 +351,10 @@ def write_text_embeddings(path, table: EmbeddingTable) -> None:
     """Classic text export: header `|V| k`, then one `token v1..vk` row each.
 
     Rows hold the final (center + context) vectors printed with repr(),
-    so every float survives a write/read cycle exactly.
+    so every float parses back to the same bits.
     """
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{len(table.tokens)} {table.k}\n")
         for tok in table.tokens:
             vec = table.vector(tok)
             fh.write(tok + " " + " ".join(repr(float(v)) for v in vec) + "\n")
-
-
-def read_text_embeddings(path) -> EmbeddingTable:
-    """Read the text export.
-
-    The split into center and context halves is not recoverable from the
-    final vectors, so the result stores them as center vectors with zero
-    context vectors and biases; vector() and cosine_similarity() behave
-    identically to the original table.
-    """
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().split()
-        if len(header) != 2:
-            raise PipelineError(f"{path}: malformed embedding header")
-        n, k = int(header[0]), int(header[1])
-        tokens: list[str] = []
-        vecs = np.zeros((n, k), dtype=np.float64)
-        for r in range(n):
-            parts = fh.readline().split()
-            if len(parts) != k + 1:
-                raise PipelineError(f"{path}: malformed embedding row {r}")
-            tokens.append(parts[0])
-            vecs[r] = [float(p) for p in parts[1:]]
-    zeros = np.zeros_like(vecs)
-    return EmbeddingTable(
-        tokens=tuple(tokens), w=vecs, w_ctx=zeros,
-        b=np.zeros(n), b_ctx=np.zeros(n),
-    )

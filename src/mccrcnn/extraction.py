@@ -282,20 +282,3 @@ def write_sequences(path, sequences) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for seq in sequences:
             fh.write(f"{seq.sample_id}\t{seq.kind.value}\t{' '.join(seq.tokens)}\n")
-
-
-def read_sequences(path) -> list[TokenSequence]:
-    """Read a dump produced by write_sequences."""
-    out: list[TokenSequence] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) < 2:
-                raise PipelineError(f"{path}: malformed sequence line {line!r}")
-            sample_id, kind = parts[0], parts[1]
-            tokens = tuple(parts[2].split()) if len(parts) > 2 else ()
-            out.append(TokenSequence(sample_id, SequenceKind(kind), tokens))
-    return out

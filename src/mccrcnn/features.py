@@ -4,40 +4,29 @@ A token sequence becomes a fixed-size T x k float64 matrix by embedding
 lookup, truncating to the head and zero-padding at the tail; tokens
 missing from the table map to zero rows.  Fusion concatenates the opcode
 matrix and the API matrix column-wise (opcode columns first), giving
-T x 2m.  The n-gram path selects the ``limit`` most frequent contiguous
-n-grams of a corpus and represents a sequence either as a count vector
-(classic-ML baselines) or as a per-position gram-id sequence (sequence
-models).
+T x 2k.  Matrices are plain numpy arrays.  The n-gram path selects the
+``limit`` most frequent contiguous n-grams of a corpus and represents a
+sequence either as a count vector (classic-ML baselines) or as a
+per-position gram-id sequence (sequence models).
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from enum import Enum
 from itertools import chain, repeat
 
 import numpy as np
 
 from .embedding import EmbeddingTable
 from .errors import PipelineError
-from .extraction import SequenceKind, TokenSequence
+from .extraction import TokenSequence
 
 log = logging.getLogger(__name__)
 
 
-class Provenance(Enum):
-    OPCODE_GLOVE = "opcode_glove"
-    API_GLOVE = "api_glove"
-    FUSED = "fused"
-
-
 class ShapeMismatch(PipelineError):
-    """Fusion inputs disagree on row count or column count."""
-
-
-class IdMismatch(PipelineError):
-    """Fusion inputs belong to different samples."""
+    """Two matrices, or a matrix and a model, disagree in shape."""
 
 
 class DuplicateId(PipelineError):
@@ -46,27 +35,6 @@ class DuplicateId(PipelineError):
 
 class EmptyJoin(PipelineError):
     """No sample id is shared between features and labels."""
-
-
-_KIND_TO_PROVENANCE = {
-    SequenceKind.OPCODE: Provenance.OPCODE_GLOVE,
-    SequenceKind.API: Provenance.API_GLOVE,
-}
-
-
-@dataclass(frozen=True)
-class FeatureMatrix:
-    sample_id: str
-    values: np.ndarray  # (T, cols) float64
-    provenance: Provenance
-
-    @property
-    def rows(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.values.shape[1]
 
 
 @dataclass(frozen=True)
@@ -115,8 +83,8 @@ class LabeledDataset:
         return LabeledDataset(records=kept, l=self.l)
 
 
-def sequence_to_matrix(seq: TokenSequence, table: EmbeddingTable, t: int = 512) -> FeatureMatrix:
-    """Embed a sequence into a T x k matrix (truncate head / zero pad)."""
+def sequence_to_matrix(seq: TokenSequence, table: EmbeddingTable, t: int = 512) -> np.ndarray:
+    """Embed a sequence into a (t, k) float64 matrix (truncate head / zero pad)."""
     if t < 1:
         raise ValueError("t must be >= 1")
     # final vectors plus one trailing zero row that every OOV token reads
@@ -125,53 +93,26 @@ def sequence_to_matrix(seq: TokenSequence, table: EmbeddingTable, t: int = 512) 
     rows = [table._row.get(tok, oov) for tok in seq.tokens[:t]]
     out = np.zeros((t, table.k), dtype=np.float64)
     out[:len(rows)] = vectors[rows]
-    return FeatureMatrix(
-        sample_id=seq.sample_id, values=out,
-        provenance=_KIND_TO_PROVENANCE[seq.kind],
-    )
+    return out
 
 
-def fuse(opcode_m: FeatureMatrix, api_m: FeatureMatrix) -> FeatureMatrix:
+def fuse(opcode_m: np.ndarray, api_m: np.ndarray) -> np.ndarray:
     """Column-wise concatenation, opcode columns first."""
-    if opcode_m.sample_id != api_m.sample_id:
-        raise IdMismatch(f"{opcode_m.sample_id} vs {api_m.sample_id}")
-    if opcode_m.rows != api_m.rows or opcode_m.cols != api_m.cols:
-        raise ShapeMismatch(
-            f"{opcode_m.sample_id}: {opcode_m.values.shape} vs {api_m.values.shape}"
-        )
-    return FeatureMatrix(
-        sample_id=opcode_m.sample_id,
-        values=np.hstack([opcode_m.values, api_m.values]),
-        provenance=Provenance.FUSED,
-    )
-
-
-def _payload_id(item) -> str:
-    if hasattr(item, "sample_id"):
-        return item.sample_id
-    return item[0]
-
-
-def _payload_value(item):
-    if hasattr(item, "sample_id"):
-        return item
-    return item[1]
+    if opcode_m.shape != api_m.shape:
+        raise ShapeMismatch(f"opcode matrix {opcode_m.shape} vs api matrix {api_m.shape}")
+    return np.hstack([opcode_m, api_m])
 
 
 def join_with_labels(features, labels: dict[str, int]) -> LabeledDataset:
-    """Inner join of features and labels on sample id, sorted by id.
+    """Inner join of (sample_id, payload) pairs and labels on id, sorted by id.
 
-    ``features`` items are FeatureMatrix objects or (sample_id, payload)
-    pairs.  Unmatched rows on either side are dropped with a warning.
+    Unmatched rows on either side are dropped and logged.
     """
-    seen: set[str] = set()
     by_id: dict[str, object] = {}
-    for item in features:
-        sid = _payload_id(item)
-        if sid in seen:
+    for sid, payload in features:
+        if sid in by_id:
             raise DuplicateId(f"duplicate sample id in features: {sid}")
-        seen.add(sid)
-        by_id[sid] = _payload_value(item)
+        by_id[sid] = payload
 
     for sid, y in labels.items():
         if not isinstance(y, int) or isinstance(y, bool) or y < 1:

@@ -18,6 +18,7 @@ from pathlib import Path
 from ..embedding import write_text_embeddings
 from ..errors import ConfigError, PipelineError
 from ..extraction import write_sequences
+from ..features import ShapeMismatch
 from ..metrics import confusion, ovr_accuracy, standard_metrics
 from ..neural import predict, train
 from .config import ExperimentConfig, load_config
@@ -147,7 +148,11 @@ def _cmd_eval(args) -> int:
     if which in ("api", "fused"):
         api_table = load_embedding(out / "api_glove.ckpt")
     to_matrix = matrix_fn(which, op_table, api_table, seq_len)
-    preds = predict(params, [to_matrix(p) for p in dataset.payloads()])
+    matrices = [to_matrix(p) for p in dataset.payloads()]
+    if matrices[0].shape[1] != params.input_dim:
+        raise ShapeMismatch(f"{which} features have {matrices[0].shape[1]} columns, "
+                            f"the model takes {params.input_dim}")
+    preds = predict(params, matrices)
     cm = confusion(preds.tolist(), dataset.labels(), max(dataset.l, params.l))
     rows = [("ovr_accuracy", ovr_accuracy(cm))]
     std = standard_metrics(cm)

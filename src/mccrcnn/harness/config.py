@@ -58,7 +58,6 @@ class TrainSettings:
 
 @dataclass
 class NgramSettings:
-    n: int = 4
     limit: int = 700
     sweep: tuple[int, ...] = (1, 2, 3, 4)
 
@@ -183,7 +182,6 @@ def _validate(cfg: ExperimentConfig) -> None:
         (cfg.model.arch in ("mcc_rcnn", "lstm", "gcnn"), "unknown model arch"),
         (cfg.model.features in ("opcode", "api", "fused"), "unknown feature layer"),
         (cfg.train.optimizer in ("adagrad", "sgd"), "unknown optimizer"),
-        (cfg.ngram.n >= 1, "ngram n must be >= 1"),
         (cfg.ngram.limit >= 1, "ngram limit must be >= 1"),
         (all(n >= 1 for n in cfg.ngram.sweep) and cfg.ngram.sweep,
          "ngram sweep must list integers >= 1"),

@@ -29,7 +29,7 @@ or compared against.
 
 from __future__ import annotations
 
-import warnings
+import logging
 from pathlib import Path
 
 import numpy as np
@@ -56,6 +56,8 @@ from ..neural import ModelConfig, TrainConfig, predict, train
 from .config import ExperimentConfig, config_echo
 from .ingest import ingest_corpus
 
+log = logging.getLogger(__name__)
+
 #: accuracy (percent) reported for these designs on a full-scale corpus;
 #: context only, never asserted
 REFERENCE_FULL_CORPUS_PCT = (
@@ -80,7 +82,7 @@ def derive_seed(root: int, stage: int, fold: int = 0) -> int:
 def prepare_dataset(cfg: ExperimentConfig) -> LabeledDataset:
     """Ingest and extract; payload per sample is (opcode seq, api seq).
 
-    Samples without code-section instructions are dropped with a warning;
+    Samples without code-section instructions are dropped and logged;
     an empty API sequence is kept (its feature rows are all zero).
     """
     asm_files, labels = ingest_corpus(cfg.corpus, cfg.labels)
@@ -88,7 +90,7 @@ def prepare_dataset(cfg: ExperimentConfig) -> LabeledDataset:
     for asm in asm_files:
         op_seq = extract_opcode_sequence(asm)
         if not op_seq.tokens:
-            warnings.warn(f"{asm.sample_id}: no code instructions, dropped", stacklevel=2)
+            log.warning("sample %s has no code instructions, dropped", asm.sample_id)
             continue
         graph = build_relation_graph(asm)
         api_seq = extract_key_api_sequence(graph, asm)
@@ -128,13 +130,13 @@ def matrix_fn(which: str, op_table, api_table, seq_len: int):
     def to_matrix(payload):
         op_seq, api_seq = payload
         if which == "opcode":
-            return sequence_to_matrix(op_seq, op_table, seq_len).values
+            return sequence_to_matrix(op_seq, op_table, seq_len)
         if which == "api":
-            return sequence_to_matrix(api_seq, api_table, seq_len).values
+            return sequence_to_matrix(api_seq, api_table, seq_len)
         return fuse(
             sequence_to_matrix(op_seq, op_table, seq_len),
             sequence_to_matrix(api_seq, api_table, seq_len),
-        ).values
+        )
 
     return to_matrix
 

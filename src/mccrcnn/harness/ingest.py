@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
-import warnings
+import logging
 from pathlib import Path
 
 from ..asmlite import AsmFile, parse_asm_bytes
 from ..errors import PipelineError
+
+log = logging.getLogger(__name__)
 
 
 class NoAsmFiles(PipelineError):
@@ -59,7 +61,7 @@ def ingest_corpus(corpus_dir, labels_path) -> tuple[list[AsmFile], dict[str, int
     """Load every labelled .asm file under corpus_dir, sorted by id.
 
     The sample id is the file stem.  Files without a label and labels
-    without a file are warned about and dropped.
+    without a file are dropped and logged.
     """
     root = Path(corpus_dir)
     paths = sorted(root.glob("*.asm"))
@@ -71,12 +73,12 @@ def ingest_corpus(corpus_dir, labels_path) -> tuple[list[AsmFile], dict[str, int
     for path in paths:
         sid = path.stem
         if sid not in labels:
-            warnings.warn(f"no label for {path.name}, dropping it", stacklevel=2)
+            log.warning("file %s has no label, dropped", path.name)
             continue
         parsed.append(parse_asm_bytes(path.read_bytes(), sid))
         kept[sid] = labels[sid]
     for sid in sorted(set(labels) - set(kept)):
-        warnings.warn(f"label for {sid!r} has no .asm file", stacklevel=2)
+        log.warning("label for %r has no .asm file, dropped", sid)
     if not parsed:
         raise NoAsmFiles(f"no .asm file under {root} matches the label table")
     return parsed, kept

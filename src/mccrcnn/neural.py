@@ -35,7 +35,6 @@ import numpy as np
 
 from .embedding import DivergedLoss
 from .errors import EmptyTrainSet, PipelineError
-from .features import FeatureMatrix
 
 log = logging.getLogger(__name__)
 
@@ -429,12 +428,6 @@ def loss_and_gradients(params: ModelParams, batch):
 
 # ------------------------------------------------------------ training
 
-def _to_matrix_default(payload):
-    if isinstance(payload, FeatureMatrix):
-        return payload.values
-    return np.asarray(payload, dtype=np.float64)
-
-
 def predict(params: ModelParams, matrices, batch_size: int = 64) -> np.ndarray:
     """Predicted labels (1-based) for a list of (T, k) matrices."""
     out = np.zeros(len(matrices), dtype=np.int64)
@@ -450,7 +443,7 @@ def train(model_cfg: ModelConfig, dataset, cfg: TrainConfig, to_matrix=None):
     """Train on a LabeledDataset with seeded shuffled minibatches.
 
     ``to_matrix`` converts a record payload to its (T, k) input matrix
-    (defaults to FeatureMatrix.values / np.asarray).  Returns (params,
+    (defaults to np.asarray as float64).  Returns (params,
     history) where history rows carry epoch, mean training loss, and
     post-epoch training accuracy.  Raises DivergedLoss on non-finite
     loss and EmptyTrainSet on an empty dataset.
@@ -459,7 +452,7 @@ def train(model_cfg: ModelConfig, dataset, cfg: TrainConfig, to_matrix=None):
         raise EmptyTrainSet("empty training dataset")
     if cfg.optimizer not in ("adagrad", "sgd"):
         raise ValueError(f"unknown optimizer {cfg.optimizer!r}")
-    convert = to_matrix or _to_matrix_default
+    convert = to_matrix or (lambda p: np.asarray(p, dtype=np.float64))
     mats = [convert(p) for p in dataset.payloads()]
     labels = dataset.labels()
     input_dim = mats[0].shape[1]

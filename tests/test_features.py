@@ -11,9 +11,7 @@ from mccrcnn.extraction import SequenceKind, TokenSequence
 from mccrcnn.features import (
     DuplicateId,
     EmptyJoin,
-    IdMismatch,
     NgramFeatureSet,
-    Provenance,
     ShapeMismatch,
     fuse,
     join_with_labels,
@@ -43,25 +41,24 @@ def seq(tokens, kind=SequenceKind.OPCODE, sid="s1"):
 def test_matrix_pads_short_sequences_with_zero_rows():
     t = table_for(["mov", "push"])
     m = sequence_to_matrix(seq(["push", "mov"]), t, t=5)
-    assert m.values.shape == (5, 3)
-    assert np.array_equal(m.values[0], t.vector("push"))
-    assert np.array_equal(m.values[1], t.vector("mov"))
-    assert not m.values[2:].any()
-    assert m.provenance is Provenance.OPCODE_GLOVE
+    assert m.shape == (5, 3) and m.dtype == np.float64
+    assert np.array_equal(m[0], t.vector("push"))
+    assert np.array_equal(m[1], t.vector("mov"))
+    assert not m[2:].any()
 
 
 def test_matrix_truncates_long_sequences_at_the_head():
     t = table_for(["a", "b", "c"])
     m = sequence_to_matrix(seq(["a", "b", "c", "a"]), t, t=2)
-    assert m.rows == 2 and m.cols == 3
-    assert np.array_equal(m.values[1], t.vector("b"))
+    assert m.shape == (2, 3)
+    assert np.array_equal(m[1], t.vector("b"))
 
 
 def test_matrix_unknown_tokens_become_zero_rows():
     t = table_for(["mov"])
     m = sequence_to_matrix(seq(["mov", "mystery", "mov"]), t, t=3)
-    assert m.values[0].any() and m.values[2].any()
-    assert not m.values[1].any()
+    assert m[0].any() and m[2].any()
+    assert not m[1].any()
 
 
 def test_matrix_matches_per_token_vectors():
@@ -78,18 +75,12 @@ def test_matrix_matches_per_token_vectors():
               for _ in range(20)]
     for tokens in cases:
         for t in (1, 3, 8, 15):  # shorter and longer than the sequence
-            got = sequence_to_matrix(seq(tokens), table, t=t).values
+            got = sequence_to_matrix(seq(tokens), table, t=t)
             want = np.zeros((t, k))
             for pos, tok in enumerate(tokens[:t]):
                 if tok in table:
                     want[pos] = table.vector(tok)
             assert np.array_equal(got, want), (tokens, t)
-
-
-def test_matrix_api_kind_sets_provenance():
-    t = table_for(["CreateFileA"])
-    m = sequence_to_matrix(seq(["CreateFileA"], kind=SequenceKind.API), t, t=1)
-    assert m.provenance is Provenance.API_GLOVE
 
 
 def test_matrix_rejects_zero_length():
@@ -105,28 +96,26 @@ def test_fuse_puts_opcode_columns_first():
     om = sequence_to_matrix(seq(["a"]), top, t=2)
     am = sequence_to_matrix(seq(["x"], kind=SequenceKind.API), tap, t=2)
     f = fuse(om, am)
-    assert f.provenance is Provenance.FUSED
-    assert f.values.shape == (2, 4)
-    assert np.array_equal(f.values[:, :2], om.values)
-    assert np.array_equal(f.values[:, 2:], am.values)
+    assert f.shape == (2, 4)
+    assert np.array_equal(f[:, :2], om)
+    assert np.array_equal(f[:, 2:], am)
 
 
-def test_fuse_rejects_mismatched_ids_and_shapes():
+def test_fuse_rejects_mismatched_shapes():
     t = table_for(["a"], k=2)
-    a = sequence_to_matrix(seq(["a"], sid="s1"), t, t=2)
-    b = sequence_to_matrix(seq(["a"], sid="s2", kind=SequenceKind.API), t, t=2)
-    with pytest.raises(IdMismatch):
-        fuse(a, b)
-    c = sequence_to_matrix(seq(["a"], sid="s1", kind=SequenceKind.API), t, t=3)
-    with pytest.raises(ShapeMismatch):
-        fuse(a, c)
+    a = sequence_to_matrix(seq(["a"]), t, t=2)
+    longer = sequence_to_matrix(seq(["a"], kind=SequenceKind.API), t, t=3)
+    wider = sequence_to_matrix(seq(["a"], kind=SequenceKind.API), table_for(["a"], k=3), t=2)
+    for other in (longer, wider):
+        with pytest.raises(ShapeMismatch):
+            fuse(a, other)
 
 
 # -------------------------------------------------------------- label join
 
 def matrices(*sids):
     t = table_for(["a"], k=2)
-    return [sequence_to_matrix(seq(["a"], sid=s), t, t=1) for s in sids]
+    return [(s, sequence_to_matrix(seq(["a"], sid=s), t, t=1)) for s in sids]
 
 
 def test_join_inner_joins_and_sorts(caplog):

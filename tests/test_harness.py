@@ -1,6 +1,7 @@
 """Config parsing, synthetic corpora, ingest, checkpoints, and the CLI."""
 
 import json
+import logging
 import subprocess
 import sys
 
@@ -12,7 +13,8 @@ from mccrcnn.embedding import EmbeddingTable
 from mccrcnn.errors import ConfigError
 from mccrcnn.extraction import build_relation_graph, extract_key_api_sequence
 from mccrcnn.harness.cli import main
-from mccrcnn.harness.config import config_echo, load_config
+from mccrcnn.harness.config import ExperimentConfig, config_echo, load_config
+from mccrcnn.harness.experiments import prepare_dataset
 from mccrcnn.harness.ingest import (
     MissingLabels,
     NoAsmFiles,
@@ -234,33 +236,47 @@ def test_read_labels_rejects(tmp_path, text):
         read_labels(p)
 
 
-def test_ingest_drops_unmatched_with_warnings(tmp_path):
+def test_ingest_drops_unmatched_with_warnings(tmp_path, caplog):
     generate_synthetic_corpus(small_spec(), tmp_path)
     (tmp_path / "99_0000.asm").write_text(".text:00401000 mov eax, 1\n")
     labels_path = tmp_path / "labels.csv"
     labels_path.write_text(
         labels_path.read_text() + "ghost,1\n", encoding="utf-8"
     )
-    with pytest.warns(UserWarning) as rec:
+    with caplog.at_level(logging.WARNING):
         asms, labels = ingest_corpus(tmp_path, labels_path)
-    messages = " | ".join(str(w.message) for w in rec)
-    assert "99_0000" in messages and "ghost" in messages
+    assert "99_0000" in caplog.text and "ghost" in caplog.text
     assert len(asms) == 8 and "ghost" not in labels
     assert [a.sample_id for a in asms] == sorted(a.sample_id for a in asms)
 
 
-def test_ingest_errors(tmp_path):
+def test_ingest_errors(tmp_path, caplog):
     (tmp_path / "labels.csv").write_text("s1,1\n", encoding="utf-8")
     with pytest.raises(NoAsmFiles):
         ingest_corpus(tmp_path, tmp_path / "labels.csv")
     (tmp_path / "other.asm").write_text(".text:00401000 nop\n")
-    with pytest.raises(NoAsmFiles):
-        # there is an .asm file but nothing the label table covers
-        with pytest.warns(UserWarning):
-            ingest_corpus(tmp_path, tmp_path / "labels.csv")
+    # there is an .asm file but nothing the label table covers
+    with caplog.at_level(logging.WARNING), pytest.raises(NoAsmFiles):
+        ingest_corpus(tmp_path, tmp_path / "labels.csv")
+    assert "other.asm" in caplog.text and "'s1'" in caplog.text
     with pytest.raises(MissingLabels):
         ingest_corpus(tmp_path, tmp_path / "absent.csv")
 
+
+
+def test_prepare_dataset_drops_listing_without_code(tmp_path, caplog):
+    generate_synthetic_corpus(small_spec(), tmp_path)
+    (tmp_path / "99_0000.asm").write_text(
+        ".data:00402000 db 0\n.idata:0040F000 extrn CreateFileA:dword\n")
+    labels_path = tmp_path / "labels.csv"
+    labels_path.write_text(labels_path.read_text() + "99_0000,1\n", encoding="utf-8")
+    cfg = ExperimentConfig(seed=1, corpus=tmp_path, labels=labels_path)
+    with caplog.at_level(logging.WARNING):
+        dataset = prepare_dataset(cfg)
+    dropped = [r.getMessage() for r in caplog.records
+               if r.name == "mccrcnn.harness.experiments"]
+    assert len(dropped) == 1 and "99_0000" in dropped[0]
+    assert len(dataset) == 8 and "99_0000" not in dataset.ids()
 
 # ------------------------------------------------------------- checkpoints
 
@@ -460,6 +476,8 @@ def test_cli_exit_code_matrix(tmp_path, capsys):
     params = init_params(ModelConfig(), input_dim=6, classes=2, hidden=4, seed=1)
     save_model(out / "model.ckpt", params, seq_len=16)
     model = (out / "model.ckpt").read_bytes()
+    for layer in ("opcode", "api"):  # fused k = 6 tables: 12 columns, not 6
+        save_embedding(out / f"{layer}_glove.ckpt", random_table(k=6))
     (tmp_path / "latin1.ini").write_bytes(BASE_INI.encode() + b"# caf\xe9\n")
     write_cfg(tmp_path, BASE_INI.replace("seed = 5\n", ""), "noseed.ini")
     write_cfg(tmp_path, ini_text(data={"corpus": "absent"}), "nocorpus.ini")
@@ -476,6 +494,7 @@ def test_cli_exit_code_matrix(tmp_path, capsys):
         ("ingest", "latin1labels.ini", None, 3),
         ("eval", "cfg.ini", flipped_to_ff, 3),
         ("eval", "cfg.ini", flipped_digit, 3),
+        ("eval", "cfg.ini", model, 3),  # valid, but the wrong input width
     ]
     for verb, name, model_bytes, code in cases:
         if model_bytes is not None:
