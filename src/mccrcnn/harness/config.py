@@ -176,11 +176,16 @@ def _validate(cfg: ExperimentConfig) -> None:
         (cfg.folds >= 2, "folds must be >= 2"),
         (cfg.embedding.k >= 1, "embedding k must be >= 1"),
         (cfg.embedding.window >= 1, "embedding window must be >= 1"),
+        (cfg.embedding.x_max > 0, "embedding x_max must be > 0"),
         (cfg.model.seq_len >= 1, "model seq_len must be >= 1"),
         (cfg.model.hidden >= 1, "model hidden must be >= 1"),
-        (cfg.model.kernel_width % 2 == 1, "model kernel_width must be odd"),
+        (cfg.model.conv_channels >= 1, "model conv_channels must be >= 1"),
+        (cfg.model.kernel_width >= 1 and cfg.model.kernel_width % 2 == 1,
+         "model kernel_width must be odd and >= 1"),
         (cfg.model.arch in ("mcc_rcnn", "lstm", "gcnn"), "unknown model arch"),
         (cfg.model.features in ("opcode", "api", "fused"), "unknown feature layer"),
+        (cfg.train.epochs >= 1, "train epochs must be >= 1"),
+        (cfg.train.batch_size >= 1, "train batch_size must be >= 1"),
         (cfg.train.optimizer in ("adagrad", "sgd"), "unknown optimizer"),
         (cfg.ngram.limit >= 1, "ngram limit must be >= 1"),
         (all(n >= 1 for n in cfg.ngram.sweep) and cfg.ngram.sweep,

@@ -20,7 +20,9 @@ the raw input.
 
 All gradients are hand-derived (BPTT through the LSTM, column unfolding
 for the convolution, subgradient routed to the argmax for the pool) and
-validated against central finite differences by gradient_check().
+validated against central finite differences by gradient_check().  The
+BPTT computes the gate-local derivatives of every step at once before
+its time loop, which then carries only dh and dc back.
 Everything is float64 and deterministic under a seed.  Public single
 sample entry points accept (T, k) arrays; training internals batch to
 (B, T, k) for speed.
@@ -233,39 +235,63 @@ def _lstm_forward_batch(p: LstmParams, x: np.ndarray):
 
 
 def _lstm_backward(p: LstmParams, cache: dict, dh_seq: np.ndarray):
-    """BPTT. Returns (param grads dict with lstm.* keys, dX)."""
+    """BPTT. Returns (param grads dict with lstm.* keys, dX).
+
+    Every factor that depends only on the forward cache is computed for
+    all steps before the loop, time-major, so each step does the true
+    recurrence only: carry dh and dc back and push da through W_h.
+    """
     x = cache["x"]
     b, t, k = x.shape
     h = p.hidden
-    gates = cache["gates"]
+    gates = cache["gates"].transpose(1, 0, 2)  # (t, b, 4h) views
+    c = cache["c"].transpose(1, 0, 2)
+    tc = cache["tc"].transpose(1, 0, 2)
+    sig = gates[:, :, :3 * h]
+    f = gates[:, :, :h]
+    i = gates[:, :, h:2 * h]
+    o = gates[:, :, 2 * h:3 * h]
+    cand = gates[:, :, 3 * h:]
+    # da holds each step's local factors until the step overwrites them
+    # with da = local * [dc, dc, dh, dc], block by block:
+    # f: c_prev f(1-f)   i: cand i(1-i)   o: tanh(c) o(1-o)   c: i(1-cand^2)
+    # Filled in place: more full-size arrays per call make the heap trim
+    # and regrow at every training step, and the page faults cost more
+    # than the hoisting saves.
+    da = np.empty((t, b, 4 * h))  # pre-activation gradients, rows f, i, o, c
+    np.subtract(1.0, sig, out=da[:, :, :3 * h])
+    da[:, :, :3 * h] *= sig
+    da[0, :, :h] = 0.0
+    da[1:, :, :h] *= c[:-1]
+    da[:, :, h:2 * h] *= cand
+    da[:, :, 2 * h:3 * h] *= tc
+    local_c = da[:, :, 3 * h:]
+    np.multiply(cand, cand, out=local_c)
+    np.subtract(1.0, local_c, out=local_c)
+    local_c *= i
+    dc_dh = np.empty((t, b, h))  # dc gets dh o(1 - tanh^2 c)
+    np.multiply(tc, tc, out=dc_dh)
+    np.subtract(1.0, dc_dh, out=dc_dh)
+    dc_dh *= o
+    dh_seq = dh_seq.transpose(1, 0, 2)
     w_h = p.w[:, k:]
-    da = np.empty((b, t, 4 * h))  # pre-activation gradients, rows f, i, o, c
     dh_next = np.zeros((b, h))
     dc_next = np.zeros((b, h))
     for step in range(t - 1, -1, -1):
-        g = gates[:, step]
-        f = g[:, :h]
-        i = g[:, h:2 * h]
-        o = g[:, 2 * h:3 * h]
-        cand = g[:, 3 * h:]
-        tc = cache["tc"][:, step]
-        c_prev = cache["c"][:, step - 1] if step > 0 else 0.0
-
-        dh = dh_seq[:, step] + dh_next
-        dc = dc_next + dh * o * (1.0 - tc * tc)
-        d = da[:, step]
-        d[:, :h] = dc * c_prev * f * (1.0 - f)
-        d[:, h:2 * h] = dc * cand * i * (1.0 - i)
-        d[:, 2 * h:3 * h] = dh * tc * o * (1.0 - o)
-        d[:, 3 * h:] = dc * i * (1.0 - cand * cand)
+        dh = dh_seq[step] + dh_next
+        dc = dc_next + dh * dc_dh[step]
+        d = da[step]
+        np.multiply(d, np.concatenate((dc, dc, dh, dc), axis=1), out=d)
         dh_next = d @ w_h
-        dc_next = dc * f
+        dc_next = dc * f[step]
 
-    h_prev = np.concatenate([np.zeros((b, 1, h)), cache["h"][:, :-1]], axis=1)
-    z = np.concatenate([x, h_prev], axis=2).reshape(b * t, k + h)
-    da_flat = da.reshape(b * t, 4 * h)
-    grads = {"lstm.w": da_flat.T @ z, "lstm.b": da_flat.sum(axis=0)}
-    return grads, da @ p.w[:, :k]
+    z = np.empty((t, b, k + h))  # [x_t ; h_{t-1}], time-major like da
+    z[:, :, :k] = x.transpose(1, 0, 2)
+    z[0, :, k:] = 0.0
+    z[1:, :, k:] = cache["h"].transpose(1, 0, 2)[:-1]
+    da = da.reshape(t * b, 4 * h)
+    grads = {"lstm.w": da.T @ z.reshape(t * b, k + h), "lstm.b": da.sum(axis=0)}
+    return grads, (da @ p.w[:, :k]).reshape(t, b, k).transpose(1, 0, 2)
 
 
 def lstm_forward(p: LstmParams, x: np.ndarray):

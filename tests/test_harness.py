@@ -483,6 +483,18 @@ def test_cli_exit_code_matrix(tmp_path, capsys):
     write_cfg(tmp_path, ini_text(data={"corpus": "absent"}), "nocorpus.ini")
     write_cfg(tmp_path, ini_text(data={"labels": "latin1.csv"}), "latin1labels.ini")
     (tmp_path / "latin1.csv").write_bytes(b"Id,Class\n01_0000,1\n\xff,2\n")
+    # values that passed validation and then crashed or divided by zero
+    bad_values = {
+        "epochs0": {"train": {"epochs": "0"}},
+        "epochs-3": {"train": {"epochs": "-3"}},
+        "batch0": {"train": {"batch_size": "0"}},
+        "width-1": {"model": {"kernel_width": "-1"}},
+        "channels-2": {"model": {"conv_channels": "-2"}},
+        "channels0": {"model": {"conv_channels": "0"}},
+        "xmax0": {"embedding": {"x_max": "0"}},
+    }
+    for stem, overrides in bad_values.items():
+        write_cfg(tmp_path, ini_text(**overrides), f"{stem}.ini")
     flipped_to_ff = model[:40] + b"\xff" + model[41:]
     head, block, row = model.split(b"\n")[:3]
     digit = len(head) + len(block) + 2 + row.index(b".") - 1  # first float's units digit
@@ -495,7 +507,7 @@ def test_cli_exit_code_matrix(tmp_path, capsys):
         ("eval", "cfg.ini", flipped_to_ff, 3),
         ("eval", "cfg.ini", flipped_digit, 3),
         ("eval", "cfg.ini", model, 3),  # valid, but the wrong input width
-    ]
+    ] + [("train", f"{stem}.ini", None, 2) for stem in bad_values]
     for verb, name, model_bytes, code in cases:
         if model_bytes is not None:
             (out / "model.ckpt").write_bytes(model_bytes)

@@ -189,6 +189,66 @@ def test_stacked_lstm_matches_four_gate_reference(b, t):
     assert rel_err(got_dx, want_dx) <= 1e-12
 
 
+# A frozen copy of the step-by-step BPTT that hoisting the gate-local
+# factors out of the time loop replaced: every factor is formed inside
+# the loop, batch-major.
+
+def reference_lstm_backward(p, cache, dh_seq):
+    x = cache["x"]
+    b, t, k = x.shape
+    h = p.hidden
+    gates = cache["gates"]
+    w_h = p.w[:, k:]
+    da = np.empty((b, t, 4 * h))
+    dh_next = np.zeros((b, h))
+    dc_next = np.zeros((b, h))
+    for step in range(t - 1, -1, -1):
+        g = gates[:, step]
+        f = g[:, :h]
+        i = g[:, h:2 * h]
+        o = g[:, 2 * h:3 * h]
+        cand = g[:, 3 * h:]
+        tc = cache["tc"][:, step]
+        c_prev = cache["c"][:, step - 1] if step > 0 else 0.0
+        dh = dh_seq[:, step] + dh_next
+        dc = dc_next + dh * o * (1.0 - tc * tc)
+        d = da[:, step]
+        d[:, :h] = dc * c_prev * f * (1.0 - f)
+        d[:, h:2 * h] = dc * cand * i * (1.0 - i)
+        d[:, 2 * h:3 * h] = dh * tc * o * (1.0 - o)
+        d[:, 3 * h:] = dc * i * (1.0 - cand * cand)
+        dh_next = d @ w_h
+        dc_next = dc * f
+    h_prev = np.concatenate([np.zeros((b, 1, h)), cache["h"][:, :-1]], axis=1)
+    z = np.concatenate([x, h_prev], axis=2).reshape(b * t, k + h)
+    da_flat = da.reshape(b * t, 4 * h)
+    grads = {"lstm.w": da_flat.T @ z, "lstm.b": da_flat.sum(axis=0)}
+    return grads, da @ p.w[:, :k]
+
+
+@pytest.mark.parametrize("dh_kind", ["dense", "max_pool"])
+@pytest.mark.parametrize("b,t", [(1, 1), (1, 2), (1, 48), (16, 1), (16, 2), (16, 48)])
+def test_lstm_backward_matches_step_by_step_reference(b, t, dh_kind):
+    k, h = 48, 24  # the fused input width and hidden size the pipeline trains
+    rng = np.random.default_rng(100 * b + t)
+    params = init_params(ModelConfig(arch="lstm"), input_dim=k, classes=3,
+                         hidden=h, seed=b + t).lstm
+    params.b[:] = rng.normal(scale=0.5, size=4 * h)
+    hs, cache = lstm_forward(params, rng.normal(size=(b, t, k)))
+    if dh_kind == "dense":
+        dh_seq = rng.normal(size=hs.shape)
+    else:  # what the lstm arch's pool hands back: one step per unit
+        _, arg = max_pool_over_time(hs)
+        dh_seq = max_pool_backward(arg, hs.shape, rng.normal(size=(b, h)))
+
+    want, want_dx = reference_lstm_backward(params, cache, dh_seq)
+    got, got_dx = _lstm_backward(params, cache, dh_seq)
+    assert rel_err(got["lstm.w"], want["lstm.w"]) <= 1e-12
+    assert rel_err(got["lstm.b"], want["lstm.b"]) <= 1e-12
+    assert got_dx.shape == want_dx.shape
+    assert rel_err(got_dx, want_dx) <= 1e-12
+
+
 def test_lstm_shapes():
     p = tiny_lstm()
     assert p.hidden == 1 and p.input_dim == 1
