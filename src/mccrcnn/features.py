@@ -12,7 +12,6 @@ per-position gram-id sequence (sequence models).
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 from itertools import chain, repeat
 
@@ -22,19 +21,9 @@ from .embedding import EmbeddingTable
 from .errors import PipelineError
 from .extraction import TokenSequence
 
-log = logging.getLogger(__name__)
-
 
 class ShapeMismatch(PipelineError):
     """Two matrices, or a matrix and a model, disagree in shape."""
-
-
-class DuplicateId(PipelineError):
-    """A sample id occurs more than once on the feature side of a join."""
-
-
-class EmptyJoin(PipelineError):
-    """No sample id is shared between features and labels."""
 
 
 @dataclass(frozen=True)
@@ -56,10 +45,10 @@ class NgramFeatureSet:
 
 @dataclass(frozen=True)
 class LabeledDataset:
-    """Joined (sample_id, payload, label) records sorted by sample id.
+    """(sample_id, payload, label) records sorted by sample id.
 
-    Labels are integers 1..l; ``l`` is the largest label seen at join
-    time and is preserved by subset().
+    Labels are integers 1..l; ``l`` is the largest label among the
+    records it was built from and is preserved by subset().
     """
 
     records: tuple[tuple[str, object, int], ...]
@@ -101,33 +90,6 @@ def fuse(opcode_m: np.ndarray, api_m: np.ndarray) -> np.ndarray:
     if opcode_m.shape != api_m.shape:
         raise ShapeMismatch(f"opcode matrix {opcode_m.shape} vs api matrix {api_m.shape}")
     return np.hstack([opcode_m, api_m])
-
-
-def join_with_labels(features, labels: dict[str, int]) -> LabeledDataset:
-    """Inner join of (sample_id, payload) pairs and labels on id, sorted by id.
-
-    Unmatched rows on either side are dropped and logged.
-    """
-    by_id: dict[str, object] = {}
-    for sid, payload in features:
-        if sid in by_id:
-            raise DuplicateId(f"duplicate sample id in features: {sid}")
-        by_id[sid] = payload
-
-    for sid, y in labels.items():
-        if not isinstance(y, int) or isinstance(y, bool) or y < 1:
-            raise ValueError(f"label for {sid} must be an integer >= 1, got {y!r}")
-
-    matched = sorted(set(by_id) & set(labels))
-    for sid in sorted(set(by_id) - set(labels)):
-        log.warning("sample %s has features but no label, dropped", sid)
-    for sid in sorted(set(labels) - set(by_id)):
-        log.warning("sample %s has a label but no features, dropped", sid)
-    if not matched:
-        raise EmptyJoin("no sample id shared between features and labels")
-
-    records = tuple((sid, by_id[sid], labels[sid]) for sid in matched)
-    return LabeledDataset(records=records, l=max(labels[sid] for sid in matched))
 
 
 def select_ngram_features(corpus, n: int, limit: int = 700) -> NgramFeatureSet:

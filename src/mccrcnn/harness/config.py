@@ -53,7 +53,6 @@ class TrainSettings:
     learning_rate: float = 0.05
     epochs: int = 12
     batch_size: int = 16
-    optimizer: str = "adagrad"
 
 
 @dataclass
@@ -172,11 +171,14 @@ def load_config(path, seed_override: int | None = None,
 
 
 def _validate(cfg: ExperimentConfig) -> None:
+    # every bound is written as the condition that holds, so NaN fails it
     checks = [
         (cfg.folds >= 2, "folds must be >= 2"),
         (cfg.embedding.k >= 1, "embedding k must be >= 1"),
         (cfg.embedding.window >= 1, "embedding window must be >= 1"),
+        (cfg.embedding.learning_rate > 0, "embedding learning_rate must be > 0"),
         (cfg.embedding.x_max > 0, "embedding x_max must be > 0"),
+        (cfg.embedding.alpha >= 0, "embedding alpha must be >= 0"),
         (cfg.model.seq_len >= 1, "model seq_len must be >= 1"),
         (cfg.model.hidden >= 1, "model hidden must be >= 1"),
         (cfg.model.conv_channels >= 1, "model conv_channels must be >= 1"),
@@ -184,9 +186,9 @@ def _validate(cfg: ExperimentConfig) -> None:
          "model kernel_width must be odd and >= 1"),
         (cfg.model.arch in ("mcc_rcnn", "lstm", "gcnn"), "unknown model arch"),
         (cfg.model.features in ("opcode", "api", "fused"), "unknown feature layer"),
+        (cfg.train.learning_rate > 0, "train learning_rate must be > 0"),
         (cfg.train.epochs >= 1, "train epochs must be >= 1"),
         (cfg.train.batch_size >= 1, "train batch_size must be >= 1"),
-        (cfg.train.optimizer in ("adagrad", "sgd"), "unknown optimizer"),
         (cfg.ngram.limit >= 1, "ngram limit must be >= 1"),
         (all(n >= 1 for n in cfg.ngram.sweep) and cfg.ngram.sweep,
          "ngram sweep must list integers >= 1"),

@@ -37,6 +37,7 @@ import numpy as np
 from ..baselines import Standardizer, knn_predict, train_logistic, train_nb, train_svm
 from ..embedding import EmbeddingTable, build_vocab, count_cooccurrence, train_glove
 from ..extraction import (
+    NoCode,
     build_relation_graph,
     extract_key_api_sequence,
     extract_opcode_sequence,
@@ -44,7 +45,6 @@ from ..extraction import (
 from ..features import (
     LabeledDataset,
     fuse,
-    join_with_labels,
     ngram_vector,
     ngram_id_sequence,
     onehot_matrix,
@@ -80,13 +80,17 @@ def derive_seed(root: int, stage: int, fold: int = 0) -> int:
 
 
 def prepare_dataset(cfg: ExperimentConfig) -> LabeledDataset:
-    """Ingest and extract; payload per sample is (opcode seq, api seq).
+    """Ingest and extract the labelled corpus, one record per sample.
 
-    Samples without code-section instructions are dropped and logged;
-    an empty API sequence is kept (its feature rows are all zero).
+    ingest_corpus decides which files and labels meet.  A listing
+    without code-section instructions is dropped and logged; an empty
+    API sequence is kept (its feature rows are all zero).  Records are
+    (sample_id, (opcode seq, api seq), label), sorted by sample id,
+    and ``l`` is the largest label among them.  Raises NoCode when no
+    labelled listing has code.
     """
     asm_files, labels = ingest_corpus(cfg.corpus, cfg.labels)
-    pairs = []
+    records = []
     for asm in asm_files:
         op_seq = extract_opcode_sequence(asm)
         if not op_seq.tokens:
@@ -94,8 +98,13 @@ def prepare_dataset(cfg: ExperimentConfig) -> LabeledDataset:
             continue
         graph = build_relation_graph(asm)
         api_seq = extract_key_api_sequence(graph, asm)
-        pairs.append((asm.sample_id, (op_seq, api_seq)))
-    return join_with_labels(pairs, labels)
+        records.append((asm.sample_id, (op_seq, api_seq), labels[asm.sample_id]))
+    if not records:
+        raise NoCode(f"no labelled listing under {cfg.corpus} has code-section instructions")
+    # ingest returns files in path order, which is not id order:
+    # "a-b.asm" sorts before "a.asm", but id "a" before "a-b"
+    records.sort(key=lambda r: r[0])
+    return LabeledDataset(records=tuple(records), l=max(y for _s, _p, y in records))
 
 
 def fit_embedding(sequences, settings, seed: int) -> EmbeddingTable:
@@ -209,7 +218,6 @@ def train_cfg_for(cfg: ExperimentConfig, fold: int) -> TrainConfig:
         learning_rate=ts.learning_rate, epochs=ts.epochs,
         hidden=cfg.model.hidden, batch_size=ts.batch_size,
         seed=derive_seed(cfg.seed, STAGE_MODEL, fold),
-        optimizer=ts.optimizer,
     )
 
 

@@ -101,24 +101,32 @@ class _BlockReader:
         return line
 
     def array(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
+        """Block ``name`` of the given shape.
+
+        The header's shape must match and every row is parsed before the
+        array is built, so a crafted header cannot make the reader
+        allocate more than the file holds.
+        """
         head = self.next_line().split()
-        if head[0] != name:
-            raise CorruptFile(f"{self.path}: expected block {name!r}, got {head[0]!r}")
-        dims = tuple(int(d) for d in head[1:])
-        if dims != shape:
-            raise CorruptFile(f"{self.path}: block {name} has shape {dims}, expected {shape}")
+        if head[:1] != [name]:
+            raise CorruptFile(f"{self.path}: expected block {name!r}, got {' '.join(head[:1])!r}")
+        if head[1:] != [str(d) for d in shape]:
+            raise CorruptFile(f"{self.path}: block {name} has shape {' '.join(head[1:9])!r}, "
+                              f"expected {shape}")
         last = shape[-1]
         rows = math.prod(shape[:-1])  # 1 for a 1-D block
-        out = np.empty((rows, last), dtype=np.float64)
+        if min(shape) < 1 or rows > len(self.lines) - self.pos:
+            raise CorruptFile(f"{self.path}: block {name} claims {rows} rows of {last}")
+        values = []
         for r in range(rows):
             parts = self.next_line().split()
             if len(parts) != last:
                 raise CorruptFile(f"{self.path}: block {name} row {r} has {len(parts)} values")
             try:
-                out[r] = [float(v) for v in parts]
+                values.append([float(v) for v in parts])
             except ValueError as exc:
                 raise CorruptFile(f"{self.path}: block {name} row {r}: {exc}") from exc
-        return out.reshape(shape)
+        return np.array(values, dtype=np.float64).reshape(shape)
 
     def done(self) -> None:
         if self.pos != len(self.lines):

@@ -149,7 +149,6 @@ class TrainConfig:
     hidden: int = 24
     batch_size: int = 16
     seed: int = 0
-    optimizer: str = "adagrad"  # "adagrad" | "sgd"
 
 
 def named_params(params: ModelParams) -> dict[str, np.ndarray]:
@@ -235,7 +234,9 @@ def _lstm_forward_batch(p: LstmParams, x: np.ndarray):
 
 
 def _lstm_backward(p: LstmParams, cache: dict, dh_seq: np.ndarray):
-    """BPTT. Returns (param grads dict with lstm.* keys, dX).
+    """BPTT. Returns the param grads dict with lstm.* keys.
+
+    No input gradient is formed: the LSTM is always the first layer.
 
     Every factor that depends only on the forward cache is computed for
     all steps before the loop, time-major, so each step does the true
@@ -290,8 +291,7 @@ def _lstm_backward(p: LstmParams, cache: dict, dh_seq: np.ndarray):
     z[0, :, k:] = 0.0
     z[1:, :, k:] = cache["h"].transpose(1, 0, 2)[:-1]
     da = da.reshape(t * b, 4 * h)
-    grads = {"lstm.w": da.T @ z.reshape(t * b, k + h), "lstm.b": da.sum(axis=0)}
-    return grads, (da @ p.w[:, :k]).reshape(t, b, k).transpose(1, 0, 2)
+    return {"lstm.w": da.T @ z.reshape(t * b, k + h), "lstm.b": da.sum(axis=0)}
 
 
 def lstm_forward(p: LstmParams, x: np.ndarray):
@@ -447,8 +447,7 @@ def loss_and_gradients(params: ModelParams, batch):
         conv_grads, dcur = _gconv_backward(params.conv, cache["conv"], dcur)
         grads.update(conv_grads)
     if params.lstm is not None:
-        lstm_grads, _dx = _lstm_backward(params.lstm, cache["lstm"], dcur)
-        grads.update(lstm_grads)
+        grads.update(_lstm_backward(params.lstm, cache["lstm"], dcur))
     return loss, grads
 
 
@@ -466,7 +465,7 @@ def predict(params: ModelParams, matrices, batch_size: int = 64) -> np.ndarray:
 
 
 def train(model_cfg: ModelConfig, dataset, cfg: TrainConfig, to_matrix=None):
-    """Train on a LabeledDataset with seeded shuffled minibatches.
+    """Train on a LabeledDataset with AdaGrad over seeded shuffled minibatches.
 
     ``to_matrix`` converts a record payload to its (T, k) input matrix
     (defaults to np.asarray as float64).  Returns (params,
@@ -476,8 +475,6 @@ def train(model_cfg: ModelConfig, dataset, cfg: TrainConfig, to_matrix=None):
     """
     if len(dataset) == 0:
         raise EmptyTrainSet("empty training dataset")
-    if cfg.optimizer not in ("adagrad", "sgd"):
-        raise ValueError(f"unknown optimizer {cfg.optimizer!r}")
     convert = to_matrix or (lambda p: np.asarray(p, dtype=np.float64))
     mats = [convert(p) for p in dataset.payloads()]
     labels = dataset.labels()
@@ -500,13 +497,10 @@ def train(model_cfg: ModelConfig, dataset, cfg: TrainConfig, to_matrix=None):
                 raise DivergedLoss(f"training loss non-finite at epoch {epoch + 1}")
             total_loss += loss * len(sel)
             for name, grad in grads.items():
-                if cfg.optimizer == "adagrad":
-                    acc_state[name] += grad * grad
-                    tensors[name] -= cfg.learning_rate * grad / (
-                        np.sqrt(acc_state[name]) + 1e-8
-                    )
-                else:
-                    tensors[name] -= cfg.learning_rate * grad
+                acc_state[name] += grad * grad
+                tensors[name] -= cfg.learning_rate * grad / (
+                    np.sqrt(acc_state[name]) + 1e-8
+                )
         preds = predict(params, mats, batch_size=max(cfg.batch_size, 32))
         accuracy = float(np.mean(preds == np.array(labels)))
         history.append({

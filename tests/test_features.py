@@ -1,6 +1,5 @@
-"""Feature matrices, label joins, and n-gram featurizers."""
+"""Feature matrices, labelled datasets, and n-gram featurizers."""
 
-import logging
 from collections import Counter
 
 import numpy as np
@@ -9,12 +8,10 @@ import pytest
 from mccrcnn.embedding import EmbeddingTable
 from mccrcnn.extraction import SequenceKind, TokenSequence
 from mccrcnn.features import (
-    DuplicateId,
-    EmptyJoin,
+    LabeledDataset,
     NgramFeatureSet,
     ShapeMismatch,
     fuse,
-    join_with_labels,
     ngram_id_sequence,
     ngram_vector,
     onehot_matrix,
@@ -111,41 +108,15 @@ def test_fuse_rejects_mismatched_shapes():
             fuse(a, other)
 
 
-# -------------------------------------------------------------- label join
+# ------------------------------------------------------- labelled dataset
+# Which samples are in and with which label is decided by ingest and
+# prepare_dataset (tests/test_harness.py); label values by read_labels.
 
-def matrices(*sids):
-    t = table_for(["a"], k=2)
-    return [(s, sequence_to_matrix(seq(["a"], sid=s), t, t=1)) for s in sids]
-
-
-def test_join_inner_joins_and_sorts(caplog):
-    feats = matrices("s3", "s1", "s2", "s9")
-    labels = {"s1": 2, "s2": 1, "s3": 2, "s0": 3}
-    with caplog.at_level(logging.WARNING):
-        ds = join_with_labels(feats, labels)
-    assert ds.ids() == ["s1", "s2", "s3"]
-    assert ds.labels() == [2, 1, 2]
-    assert "s9" in caplog.text and "s0" in caplog.text
-    # l reflects matched labels only; the dropped s0=3 does not count
-    assert ds.l == 2
-
-
-def test_join_accepts_id_payload_pairs():
-    ds = join_with_labels([("s1", "anything"), ("s2", 42)], {"s1": 1, "s2": 4})
-    assert ds.payloads() == ["anything", 42]
-    assert ds.l == 4
+def test_labeled_dataset_subset_keeps_l():
+    ds = LabeledDataset(records=(("s1", "anything", 1), ("s2", 42, 4)), l=4)
     sub = ds.subset(["s1"])
-    assert sub.ids() == ["s1"] and sub.l == 4
-
-
-def test_join_rejects_duplicates_and_bad_labels():
-    with pytest.raises(DuplicateId):
-        join_with_labels(matrices("s1", "s1"), {"s1": 1})
-    for bad in (0, -2, True, "2", 1.5):
-        with pytest.raises(ValueError):
-            join_with_labels(matrices("s1"), {"s1": bad})
-    with pytest.raises(EmptyJoin):
-        join_with_labels(matrices("s1"), {"s2": 1})
+    assert sub.ids() == ["s1"] and sub.payloads() == ["anything"] and sub.labels() == [1]
+    assert sub.l == 4 and len(sub) == 1
 
 
 # ----------------------------------------------------------------- n-grams

@@ -106,6 +106,7 @@ def test_config_requires_a_seed(tmp_path):
     ({"model": {"kernel_width": "4"}}, "odd"),
     ({"model": {"arch": "cnn"}}, "arch"),
     ({"run": {"folds": "1"}}, "folds"),
+    # AdaGrad is the only optimizer: the key itself is unknown now
     ({"train": {"optimizer": "adam"}}, "optimizer"),
     ({"synthetic": {"fusion_mode": "maybe"}}, "cannot parse"),
 ])
@@ -122,7 +123,7 @@ def test_config_echo_lists_every_setting(tmp_path):
     assert "ngram.sweep=1,2,3,4" in lines
     assert f"data.corpus={tmp_path / 'corpus'}" in lines
     assert len(lines) == len(set(lines))
-    assert sum(1 for ln in lines if ln.startswith("train.")) == 4
+    assert sum(1 for ln in lines if ln.startswith("train.")) == 3
 
 
 def test_config_missing_file(tmp_path):
@@ -263,20 +264,60 @@ def test_ingest_errors(tmp_path, caplog):
         ingest_corpus(tmp_path, tmp_path / "absent.csv")
 
 
+NO_CODE_LISTING = ".data:00402000 db 0\n.idata:0040F000 extrn CreateFileA:dword\n"
+
 
 def test_prepare_dataset_drops_listing_without_code(tmp_path, caplog):
-    generate_synthetic_corpus(small_spec(), tmp_path)
-    (tmp_path / "99_0000.asm").write_text(
-        ".data:00402000 db 0\n.idata:0040F000 extrn CreateFileA:dword\n")
+    """Each dropped sample is one WARNING record across all loggers.
+
+    Beside the labelled listing without code, the corpus has an
+    unlabelled file and a label without a file.
+    """
+    generate_synthetic_corpus(small_spec(), tmp_path)  # families 1 and 2
+    (tmp_path / "97_0000.asm").write_bytes((tmp_path / "01_0000.asm").read_bytes())
+    (tmp_path / "99_0000.asm").write_text(NO_CODE_LISTING)
     labels_path = tmp_path / "labels.csv"
-    labels_path.write_text(labels_path.read_text() + "99_0000,1\n", encoding="utf-8")
+    labels_path.write_text(labels_path.read_text() + "99_0000,3\nghost,1\n",
+                           encoding="utf-8")
     cfg = ExperimentConfig(seed=1, corpus=tmp_path, labels=labels_path)
     with caplog.at_level(logging.WARNING):
         dataset = prepare_dataset(cfg)
-    dropped = [r.getMessage() for r in caplog.records
-               if r.name == "mccrcnn.harness.experiments"]
-    assert len(dropped) == 1 and "99_0000" in dropped[0]
+    for sid in ("97_0000", "ghost", "99_0000"):
+        hits = [r for r in caplog.records if sid in r.getMessage()]
+        assert len(hits) == 1 and hits[0].levelno == logging.WARNING, (sid, hits)
+    no_code = [r for r in caplog.records if "99_0000" in r.getMessage()]
+    assert no_code[0].name == "mccrcnn.harness.experiments"
     assert len(dataset) == 8 and "99_0000" not in dataset.ids()
+    assert dataset.l == 2  # the dropped listing's label 3 does not count
+
+
+def test_prepare_dataset_orders_records_by_id_not_path(tmp_path):
+    generate_synthetic_corpus(small_spec(), tmp_path / "src")
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    for sid, source in (("a", "01_0000"), ("a-b", "02_0000"), ("a_b", "01_0001")):
+        (corpus / f"{sid}.asm").write_bytes((tmp_path / "src" / f"{source}.asm").read_bytes())
+    (corpus / "labels.csv").write_text("a_b,1\na,1\na-b,2\n", encoding="utf-8")
+    assert [p.stem for p in sorted(corpus.glob("*.asm"))] == ["a-b", "a", "a_b"]
+    dataset = prepare_dataset(ExperimentConfig(seed=1, corpus=corpus,
+                                               labels=corpus / "labels.csv"))
+    assert dataset.ids() == ["a", "a-b", "a_b"]
+    assert dataset.labels() == [1, 2, 1] and dataset.l == 2
+
+
+def test_cli_all_listings_without_code_exit_3(tmp_path, capsys):
+    cfg = write_cfg(tmp_path)
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    for sid in ("s1", "s2"):
+        (corpus / f"{sid}.asm").write_text(NO_CODE_LISTING)
+    (corpus / "labels.csv").write_text("s1,1\ns2,2\n", encoding="utf-8")
+    assert main(["extract", str(cfg)]) == 3
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and "code-section" in errors[0], err
+    assert "Traceback" not in err
+
 
 # ------------------------------------------------------------- checkpoints
 
@@ -483,7 +524,8 @@ def test_cli_exit_code_matrix(tmp_path, capsys):
     write_cfg(tmp_path, ini_text(data={"corpus": "absent"}), "nocorpus.ini")
     write_cfg(tmp_path, ini_text(data={"labels": "latin1.csv"}), "latin1labels.ini")
     (tmp_path / "latin1.csv").write_bytes(b"Id,Class\n01_0000,1\n\xff,2\n")
-    # values that passed validation and then crashed or divided by zero
+    # values that passed validation and then crashed, divided by zero,
+    # diverged or trained nothing; and the deleted optimizer key
     bad_values = {
         "epochs0": {"train": {"epochs": "0"}},
         "epochs-3": {"train": {"epochs": "-3"}},
@@ -492,6 +534,15 @@ def test_cli_exit_code_matrix(tmp_path, capsys):
         "channels-2": {"model": {"conv_channels": "-2"}},
         "channels0": {"model": {"conv_channels": "0"}},
         "xmax0": {"embedding": {"x_max": "0"}},
+        "lr0": {"train": {"learning_rate": "0"}},
+        "lr-1": {"train": {"learning_rate": "-1"}},
+        "lrnan": {"train": {"learning_rate": "nan"}},
+        "emblr0": {"embedding": {"learning_rate": "0"}},
+        "emblr-1": {"embedding": {"learning_rate": "-1"}},
+        "emblrnan": {"embedding": {"learning_rate": "nan"}},
+        "alpha-1": {"embedding": {"alpha": "-1"}},
+        "alphanan": {"embedding": {"alpha": "nan"}},
+        "optimizer": {"train": {"optimizer": "adagrad"}},
     }
     for stem, overrides in bad_values.items():
         write_cfg(tmp_path, ini_text(**overrides), f"{stem}.ini")
@@ -499,18 +550,28 @@ def test_cli_exit_code_matrix(tmp_path, capsys):
     head, block, row = model.split(b"\n")[:3]
     digit = len(head) + len(block) + 2 + row.index(b".") - 1  # first float's units digit
     flipped_digit = model[:digit] + (b"7" if model[digit] != ord("7") else b"8") + model[digit + 1:]
+    # checksums hold, but the block shapes claim terabytes
+    huge = 10**12
+    _write_checkpoint(tmp_path / "huge_model.ckpt",
+                      [f"MCCRCNN v2 6 {huge} 4 3 2 16", f"lstm.w {4 * huge} {6 + huge}", "0.0"])
+    _write_checkpoint(tmp_path / "huge_emb.ckpt",
+                      [f"GLOVEEMB v1 1 {huge}", "tokens 1", "mov", f"w 1 {huge}", "0.0"])
+    huge_model = (tmp_path / "huge_model.ckpt").read_bytes()
+    huge_emb = (tmp_path / "huge_emb.ckpt").read_bytes()
     cases = [
-        ("ingest", "latin1.ini", None, 2),
-        ("ingest", "noseed.ini", None, 2),
-        ("ingest", "nocorpus.ini", None, 3),
-        ("ingest", "latin1labels.ini", None, 3),
-        ("eval", "cfg.ini", flipped_to_ff, 3),
-        ("eval", "cfg.ini", flipped_digit, 3),
-        ("eval", "cfg.ini", model, 3),  # valid, but the wrong input width
-    ] + [("train", f"{stem}.ini", None, 2) for stem in bad_values]
-    for verb, name, model_bytes, code in cases:
-        if model_bytes is not None:
-            (out / "model.ckpt").write_bytes(model_bytes)
+        ("ingest", "latin1.ini", {}, 2),
+        ("ingest", "noseed.ini", {}, 2),
+        ("ingest", "nocorpus.ini", {}, 3),
+        ("ingest", "latin1labels.ini", {}, 3),
+        ("eval", "cfg.ini", {"model.ckpt": flipped_to_ff}, 3),
+        ("eval", "cfg.ini", {"model.ckpt": flipped_digit}, 3),
+        ("eval", "cfg.ini", {"model.ckpt": huge_model}, 3),
+        ("eval", "cfg.ini", {"model.ckpt": model}, 3),  # valid, but the wrong input width
+        ("eval", "cfg.ini", {"model.ckpt": model, "opcode_glove.ckpt": huge_emb}, 3),
+    ] + [("train", f"{stem}.ini", {}, 2) for stem in bad_values]
+    for verb, name, files, code in cases:
+        for file_name, data in files.items():
+            (out / file_name).write_bytes(data)
         assert main([verb, str(tmp_path / name)]) == code, (verb, name)
         err = capsys.readouterr().err
         assert err.startswith("config error:" if code == 2 else "error:"), err
