@@ -4,8 +4,9 @@ Two extractors feed the classifier:
 
 * ``extract_opcode_sequence`` walks the file top to bottom and collects
   the mnemonic of every instruction living in a code section (".text",
-  ".CODE", or the bare "CODE" segment Delphi binaries get), skipping
-  ``align``.
+  ".CODE", or the bare "CODE" segment Delphi binaries get).  ``align``
+  lines are data directives, not instructions, so they never reach the
+  opcode sequence.
 
 * ``extract_key_api_sequence`` performs a depth-first traversal of the
   control-flow relation graph starting at the program entry and emits
@@ -31,10 +32,10 @@ targets (registers, memory) stay unresolved and contribute no edge.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
-from .asmlite import AsmFile, LineKind
+from .asmlite import AsmFile, LineKind, ParsedLine
 from .errors import PipelineError
 
 
@@ -78,7 +79,9 @@ class RelationGraph:
     (source, target, kind) triples; ``call_edges`` are (call site, callee
     entry, return address) triples where the return address is the next
     instruction after the call, or None when the call is the last
-    instruction.
+    instruction.  ``code`` holds the code-section instructions the graph
+    was built from, in file order with the first occurrence per address;
+    the API walk steps through it.
     """
 
     entry_address: int
@@ -87,10 +90,7 @@ class RelationGraph:
     api_sites: tuple[tuple[int, str], ...]
     jump_edges: tuple[tuple[int, int, JumpKind], ...]
     call_edges: tuple[tuple[int, int, int | None], ...]
-
-
-def is_code_section(name: str | None) -> bool:
-    return name in CODE_SECTIONS
+    code: tuple[ParsedLine, ...] = field(repr=False)
 
 
 def _is_conditional_jump(mnemonic: str) -> bool:
@@ -98,27 +98,25 @@ def _is_conditional_jump(mnemonic: str) -> bool:
 
 
 def extract_opcode_sequence(asm: AsmFile) -> TokenSequence:
-    """Mnemonics of code-section instructions in file order, minus align."""
+    """Mnemonics of code-section instructions in file order."""
     tokens = tuple(
         ln.mnemonic
         for ln in asm.lines
-        if ln.kind is LineKind.INSTRUCTION
-        and is_code_section(ln.section)
-        and ln.mnemonic != "align"
+        if ln.kind is LineKind.INSTRUCTION and ln.section in CODE_SECTIONS
     )
     return TokenSequence(asm.sample_id, SequenceKind.OPCODE, tokens)
 
 
-def _code_instructions(asm: AsmFile) -> list:
+def _code_instructions(asm: AsmFile) -> tuple[ParsedLine, ...]:
     """Code-section instructions in file order, first occurrence per address."""
     out = []
     seen: set[int] = set()
     for ln in asm.lines:
-        if ln.kind is LineKind.INSTRUCTION and is_code_section(ln.section):
+        if ln.kind is LineKind.INSTRUCTION and ln.section in CODE_SECTIONS:
             if ln.address not in seen:
                 seen.add(ln.address)
                 out.append(ln)
-    return out
+    return tuple(out)
 
 
 def _strip_import_prefix(name: str) -> str:
@@ -214,6 +212,7 @@ def build_relation_graph(asm: AsmFile) -> RelationGraph:
         api_sites=tuple(api_sites),
         jump_edges=tuple(jump_edges),
         call_edges=tuple(call_edges),
+        code=code,
     )
 
 
@@ -224,7 +223,7 @@ def extract_key_api_sequence(graph: RelationGraph, asm: AsmFile) -> TokenSequenc
     successor exploration order is fixed, so repeated runs give identical
     output.
     """
-    code = _code_instructions(asm)
+    code = graph.code
     index = {ln.address: i for i, ln in enumerate(code)}
     api_at = dict(graph.api_sites)
     jump_at = {src: (dst, kind) for src, dst, kind in graph.jump_edges}

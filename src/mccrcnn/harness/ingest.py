@@ -24,10 +24,11 @@ def read_labels(path) -> dict[str, int]:
 
     A first line whose second field is not an integer is treated as a
     header.  Fields may be double-quoted.  Classes must be integers >= 1.
+    A leading UTF-8 byte order mark is not part of the first id.
     """
     p = Path(path)
     try:
-        raw = p.read_text(encoding="utf-8")
+        raw = p.read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise MissingLabels(f"cannot read label table {p}: {exc}") from exc
     except UnicodeDecodeError as exc:

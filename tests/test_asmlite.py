@@ -1,6 +1,5 @@
 """Listing parser: line grammar, total parsing, exact round trips."""
 
-import dataclasses
 import re
 import string
 
@@ -201,6 +200,37 @@ def test_round_trip_arbitrary_bytes():
         assert asm.round_trip().encode("latin-1") == data
 
 
+# ------------------------------------------------------------ record contract
+
+def test_parsed_line_fields_and_defaults():
+    # the field order of the frozen dataclass this record replaced
+    assert ParsedLine._fields == (
+        "kind", "raw", "section", "address", "mnemonic", "operands", "label")
+    ln = ParsedLine(LineKind.BLANK, "")
+    assert (ln.section, ln.address, ln.mnemonic, ln.operands, ln.label) == (
+        None, None, None, (), None)
+
+
+def test_parsed_line_is_immutable():
+    ln = parse_line(".text:00401000 mov eax, 1")
+    for name in ParsedLine._fields:
+        with pytest.raises(AttributeError):
+            setattr(ln, name, None)
+    with pytest.raises(AttributeError):
+        ln.extra = 1  # no per-instance __dict__
+
+
+def test_parsed_lines_equal_exactly_when_fields_equal():
+    line = ".text:00401000 mov eax, 1"
+    a = parse_line(line)
+    b = ParsedLine(LineKind.INSTRUCTION, line, ".text", 0x401000, "mov", ("eax", "1"))
+    assert a == b and hash(a) == hash(b)
+    other = {"kind": LineKind.DATA_DIRECTIVE, "raw": line + " ", "section": "CODE",
+             "address": 0x401001, "mnemonic": "push", "operands": ("eax",), "label": "x"}
+    for name in ParsedLine._fields:
+        assert a != a._replace(**{name: other[name]}), name
+
+
 def test_sections_present():
     asm = parse_asm_file(KAGGLE_STYLE, "k1")
     assert asm.sections_present == frozenset({".text", ".data", ".idata"})
@@ -323,7 +353,7 @@ def reference_parse_line(line):
                       operands=reference_split_operands(" ".join(tokens[j + 1:])))
 
 
-FIELDS = tuple(f.name for f in dataclasses.fields(ParsedLine))
+FIELDS = ParsedLine._fields
 
 
 def disagreements(lines):
@@ -331,7 +361,7 @@ def disagreements(lines):
     bad = []
     for line in lines:
         got, want = parse_line(line), reference_parse_line(line)
-        if got != want:  # dataclass equality: all FIELDS, in order
+        if got != want:  # record equality: all FIELDS, in order
             bad.append((line, got, want))
     return bad
 

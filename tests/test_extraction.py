@@ -4,17 +4,19 @@ import random
 
 import pytest
 
-from mccrcnn.asmlite import parse_asm_file
+from mccrcnn.asmlite import LineKind, parse_asm_bytes, parse_asm_file
 from mccrcnn.extraction import (
     JumpKind,
     NoCode,
     SequenceKind,
     TokenSequence,
+    _code_instructions,
     build_relation_graph,
     extract_key_api_sequence,
     extract_opcode_sequence,
     write_sequences,
 )
+from mccrcnn.harness.synth import SyntheticCorpusSpec, generate_synthetic_corpus
 
 
 def program(*lines):
@@ -49,6 +51,10 @@ def test_opcode_sequence_file_order_code_sections_only():
     seq = extract_opcode_sequence(asm)
     assert seq.kind is SequenceKind.OPCODE
     assert list(seq.tokens) == ["push", "mov", "xor", "pop", "retn"]
+    # align is a data directive, so it never reaches the opcode sequence
+    align = asm.lines[3]
+    assert (align.section, align.mnemonic) == (".text", "align")
+    assert align.kind is LineKind.DATA_DIRECTIVE
 
 
 def test_opcode_scan_keeps_duplicate_addresses():
@@ -138,6 +144,29 @@ def test_graph_unresolvable_targets_make_no_edges():
 def test_graph_nocode_raises():
     with pytest.raises(NoCode):
         build_relation_graph(program(".data:00403000 db 1"))
+
+
+def test_graph_code_is_first_code_instruction_per_address(tmp_path):
+    asm = program(
+        *IMPORTS,
+        ".text:00401005 start:",
+        ".text:00401005 push ebp",
+        ".data:00403000 db 0",
+        ".text:00401006 align 10h",
+        "CODE:00401000 nop",
+        ".text:00401005 pop ebp",  # duplicate address: the first one counts
+        ".text:00401010 retn",
+    )
+    graph = build_relation_graph(asm)
+    assert [(ln.address, ln.mnemonic) for ln in graph.code] == [
+        (0x401005, "push"), (0x401000, "nop"), (0x401010, "retn")]
+    assert graph.code == _code_instructions(asm)
+    assert "code=" not in repr(graph)
+    generate_synthetic_corpus(
+        SyntheticCorpusSpec(families=3, samples_per_family=3, seed=5), tmp_path)
+    for path in sorted(tmp_path.glob("*.asm")):
+        asm = parse_asm_bytes(path.read_bytes(), path.stem)
+        assert build_relation_graph(asm).code == _code_instructions(asm), path
 
 
 def test_graph_hex_literal_targets():
@@ -354,6 +383,7 @@ def test_walk_terminates_on_random_graphs():
     for trial in range(400):
         asm = random_program(rng)
         graph = build_relation_graph(asm)
+        assert graph.code == _code_instructions(asm), trial
         code = {ln.address for ln in asm.lines if ln.section == ".text" and ln.mnemonic}
         assert all(dst in code for _src, dst, _kind in graph.jump_edges), trial
         assert all(dst in code for _site, dst, _ret in graph.call_edges), trial

@@ -222,6 +222,22 @@ def test_read_labels_header_and_quotes(tmp_path):
     assert read_labels(p) == {"s1": 2, "s2": 1}
 
 
+def test_read_labels_ignores_byte_order_mark(tmp_path, caplog):
+    p = tmp_path / "labels.csv"
+    p.write_bytes(b"\xef\xbb\xbfa,1\nb,2\n")  # headerless, saved with a BOM
+    assert read_labels(p) == {"a": 1, "b": 2}
+    (tmp_path / "a.asm").write_text(".text:00401000 nop\n")
+    with caplog.at_level(logging.WARNING):
+        asms, labels = ingest_corpus(tmp_path, p)
+    assert [a.sample_id for a in asms] == ["a"] and labels == {"a": 1}
+    assert "a.asm" not in caplog.text
+    p.write_bytes(b"\xef\xbb\xbfId,Class\na,1\nb,2\n")  # the header is still skipped
+    assert read_labels(p) == {"a": 1, "b": 2}
+    p.write_bytes(b"\xef\xbb\xbfa,1\n\xff,2\n")  # not UTF-8 after the BOM
+    with pytest.raises(MissingLabels, match="not UTF-8"):
+        read_labels(p)
+
+
 @pytest.mark.parametrize("text", [
     "",
     "Id,Class\n",
