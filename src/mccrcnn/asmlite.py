@@ -30,7 +30,7 @@ column followed by a mnemonic "0".
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
@@ -91,11 +91,6 @@ class AsmFile:
 
     sample_id: str
     lines: tuple[ParsedLine, ...]
-    sections_present: frozenset[str] = field(default_factory=frozenset)
-
-    def instructions(self):
-        """Iterate over the INSTRUCTION lines in file order."""
-        return (ln for ln in self.lines if ln.kind is LineKind.INSTRUCTION)
 
     def round_trip(self) -> str:
         """Reconstruct the original text from the raw fields."""
@@ -157,9 +152,7 @@ def parse_asm_file(text: str, sample_id: str) -> AsmFile:
         raise ValueError("sample_id must be non-empty")
     if text == "":
         raise EmptyFile(f"{sample_id}: no lines to parse")
-    lines = tuple(parse_line(ln) for ln in text.split("\n"))
-    sections = frozenset(ln.section for ln in lines if ln.section is not None)
-    return AsmFile(sample_id=sample_id, lines=lines, sections_present=sections)
+    return AsmFile(sample_id, tuple(parse_line(ln) for ln in text.split("\n")))
 
 
 def parse_asm_bytes(data: bytes, sample_id: str) -> AsmFile:

@@ -86,7 +86,6 @@ class RelationGraph:
 
     entry_address: int
     code_begin: int
-    code_end: int
     api_sites: tuple[tuple[int, str], ...]
     jump_edges: tuple[tuple[int, int, JumpKind], ...]
     call_edges: tuple[tuple[int, int, int | None], ...]
@@ -174,7 +173,7 @@ def build_relation_graph(asm: AsmFile) -> RelationGraph:
     frozen_imports = frozenset(imports)
 
     addresses = [ln.address for ln in code]
-    code_begin, code_end = min(addresses), max(addresses)
+    code_begin = min(addresses)
     entry = label_addr.get("start", label_addr.get("_start", code_begin))
     instr_addrs = set(addresses)
 
@@ -208,7 +207,6 @@ def build_relation_graph(asm: AsmFile) -> RelationGraph:
     return RelationGraph(
         entry_address=entry,
         code_begin=code_begin,
-        code_end=code_end,
         api_sites=tuple(api_sites),
         jump_edges=tuple(jump_edges),
         call_edges=tuple(call_edges),

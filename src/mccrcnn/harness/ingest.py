@@ -59,8 +59,10 @@ def read_labels(path) -> dict[str, int]:
 
 
 def ingest_corpus(corpus_dir, labels_path) -> tuple[list[AsmFile], dict[str, int]]:
-    """Load every labelled .asm file under corpus_dir, sorted by id.
+    """Load every labelled .asm file under corpus_dir, in path order.
 
+    Path order is not always id order ("a-b.asm" sorts before "a.asm",
+    but id "a" before "a-b"); prepare_dataset sorts by id itself.
     The sample id is the file stem.  Files without a label and labels
     without a file are dropped and logged.
     """

@@ -4,7 +4,8 @@ Both formats are line oriented: a magic+version header, named blocks
 (`name` followed by the array shape, then one line of repr() floats per
 row of the array flattened to 2-D), and a final `checksum <sha256>` line
 over everything above it.  repr() round-trips every float exactly, so a
-save/load cycle reproduces parameters bit for bit.
+save/load cycle reproduces parameters bit for bit.  A block holding nan
+or an infinity is corrupt, whatever its checksum says.
 
 Ablation models simply omit the missing part: the header records 0 for
 its dimensions and the loader infers the architecture from which blocks
@@ -105,7 +106,7 @@ class _BlockReader:
 
         The header's shape must match and every row is parsed before the
         array is built, so a crafted header cannot make the reader
-        allocate more than the file holds.
+        allocate more than the file holds.  Every value must be finite.
         """
         head = self.next_line().split()
         if head[:1] != [name]:
@@ -126,7 +127,10 @@ class _BlockReader:
                 values.append([float(v) for v in parts])
             except ValueError as exc:
                 raise CorruptFile(f"{self.path}: block {name} row {r}: {exc}") from exc
-        return np.array(values, dtype=np.float64).reshape(shape)
+        arr = np.array(values, dtype=np.float64).reshape(shape)
+        if not np.isfinite(arr).all():  # float() takes nan, inf and 1e999
+            raise CorruptFile(f"{self.path}: block {name} holds a non-finite value")
+        return arr
 
     def done(self) -> None:
         if self.pos != len(self.lines):

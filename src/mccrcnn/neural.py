@@ -23,6 +23,12 @@ for the convolution, subgradient routed to the argmax for the pool) and
 validated against central finite differences by gradient_check().  The
 BPTT computes the gate-local derivatives of every step at once before
 its time loop, which then carries only dh and dc back.
+Inference keeps no backward cache: predict, mcc_rcnn_forward and
+batch_loss hold only what the next layer reads, one step's LSTM gates
+at a time.  Only loss_and_gradients fills the cache (every step's
+gates, c and tanh c, the conv columns and gate), as do the public
+lstm_forward and gated_conv_forward, which return it.  Both paths run
+the same code and give the same bits.
 Everything is float64 and deterministic under a seed.  Public single
 sample entry points accept (T, k) arrays; training internals batch to
 (B, T, k) for speed.
@@ -46,8 +52,13 @@ class EvenKernelWidth(PipelineError):
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # the tanh identity cannot overflow for any finite x
-    return 0.5 * (1.0 + np.tanh(x / 2.0))
+    # the tanh identity cannot overflow for any finite x; one allocation,
+    # and the same bits as 0.5 * (1 + tanh(x / 2)) since + and * commute
+    s = x / 2.0
+    np.tanh(s, out=s)
+    s += 1.0
+    s *= 0.5
+    return s
 
 
 def softmax_rows(z: np.ndarray) -> np.ndarray:
@@ -205,32 +216,43 @@ def init_params(model_cfg: ModelConfig, input_dim: int, classes: int,
 
 # ---------------------------------------------------------------- LSTM
 
-def _lstm_forward_batch(p: LstmParams, x: np.ndarray):
+def _lstm_forward_batch(p: LstmParams, x: np.ndarray, cache: dict | None = None):
+    """Hidden state sequence of a (B, T, k) batch.
+
+    With a ``cache`` dict, fills it with every step's gates, c and tanh c
+    for _lstm_backward; without one, a single (B, 4h) gate buffer is
+    reused across steps and only the hidden states are kept.
+    """
     b, t, k = x.shape
     h = p.hidden
+    keep = cache is not None
     # input projection of every step at once; the loop adds h_prev @ W_h
-    xw = x @ p.w[:, :k].T + p.b
+    xw = x @ p.w[:, :k].T
+    xw += p.b
     w_h = np.ascontiguousarray(p.w[:, k:].T)
-    gates = np.empty((b, t, 4 * h))  # activated f, i, o, candidate
-    cs = np.empty((b, t, h))
-    tcs = np.empty((b, t, h))
+    gates = np.empty((b, t if keep else 1, 4 * h))  # activated f, i, o, candidate
+    if keep:
+        cs = np.empty((b, t, h))
+        tcs = np.empty((b, t, h))
     hs = np.empty((b, t, h))
     h_prev = np.zeros((b, h))
     c_prev = np.zeros((b, h))
     for step in range(t):
         a = xw[:, step] + h_prev @ w_h
-        g = gates[:, step]
+        g = gates[:, step if keep else 0]
         g[:, :3 * h] = _sigmoid(a[:, :3 * h])
         g[:, 3 * h:] = np.tanh(a[:, 3 * h:])
         c = g[:, :h] * c_prev + g[:, h:2 * h] * g[:, 3 * h:]
         tc = np.tanh(c)
         h_prev = g[:, 2 * h:3 * h] * tc
         c_prev = c
-        cs[:, step] = c
-        tcs[:, step] = tc
+        if keep:
+            cs[:, step] = c
+            tcs[:, step] = tc
         hs[:, step] = h_prev
-    cache = {"x": x, "gates": gates, "c": cs, "tc": tcs, "h": hs}
-    return hs, cache
+    if keep:
+        cache.update(x=x, gates=gates, c=cs, tc=tcs, h=hs)
+    return hs
 
 
 def _lstm_backward(p: LstmParams, cache: dict, dh_seq: np.ndarray):
@@ -300,15 +322,17 @@ def lstm_forward(p: LstmParams, x: np.ndarray):
     Returns (H, cache); H matches the input's batching.
     """
     x = np.asarray(x, dtype=np.float64)
+    cache: dict = {}
     if x.ndim == 2:
-        hs, cache = _lstm_forward_batch(p, x[None])
-        return hs[0], cache
-    return _lstm_forward_batch(p, x)
+        return _lstm_forward_batch(p, x[None], cache)[0], cache
+    return _lstm_forward_batch(p, x, cache), cache
 
 
 # -------------------------------------------------------- gated conv
 
-def _gconv_forward_batch(p: GatedConvParams, h: np.ndarray):
+def _gconv_forward_batch(p: GatedConvParams, h: np.ndarray, cache: dict | None = None):
+    """Gated linear unit of a (B, T, c_in) batch; a ``cache`` dict, when
+    given, is filled with what _gconv_backward reads."""
     b, t, c_in = h.shape
     width = p.width
     pad = (width - 1) // 2
@@ -318,11 +342,16 @@ def _gconv_forward_batch(p: GatedConvParams, h: np.ndarray):
     cols = cols.reshape(b, t, width * c_in)
     w2 = p.w.reshape(width * c_in, -1)
     v2 = p.v.reshape(width * c_in, -1)
-    lin = cols @ w2 + p.b
-    gate_sig = _sigmoid(cols @ v2 + p.g)
-    out = lin * gate_sig
-    cache = {"cols": cols, "lin": lin, "gate_sig": gate_sig, "in_shape": (b, t, c_in)}
-    return out, cache
+    lin = cols @ w2
+    lin += p.b
+    gate = cols @ v2
+    gate += p.g
+    gate_sig = _sigmoid(gate)
+    if cache is None:
+        lin *= gate_sig
+        return lin
+    cache.update(cols=cols, lin=lin, gate_sig=gate_sig, in_shape=(b, t, c_in))
+    return lin * gate_sig
 
 
 def _gconv_backward(p: GatedConvParams, cache: dict, dout: np.ndarray):
@@ -356,10 +385,10 @@ def _gconv_backward(p: GatedConvParams, cache: dict, dout: np.ndarray):
 def gated_conv_forward(p: GatedConvParams, h: np.ndarray):
     """Gated linear unit over time for (T, c_in) or (B, T, c_in) input."""
     h = np.asarray(h, dtype=np.float64)
+    cache: dict = {}
     if h.ndim == 2:
-        out, cache = _gconv_forward_batch(p, h[None])
-        return out[0], cache
-    return _gconv_forward_batch(p, h)
+        return _gconv_forward_batch(p, h[None], cache)[0], cache
+    return _gconv_forward_batch(p, h, cache), cache
 
 
 # ------------------------------------------------------- full model
@@ -378,29 +407,35 @@ def max_pool_backward(arg: np.ndarray, shape, dpooled: np.ndarray) -> np.ndarray
     return dx
 
 
-def _forward_batch(params: ModelParams, x: np.ndarray):
-    cache: dict = {}
+def _forward_batch(params: ModelParams, x: np.ndarray, cache: dict | None = None):
+    """Class probabilities of a (B, T, k) batch.
+
+    Only a caller that backpropagates passes ``cache``; it is filled with
+    each layer's activations and the pool's argmax.
+    """
     cur = x
     if params.lstm is not None:
-        cur, cache["lstm"] = _lstm_forward_batch(params.lstm, cur)
+        sub = None if cache is None else cache.setdefault("lstm", {})
+        cur = _lstm_forward_batch(params.lstm, cur, sub)
     if params.conv is not None:
-        cur, cache["conv"] = _gconv_forward_batch(params.conv, cur)
+        sub = None if cache is None else cache.setdefault("conv", {})
+        cur = _gconv_forward_batch(params.conv, cur, sub)
     pooled, arg = max_pool_over_time(cur)
-    cache["pool_arg"] = arg
-    cache["pool_shape"] = cur.shape
-    cache["pooled"] = pooled
+    if cache is not None:
+        cache.update(pool_arg=arg, pool_shape=cur.shape, pooled=pooled)
     logits = pooled @ params.dense_w.T + params.dense_b
-    probs = softmax_rows(logits)
-    return probs, cache
+    return softmax_rows(logits)
 
 
 def mcc_rcnn_forward(params: ModelParams, x: np.ndarray) -> np.ndarray:
-    """Class probability vector for one (T, k) input matrix."""
+    """Class probability vector for one (T, k) input matrix.
+
+    Inference only: no backward cache is kept.
+    """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError("expected a single (T, k) matrix")
-    probs, _ = _forward_batch(params, x[None])
-    return probs[0]
+    return _forward_batch(params, x[None])[0]
 
 
 def _stack_batch(params: ModelParams, batch):
@@ -418,7 +453,7 @@ def _stack_batch(params: ModelParams, batch):
 def batch_loss(params: ModelParams, batch) -> float:
     """Mean cross-entropy of a list of (matrix, label) pairs."""
     x, y = _stack_batch(params, batch)
-    probs, _ = _forward_batch(params, x)
+    probs = _forward_batch(params, x)
     return float(-np.mean(np.log(probs[np.arange(len(y)), y])))
 
 
@@ -430,7 +465,8 @@ def loss_and_gradients(params: ModelParams, batch):
     """
     x, y = _stack_batch(params, batch)
     n = len(y)
-    probs, cache = _forward_batch(params, x)
+    cache: dict = {}
+    probs = _forward_batch(params, x, cache)
     loss = float(-np.mean(np.log(probs[np.arange(n), y])))
 
     dlogits = probs.copy()
@@ -454,12 +490,17 @@ def loss_and_gradients(params: ModelParams, batch):
 # ------------------------------------------------------------ training
 
 def predict(params: ModelParams, matrices, batch_size: int = 64) -> np.ndarray:
-    """Predicted labels (1-based) for a list of (T, k) matrices."""
+    """Predicted labels (1-based) for a list of (T, k) matrices.
+
+    Inference only: no backward cache is kept, so each chunk's forward
+    holds one step's LSTM gates at a time.  The chunking is part of the
+    result: other chunk sizes change the probabilities in the last bits.
+    """
     out = np.zeros(len(matrices), dtype=np.int64)
     for lo in range(0, len(matrices), batch_size):
         chunk = matrices[lo:lo + batch_size]
         x = np.stack([np.asarray(m, dtype=np.float64) for m in chunk])
-        probs, _ = _forward_batch(params, x)
+        probs = _forward_batch(params, x)
         out[lo:lo + len(chunk)] = probs.argmax(axis=1) + 1
     return out
 

@@ -85,7 +85,6 @@ def test_graph_bounds_entry_and_api_sites():
     )
     g = build_relation_graph(asm)
     assert g.code_begin == 0x401000
-    assert g.code_end == 0x40100A
     assert g.entry_address == 0x401000
     assert g.api_sites == ((0x401000, "Alpha"), (0x401007, "Beta"))
     assert g.jump_edges == ((0x401005, 0x40100A, JumpKind.CONDITIONAL),)

@@ -574,6 +574,24 @@ def test_cli_exit_code_matrix(tmp_path, capsys):
                       [f"GLOVEEMB v1 1 {huge}", "tokens 1", "mov", f"w 1 {huge}", "0.0"])
     huge_model = (tmp_path / "huge_model.ckpt").read_bytes()
     huge_emb = (tmp_path / "huge_emb.ckpt").read_bytes()
+    # checksums hold, but float() parsed a non-finite value; on a model of
+    # the right width (6 + 6 fused columns) eval ran and exited 0 with
+    # NaN probabilities
+    save_model(tmp_path / "fused.ckpt", init_params(ModelConfig(), input_dim=12, classes=2,
+                                                    hidden=4, seed=1), seq_len=16)
+    fused = (tmp_path / "fused.ckpt").read_bytes()
+    emb = (out / "opcode_glove.ckpt").read_bytes()
+
+    def with_value(data, block, value):
+        lines = data.decode().split("\n")[:-2]  # without the checksum line
+        row = 1 + next(i for i, ln in enumerate(lines) if ln.split()[:1] == [block])
+        lines[row] = " ".join([value] + lines[row].split()[1:])
+        _write_checkpoint(tmp_path / "edited.ckpt", lines)
+        return (tmp_path / "edited.ckpt").read_bytes()
+
+    (out / "model.ckpt").write_bytes(fused)
+    assert main(["eval", str(cfg)]) == 0
+    capsys.readouterr()
     cases = [
         ("ingest", "latin1.ini", {}, 2),
         ("ingest", "noseed.ini", {}, 2),
@@ -584,6 +602,11 @@ def test_cli_exit_code_matrix(tmp_path, capsys):
         ("eval", "cfg.ini", {"model.ckpt": huge_model}, 3),
         ("eval", "cfg.ini", {"model.ckpt": model}, 3),  # valid, but the wrong input width
         ("eval", "cfg.ini", {"model.ckpt": model, "opcode_glove.ckpt": huge_emb}, 3),
+        ("eval", "cfg.ini", {"model.ckpt": with_value(fused, "lstm.w", "nan"),
+                             "opcode_glove.ckpt": emb}, 3),
+        ("eval", "cfg.ini", {"model.ckpt": with_value(fused, "dense.b", "inf")}, 3),
+        ("eval", "cfg.ini", {"model.ckpt": fused,
+                             "opcode_glove.ckpt": with_value(emb, "w", "1e999")}, 3),
     ] + [("train", f"{stem}.ini", {}, 2) for stem in bad_values]
     for verb, name, files, code in cases:
         for file_name, data in files.items():
@@ -591,6 +614,7 @@ def test_cli_exit_code_matrix(tmp_path, capsys):
         assert main([verb, str(tmp_path / name)]) == code, (verb, name)
         err = capsys.readouterr().err
         assert err.startswith("config error:" if code == 2 else "error:"), err
+        assert sum("error:" in line for line in err.splitlines()) == 1, err
         assert "Traceback" not in err
 
 

@@ -28,7 +28,7 @@ from mccrcnn.neural import (
     predict,
     train,
 )
-from mccrcnn.neural import _lstm_backward, _sigmoid
+from mccrcnn.neural import _forward_batch, _gconv_backward, _lstm_backward, _sigmoid
 
 
 def sig(x):
@@ -413,6 +413,169 @@ def test_init_is_seeded_and_biases_zero():
     rng = np.random.default_rng(5)
     gates = [rng.uniform(-bound, bound, size=(4, 7)) for _ in "fioc"]
     assert np.array_equal(a.lstm.w, np.vstack(gates))
+
+
+# ------------------------------------------- inference keeps no cache
+
+# A frozen copy of the forward chain from before inference dropped the
+# backward cache: every forward filled the per-step gates, c and tanh c
+# and the conv temporaries, and the bias was added out of place.
+
+def reference_sigmoid(x):
+    return 0.5 * (1.0 + np.tanh(x / 2.0))
+
+
+def reference_lstm_forward(p, x):
+    b, t, k = x.shape
+    h = p.hidden
+    xw = x @ p.w[:, :k].T + p.b
+    w_h = np.ascontiguousarray(p.w[:, k:].T)
+    gates = np.empty((b, t, 4 * h))
+    cs = np.empty((b, t, h))
+    tcs = np.empty((b, t, h))
+    hs = np.empty((b, t, h))
+    h_prev = np.zeros((b, h))
+    c_prev = np.zeros((b, h))
+    for step in range(t):
+        a = xw[:, step] + h_prev @ w_h
+        g = gates[:, step]
+        g[:, :3 * h] = reference_sigmoid(a[:, :3 * h])
+        g[:, 3 * h:] = np.tanh(a[:, 3 * h:])
+        c = g[:, :h] * c_prev + g[:, h:2 * h] * g[:, 3 * h:]
+        tc = np.tanh(c)
+        h_prev = g[:, 2 * h:3 * h] * tc
+        c_prev = c
+        cs[:, step] = c
+        tcs[:, step] = tc
+        hs[:, step] = h_prev
+    return hs, {"x": x, "gates": gates, "c": cs, "tc": tcs, "h": hs}
+
+
+def reference_gconv_forward(p, h):
+    b, t, c_in = h.shape
+    width = p.width
+    pad = (width - 1) // 2
+    hp = np.zeros((b, t + width - 1, c_in))
+    hp[:, pad:pad + t, :] = h
+    cols = np.stack([hp[:, d:d + t, :] for d in range(width)], axis=2)
+    cols = cols.reshape(b, t, width * c_in)
+    lin = cols @ p.w.reshape(width * c_in, -1) + p.b
+    gate_sig = reference_sigmoid(cols @ p.v.reshape(width * c_in, -1) + p.g)
+    return lin * gate_sig, {"cols": cols, "lin": lin, "gate_sig": gate_sig,
+                            "in_shape": (b, t, c_in)}
+
+
+def reference_forward(params, x):
+    cache = {}
+    cur = x
+    if params.lstm is not None:
+        cur, cache["lstm"] = reference_lstm_forward(params.lstm, cur)
+    if params.conv is not None:
+        cur, cache["conv"] = reference_gconv_forward(params.conv, cur)
+    arg = cur.argmax(axis=1)
+    pooled = np.take_along_axis(cur, arg[:, None, :], axis=1)[:, 0, :]
+    cache.update(pool_arg=arg, pool_shape=cur.shape, pooled=pooled)
+    logits = pooled @ params.dense_w.T + params.dense_b
+    z = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=1, keepdims=True), cache
+
+
+def reference_loss_and_gradients(params, x, y):
+    """The head's backward over the reference forward's cache, with the
+    package's layer backward functions."""
+    n = len(y)
+    probs, cache = reference_forward(params, x)
+    loss = float(-np.mean(np.log(probs[np.arange(n), y])))
+    dlogits = probs.copy()
+    dlogits[np.arange(n), y] -= 1.0
+    dlogits /= n
+    grads = {"dense.w": dlogits.T @ cache["pooled"], "dense.b": dlogits.sum(axis=0)}
+    dcur = max_pool_backward(cache["pool_arg"], cache["pool_shape"], dlogits @ params.dense_w)
+    if params.conv is not None:
+        conv_grads, dcur = _gconv_backward(params.conv, cache["conv"], dcur)
+        grads.update(conv_grads)
+    if params.lstm is not None:
+        grads.update(_lstm_backward(params.lstm, cache["lstm"], dcur))
+    return loss, grads
+
+
+def busy_params(arch, k=12, hidden=6, seed=0):
+    """Initialised params with every tensor, biases too, moved off init."""
+    params = init_params(ModelConfig(arch=arch, conv_channels=5), input_dim=k,
+                         classes=3, hidden=hidden, seed=seed)
+    rng = np.random.default_rng(seed + 100)
+    for arr in named_params(params).values():
+        arr += rng.normal(scale=0.4, size=arr.shape)
+    return params
+
+
+@pytest.mark.parametrize("arch", ["mcc_rcnn", "lstm", "gcnn"])
+def test_inference_matches_frozen_cache_keeping_forward_bit_for_bit(arch):
+    params = busy_params(arch)
+    rng = np.random.default_rng(7)
+    # a per-sample column offset spreads the pooled features over all classes
+    mats = [rng.normal(loc=rng.normal(scale=2.0, size=12), size=(20, 12)) for _ in range(150)]
+    for chunk in (64, 32):  # predict's default and the chunk train uses
+        want_labels = []
+        for lo in range(0, len(mats), chunk):
+            x = np.stack(mats[lo:lo + chunk])
+            want, _ = reference_forward(params, x)
+            assert np.array_equal(_forward_batch(params, x), want)
+            want_labels.extend(want.argmax(axis=1) + 1)
+        got = predict(params, mats) if chunk == 64 else predict(params, mats, batch_size=chunk)
+        assert np.array_equal(got, want_labels)
+    assert len(set(want_labels)) > 1  # the labels are not constant
+
+    want, _ = reference_forward(params, mats[0][None])
+    assert np.array_equal(mcc_rcnn_forward(params, mats[0]), want[0])
+
+    y = np.arange(16) % 3
+    batch = [(m, label + 1) for m, label in zip(mats[:16], y)]
+    want_loss, want_grads = reference_loss_and_gradients(params, np.stack(mats[:16]), y)
+    assert batch_loss(params, batch) == want_loss
+    loss, grads = loss_and_gradients(params, batch)
+    assert loss == want_loss
+    assert grads.keys() == want_grads.keys()
+    for name, grad in grads.items():
+        assert np.array_equal(grad, want_grads[name]), name
+
+
+class KeyLog(dict):
+    """A dict that records which keys were read."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+
+def test_public_layer_forwards_return_every_key_backward_reads():
+    params = busy_params("mcc_rcnn")
+    x = np.random.default_rng(3).normal(size=(4, 9, 12))
+    hs, cache = lstm_forward(params.lstm, x)
+    want_hs, want_cache = reference_lstm_forward(params.lstm, x)
+    assert np.array_equal(hs, want_hs)
+    logged = KeyLog(want_cache)
+    _lstm_backward(params.lstm, logged, np.ones_like(hs))
+    assert logged.read <= cache.keys()
+    for key in logged.read:
+        assert np.array_equal(cache[key], want_cache[key]), key
+
+    out, cache = gated_conv_forward(params.conv, hs)
+    want_out, want_cache = reference_gconv_forward(params.conv, hs)
+    assert np.array_equal(out, want_out)
+    logged = KeyLog(want_cache)
+    _gconv_backward(params.conv, logged, np.ones_like(out))
+    assert logged.read <= cache.keys()
+    for key in logged.read:
+        assert np.array_equal(cache[key], want_cache[key]), key
+
+    single, cache = lstm_forward(params.lstm, x[0])  # a (T, k) input keeps one too
+    assert single.shape == (9, 6) and {"x", "gates", "c", "tc", "h"} <= cache.keys()
 
 
 # --------------------------------------------------------------- gradients
