@@ -353,7 +353,7 @@ def write_text_embeddings(path, table: EmbeddingTable) -> None:
     Rows hold the final (center + context) vectors printed with repr(),
     so every float parses back to the same bits.
     """
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"{len(table.tokens)} {table.k}\n")
         for tok in table.tokens:
             vec = table.vector(tok)

@@ -8,9 +8,15 @@ Two extractors feed the classifier:
   lines are data directives, not instructions, so they never reach the
   opcode sequence.
 
-* ``extract_key_api_sequence`` performs a depth-first traversal of the
-  control-flow relation graph starting at the program entry and emits
-  imported API names in first-visit order.  Traversal rules:
+* ``build_relation_graph`` reads the listing once: one loop over its
+  lines collects the code-section instructions, the labels and the
+  ``extrn`` imports, and one loop over the code classifies each
+  instruction once, as an API site, a call edge or a jump edge.
+
+* ``extract_key_api_sequence`` performs a depth-first traversal of that
+  graph starting at the program entry and emits imported API names in
+  first-visit order.  It follows the graph's edges through one successor
+  map and never re-reads a mnemonic to branch on it.  Traversal rules:
 
   - plain instructions fall through to the next instruction in file order
   - conditional jumps explore the fall-through subtree first, then the
@@ -81,19 +87,14 @@ class RelationGraph:
     instruction after the call, or None when the call is the last
     instruction.  ``code`` holds the code-section instructions the graph
     was built from, in file order with the first occurrence per address;
-    the API walk steps through it.
+    the API walk takes fall-through order from it.
     """
 
     entry_address: int
-    code_begin: int
     api_sites: tuple[tuple[int, str], ...]
     jump_edges: tuple[tuple[int, int, JumpKind], ...]
     call_edges: tuple[tuple[int, int, int | None], ...]
     code: tuple[ParsedLine, ...] = field(repr=False)
-
-
-def _is_conditional_jump(mnemonic: str) -> bool:
-    return mnemonic.startswith("j") and mnemonic != "jmp"
 
 
 def extract_opcode_sequence(asm: AsmFile) -> TokenSequence:
@@ -104,18 +105,6 @@ def extract_opcode_sequence(asm: AsmFile) -> TokenSequence:
         if ln.kind is LineKind.INSTRUCTION and ln.section in CODE_SECTIONS
     )
     return TokenSequence(asm.sample_id, SequenceKind.OPCODE, tokens)
-
-
-def _code_instructions(asm: AsmFile) -> tuple[ParsedLine, ...]:
-    """Code-section instructions in file order, first occurrence per address."""
-    out = []
-    seen: set[int] = set()
-    for ln in asm.lines:
-        if ln.kind is LineKind.INSTRUCTION and ln.section in CODE_SECTIONS:
-            if ln.address not in seen:
-                seen.add(ln.address)
-                out.append(ln)
-    return tuple(out)
 
 
 def _strip_import_prefix(name: str) -> str:
@@ -151,66 +140,62 @@ def _resolve_target(operand: str, labels: dict[str, int]) -> int | None:
 
 
 def build_relation_graph(asm: AsmFile) -> RelationGraph:
-    """Derive entry point, code bounds, API sites, and jump/call edges.
+    """Derive entry point, API sites, and jump/call edges in one pass.
 
     Edges are recorded only when the target resolves to a parsed
     code-section instruction; API targets stay external by nature.
     Raises NoCode when the sample has no code-section instruction.
     """
-    code = _code_instructions(asm)
-    if not code:
-        raise NoCode(f"{asm.sample_id}: no instructions in a code section")
-
+    code: list[ParsedLine] = []
+    seen: set[int] = set()
     label_addr: dict[str, int] = {}
     imports: set[str] = set()
     for ln in asm.lines:
-        if ln.kind is LineKind.LABEL and ln.address is not None:
-            label_addr.setdefault(ln.label, ln.address)
-        elif ln.mnemonic == "extrn" and ln.operands:
-            name = _strip_import_prefix(ln.operands[0].split(":", 1)[0].strip())
+        kind, _raw, section, address, mnemonic, operands, label = ln
+        if kind is LineKind.INSTRUCTION and section in CODE_SECTIONS:
+            if address not in seen:
+                seen.add(address)
+                code.append(ln)
+        elif kind is LineKind.LABEL and address is not None:
+            label_addr.setdefault(label, address)
+        # an import whatever its section, so not an elif of the code check
+        if mnemonic == "extrn" and operands:
+            name = _strip_import_prefix(operands[0].split(":", 1)[0].strip())
             if name and _IDENT.match(name):
                 imports.add(name)
+    if not code:
+        raise NoCode(f"{asm.sample_id}: no instructions in a code section")
+
     frozen_imports = frozenset(imports)
-
-    addresses = [ln.address for ln in code]
-    code_begin = min(addresses)
-    entry = label_addr.get("start", label_addr.get("_start", code_begin))
-    instr_addrs = set(addresses)
-
-    next_addr: dict[int, int | None] = {}
-    for cur, nxt in zip(code, code[1:]):
-        next_addr[cur.address] = nxt.address
-    next_addr[code[-1].address] = None
-
+    entry = label_addr.get("start", label_addr.get("_start", min(seen)))
     api_sites: list[tuple[int, str]] = []
     jump_edges: list[tuple[int, int, JumpKind]] = []
     call_edges: list[tuple[int, int, int | None]] = []
-    for ln in code:
-        m = ln.mnemonic
-        if m == "call" and ln.operands:
-            api = _api_name(ln.operands[0], frozen_imports)
+    # i indexes the instruction after this one: a call's return address
+    for i, (_kind, _raw, _section, address, mnemonic, operands, _label) in enumerate(code, 1):
+        if not operands:
+            continue
+        if mnemonic == "call":
+            api = _api_name(operands[0], frozen_imports)
             if api is not None:
-                api_sites.append((ln.address, api))
+                api_sites.append((address, api))
                 continue
-            target = _resolve_target(ln.operands[0], label_addr)
-            if target is not None and target in instr_addrs:
-                call_edges.append((ln.address, target, next_addr[ln.address]))
-        elif m == "jmp" and ln.operands:
-            target = _resolve_target(ln.operands[0], label_addr)
-            if target is not None and target in instr_addrs:
-                jump_edges.append((ln.address, target, JumpKind.UNCONDITIONAL))
-        elif _is_conditional_jump(m) and ln.operands:
-            target = _resolve_target(ln.operands[0], label_addr)
-            if target is not None and target in instr_addrs:
-                jump_edges.append((ln.address, target, JumpKind.CONDITIONAL))
+            target = _resolve_target(operands[0], label_addr)
+            if target in seen:
+                ret = code[i].address if i < len(code) else None
+                call_edges.append((address, target, ret))
+        elif mnemonic.startswith("j"):
+            target = _resolve_target(operands[0], label_addr)
+            if target in seen:
+                jump_edges.append((address, target, JumpKind.UNCONDITIONAL
+                                   if mnemonic == "jmp" else JumpKind.CONDITIONAL))
 
     return RelationGraph(
         entry_address=entry,
-        code_begin=code_begin,
         api_sites=tuple(api_sites),
         jump_edges=tuple(jump_edges),
         call_edges=tuple(call_edges),
-        code=code,
+        code=tuple(code),
     )
 
 
@@ -221,61 +206,44 @@ def extract_key_api_sequence(graph: RelationGraph, asm: AsmFile) -> TokenSequenc
     successor exploration order is fixed, so repeated runs give identical
     output.
     """
-    code = graph.code
-    index = {ln.address: i for i, ln in enumerate(code)}
+    addrs = [ln.address for ln in graph.code]
+    # successors in push order; the stack is LIFO, so the last one runs first.
+    # Default: fall through, except a jmp without an edge and a return, which
+    # end the path.  An unresolved call falls through: assume it returns.
+    succ: dict[int, tuple[int | None, ...]] = {
+        addr: () if ln.mnemonic == "jmp" or ln.mnemonic in RET_MNEMONICS else (nxt,)
+        for ln, addr, nxt in zip(graph.code, addrs, [*addrs[1:], None])
+    }
+    for src, dst, kind in graph.jump_edges:
+        # LIFO: fall-through subtree explored before the jump target
+        succ[src] = (dst,) if kind is JumpKind.UNCONDITIONAL else (dst, *succ[src])
+    for site, target, ret in graph.call_edges:
+        succ[site] = (ret, target)  # LIFO: descend into the callee first
     api_at = dict(graph.api_sites)
-    jump_at = {src: (dst, kind) for src, dst, kind in graph.jump_edges}
-    call_at = {site: (target, ret) for site, target, ret in graph.call_edges}
-
-    def fall(addr: int) -> int | None:
-        i = index.get(addr)
-        if i is None or i + 1 >= len(code):
-            return None
-        return code[i + 1].address
 
     entry: int | None = graph.entry_address
-    if entry not in index:
-        later = [a for a in index if a >= graph.entry_address]
-        entry = min(later) if later else None
+    if entry not in succ:
+        entry = min((a for a in succ if a >= graph.entry_address), default=None)
 
     out: list[str] = []
     visited: set[int] = set()
     stack: list[int] = [entry] if entry is not None else []
     while stack:
         addr = stack.pop()
-        if addr in visited or addr not in index:
+        if addr in visited:
             continue
         visited.add(addr)
-        mnemonic = code[index[addr]].mnemonic
         if addr in api_at:
             out.append(api_at[addr])
-            succs = [fall(addr)]
-        elif mnemonic == "call":
-            if addr in call_at:
-                target, ret = call_at[addr]
-                succs = [ret, target]  # LIFO: descend into the callee first
-            else:
-                succs = [fall(addr)]  # unresolved call, assume it returns
-        elif mnemonic == "jmp":
-            hit = jump_at.get(addr)
-            succs = [hit[0]] if hit else []
-        elif _is_conditional_jump(mnemonic):
-            hit = jump_at.get(addr)
-            # LIFO: fall-through subtree explored before the jump target
-            succs = ([hit[0]] if hit else []) + [fall(addr)]
-        elif mnemonic in RET_MNEMONICS:
-            succs = []
-        else:
-            succs = [fall(addr)]
-        for succ in succs:
-            if succ is not None and succ not in visited:
-                stack.append(succ)
+        for nxt in succ[addr]:
+            if nxt is not None and nxt not in visited:
+                stack.append(nxt)
 
     return TokenSequence(asm.sample_id, SequenceKind.API, tuple(out))
 
 
 def write_sequences(path, sequences) -> None:
     """Dump sequences as `sample_id<TAB>kind<TAB>space-joined tokens` lines."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for seq in sequences:
             fh.write(f"{seq.sample_id}\t{seq.kind.value}\t{' '.join(seq.tokens)}\n")

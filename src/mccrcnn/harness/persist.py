@@ -27,7 +27,7 @@ import numpy as np
 
 from ..embedding import EmbeddingTable
 from ..errors import PipelineError
-from ..neural import GatedConvParams, LstmParams, ModelParams
+from ..neural import GatedConvParams, LstmParams, ModelParams, named_params
 
 _EMB_MAGIC = "GLOVEEMB"
 _EMB_VERSION = "v1"
@@ -176,16 +176,8 @@ def save_model(path, params: ModelParams, seq_len: int) -> None:
     c = params.conv.out_channels if params.conv is not None else 0
     w = params.conv.width if params.conv is not None else 0
     lines = [f"{_MODEL_MAGIC} {_MODEL_VERSION} {k} {h} {c} {w} {params.l} {seq_len}"]
-    if params.lstm is not None:
-        _append_block(lines, "lstm.w", params.lstm.w)
-        _append_block(lines, "lstm.b", params.lstm.b)
-    if params.conv is not None:
-        _append_block(lines, "conv.w", params.conv.w)
-        _append_block(lines, "conv.b", params.conv.b)
-        _append_block(lines, "conv.v", params.conv.v)
-        _append_block(lines, "conv.g", params.conv.g)
-    _append_block(lines, "dense.w", params.dense_w)
-    _append_block(lines, "dense.b", params.dense_b)
+    for name, arr in named_params(params).items():
+        _append_block(lines, name, arr)
     _write_checkpoint(path, lines)
 
 

@@ -1,16 +1,23 @@
 """Opcode line scan and the control-flow API walk on hand-traced programs."""
 
+import dataclasses
 import random
 
 import pytest
 
 from mccrcnn.asmlite import LineKind, parse_asm_bytes, parse_asm_file
 from mccrcnn.extraction import (
+    CODE_SECTIONS,
+    RET_MNEMONICS,
     JumpKind,
     NoCode,
+    RelationGraph,
     SequenceKind,
     TokenSequence,
-    _code_instructions,
+    _IDENT,
+    _api_name,
+    _resolve_target,
+    _strip_import_prefix,
     build_relation_graph,
     extract_key_api_sequence,
     extract_opcode_sequence,
@@ -32,6 +39,136 @@ IMPORTS = (
     ".idata:0040F000 extrn Alpha:dword",
     ".idata:0040F004 extrn Beta:dword",
 )
+
+
+# ------------------------------------------------------ frozen references
+# The two-pass graph builder and the mnemonic-driven walk that the one-pass
+# builder and the edge-driven walk replaced, kept as oracles with their logic
+# unchanged; the builder returns the RelationGraph fields as a dict.
+
+def _code_instructions(asm):
+    """Code-section instructions in file order, first occurrence per address."""
+    out = []
+    seen = set()
+    for ln in asm.lines:
+        if ln.kind is LineKind.INSTRUCTION and ln.section in CODE_SECTIONS:
+            if ln.address not in seen:
+                seen.add(ln.address)
+                out.append(ln)
+    return tuple(out)
+
+
+def _is_conditional_jump(mnemonic):
+    return mnemonic.startswith("j") and mnemonic != "jmp"
+
+
+def reference_relation_graph(asm):
+    """Every RelationGraph field, from the two-pass builder."""
+    code = _code_instructions(asm)
+    if not code:
+        raise NoCode(f"{asm.sample_id}: no instructions in a code section")
+
+    label_addr = {}
+    imports = set()
+    for ln in asm.lines:
+        if ln.kind is LineKind.LABEL and ln.address is not None:
+            label_addr.setdefault(ln.label, ln.address)
+        elif ln.mnemonic == "extrn" and ln.operands:
+            name = _strip_import_prefix(ln.operands[0].split(":", 1)[0].strip())
+            if name and _IDENT.match(name):
+                imports.add(name)
+    frozen_imports = frozenset(imports)
+
+    addresses = [ln.address for ln in code]
+    entry = label_addr.get("start", label_addr.get("_start", min(addresses)))
+    instr_addrs = set(addresses)
+
+    next_addr = {}
+    for cur, nxt in zip(code, code[1:]):
+        next_addr[cur.address] = nxt.address
+    next_addr[code[-1].address] = None
+
+    api_sites, jump_edges, call_edges = [], [], []
+    for ln in code:
+        m = ln.mnemonic
+        if m == "call" and ln.operands:
+            api = _api_name(ln.operands[0], frozen_imports)
+            if api is not None:
+                api_sites.append((ln.address, api))
+                continue
+            target = _resolve_target(ln.operands[0], label_addr)
+            if target is not None and target in instr_addrs:
+                call_edges.append((ln.address, target, next_addr[ln.address]))
+        elif m == "jmp" and ln.operands:
+            target = _resolve_target(ln.operands[0], label_addr)
+            if target is not None and target in instr_addrs:
+                jump_edges.append((ln.address, target, JumpKind.UNCONDITIONAL))
+        elif _is_conditional_jump(m) and ln.operands:
+            target = _resolve_target(ln.operands[0], label_addr)
+            if target is not None and target in instr_addrs:
+                jump_edges.append((ln.address, target, JumpKind.CONDITIONAL))
+
+    return {
+        "entry_address": entry,
+        "api_sites": tuple(api_sites),
+        "jump_edges": tuple(jump_edges),
+        "call_edges": tuple(call_edges),
+        "code": code,
+    }
+
+
+def reference_api_tokens(graph):
+    """API tokens from the mnemonic-driven walk over a reference graph."""
+    code = graph["code"]
+    index = {ln.address: i for i, ln in enumerate(code)}
+    api_at = dict(graph["api_sites"])
+    jump_at = {src: (dst, kind) for src, dst, kind in graph["jump_edges"]}
+    call_at = {site: (target, ret) for site, target, ret in graph["call_edges"]}
+
+    def fall(addr):
+        i = index.get(addr)
+        if i is None or i + 1 >= len(code):
+            return None
+        return code[i + 1].address
+
+    entry = graph["entry_address"]
+    if entry not in index:
+        later = [a for a in index if a >= graph["entry_address"]]
+        entry = min(later) if later else None
+
+    out = []
+    visited = set()
+    stack = [entry] if entry is not None else []
+    while stack:
+        addr = stack.pop()
+        if addr in visited or addr not in index:
+            continue
+        visited.add(addr)
+        mnemonic = code[index[addr]].mnemonic
+        if addr in api_at:
+            out.append(api_at[addr])
+            succs = [fall(addr)]
+        elif mnemonic == "call":
+            if addr in call_at:
+                target, ret = call_at[addr]
+                succs = [ret, target]  # LIFO: descend into the callee first
+            else:
+                succs = [fall(addr)]  # unresolved call, assume it returns
+        elif mnemonic == "jmp":
+            hit = jump_at.get(addr)
+            succs = [hit[0]] if hit else []
+        elif _is_conditional_jump(mnemonic):
+            hit = jump_at.get(addr)
+            # LIFO: fall-through subtree explored before the jump target
+            succs = ([hit[0]] if hit else []) + [fall(addr)]
+        elif mnemonic in RET_MNEMONICS:
+            succs = []
+        else:
+            succs = [fall(addr)]
+        for succ in succs:
+            if succ is not None and succ not in visited:
+                stack.append(succ)
+    return tuple(out)
 
 
 # ------------------------------------------------------------ opcode scan
@@ -84,7 +221,6 @@ def test_graph_bounds_entry_and_api_sites():
         ".text:0040100A retn",
     )
     g = build_relation_graph(asm)
-    assert g.code_begin == 0x401000
     assert g.entry_address == 0x401000
     assert g.api_sites == ((0x401000, "Alpha"), (0x401007, "Beta"))
     assert g.jump_edges == ((0x401005, 0x40100A, JumpKind.CONDITIONAL),)
@@ -392,6 +528,56 @@ def test_walk_terminates_on_random_graphs():
         assert len(out) <= len(sites), trial
         assert all(out.count(name) <= sites.count(name) for name in set(out)), trial
         assert extract_key_api_sequence(build_relation_graph(asm), asm).tokens == out
+
+
+def scrambled(asm, rng):
+    """The same listing with three of its lines repeated, each addressed one
+    also followed by another instruction at its address, then shuffled."""
+    lines = [ln.raw for ln in asm.lines]
+    for ln in rng.sample(asm.lines, k=min(3, len(asm.lines))):
+        lines.append(ln.raw)
+        if ln.address is not None:
+            lines.append(f"{ln.section}:{ln.address:08X} {rng.choice(['nop', 'retn', 'jmp eax'])}")
+    rng.shuffle(lines)
+    return parse_asm_file("\n".join(lines), asm.sample_id)
+
+
+def assert_matches_reference(asm, where):
+    want = reference_relation_graph(asm)
+    graph = build_relation_graph(asm)
+    got = {f.name: getattr(graph, f.name) for f in dataclasses.fields(RelationGraph)}
+    assert got == want, where
+    assert extract_key_api_sequence(graph, asm).tokens == reference_api_tokens(want), where
+
+
+def test_graph_and_walk_equal_two_pass_reference(tmp_path):
+    rng = random.Random(20261018)
+    for trial in range(500):
+        asm = random_program(rng)
+        assert_matches_reference(asm, trial)
+        assert_matches_reference(scrambled(asm, rng), ("scrambled", trial))
+    generate_synthetic_corpus(
+        SyntheticCorpusSpec(families=3, samples_per_family=20, seed=11), tmp_path)
+    paths = sorted(tmp_path.glob("*.asm"))
+    assert len(paths) == 60
+    for path in paths:
+        asm = parse_asm_bytes(path.read_bytes(), path.stem)
+        assert_matches_reference(asm, path.name)
+        assert_matches_reference(scrambled(asm, rng), ("scrambled", path.name))
+
+
+def test_extrn_in_code_section_is_both_code_and_import():
+    asm = program(
+        ".text:00401000 start:",
+        ".text:00401000 extrn Alpha:dword",
+        ".text:00401004 call Alpha",
+        ".text:00401009 retn",
+    )
+    g = build_relation_graph(asm)
+    assert [ln.mnemonic for ln in g.code] == ["extrn", "call", "retn"]
+    assert g.api_sites == ((0x401004, "Alpha"),)
+    assert g.call_edges == ()
+    assert list(extract_key_api_sequence(g, asm).tokens) == ["Alpha"]
 
 
 # -------------------------------------------------------------- sequences
