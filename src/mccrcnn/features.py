@@ -72,6 +72,15 @@ class LabeledDataset:
         return LabeledDataset(records=kept, l=self.l)
 
 
+def _zeros(shape: tuple[int, ...], dtype) -> np.ndarray:
+    """np.zeros, raising PipelineError when a seq_len makes it too large."""
+    try:
+        return np.zeros(shape, dtype=dtype)
+    except (MemoryError, ValueError) as exc:  # numpy: past memory / past intp
+        raise PipelineError(f"cannot allocate an array of shape {shape}: "
+                            f"seq_len {shape[0]} is too large") from exc
+
+
 def sequence_to_matrix(seq: TokenSequence, table: EmbeddingTable, t: int = 512) -> np.ndarray:
     """Embed a sequence into a (t, k) float64 matrix (truncate head / zero pad)."""
     if t < 1:
@@ -80,7 +89,7 @@ def sequence_to_matrix(seq: TokenSequence, table: EmbeddingTable, t: int = 512) 
     vectors = np.vstack([table.w + table.w_ctx, np.zeros((1, table.k))])
     oov = len(vectors) - 1
     rows = [table._row.get(tok, oov) for tok in seq.tokens[:t]]
-    out = np.zeros((t, table.k), dtype=np.float64)
+    out = _zeros((t, table.k), np.float64)
     out[:len(rows)] = vectors[rows]
     return out
 
@@ -143,7 +152,7 @@ def ngram_id_sequence(seq: TokenSequence, feature_set: NgramFeatureSet, t: int) 
     gram was not selected (or p is past the end).  Truncated/padded to t.
     """
     idx = feature_set.index()
-    out = np.zeros(t, dtype=np.int64)
+    out = _zeros((t,), np.int64)
     toks = seq.tokens
     n = feature_set.n
     for p in range(min(t, max(0, len(toks) - n + 1))):
@@ -155,7 +164,7 @@ def ngram_id_sequence(seq: TokenSequence, feature_set: NgramFeatureSet, t: int) 
 
 def onehot_matrix(ids: np.ndarray, dim: int) -> np.ndarray:
     """Expand a gram-id sequence to one-hot rows; id 0 gives a zero row."""
-    out = np.zeros((len(ids), dim), dtype=np.float64)
+    out = _zeros((len(ids), dim), np.float64)
     pos = np.nonzero(ids)[0]
     out[pos, ids[pos] - 1] = 1.0
     return out

@@ -19,12 +19,14 @@ from ..embedding import write_text_embeddings
 from ..errors import ConfigError, PipelineError
 from ..extraction import write_sequences
 from ..features import ShapeMismatch
-from ..metrics import confusion, ovr_accuracy, standard_metrics
+from ..metrics import confusion
 from ..neural import predict, train
-from .config import ExperimentConfig, load_config
+from .config import ExperimentConfig, load_config, synthetic_spec
 from .experiments import (
+    EXPERIMENTS,
     fit_tables,
     matrix_fn,
+    metric_rows,
     model_cfg_for,
     prepare_dataset,
     run_experiment,
@@ -32,7 +34,7 @@ from .experiments import (
 )
 from .ingest import ingest_corpus
 from .persist import load_embedding, load_model, save_embedding, save_model
-from .synth import SyntheticCorpusSpec, generate_synthetic_corpus
+from .synth import generate_synthetic_corpus
 
 
 def _require_data(cfg: ExperimentConfig) -> None:
@@ -46,16 +48,7 @@ def _cmd_gen(args) -> int:
     cfg = load_config(args.config, args.seed, args.out)
     if cfg.corpus is None:
         raise ConfigError("[data] corpus= names the directory to generate into")
-    s = cfg.synthetic
-    spec = SyntheticCorpusSpec(
-        families=s.families, samples_per_family=s.samples_per_family,
-        seed=cfg.seed, fusion_mode=s.fusion_mode,
-        min_len=s.min_len, max_len=s.max_len,
-    )
-    try:
-        manifest = generate_synthetic_corpus(spec, cfg.corpus)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    manifest = generate_synthetic_corpus(synthetic_spec(cfg), cfg.corpus)
     generated_labels = Path(cfg.corpus) / "labels.csv"
     if cfg.labels is not None and Path(cfg.labels) != generated_labels:
         shutil.copyfile(generated_labels, cfg.labels)
@@ -154,10 +147,7 @@ def _cmd_eval(args) -> int:
                             f"the model takes {params.input_dim}")
     preds = predict(params, matrices)
     cm = confusion(preds.tolist(), dataset.labels(), max(dataset.l, params.l))
-    rows = [("ovr_accuracy", ovr_accuracy(cm))]
-    std = standard_metrics(cm)
-    rows.append(("micro_accuracy", std["micro_accuracy"]))
-    rows.append(("macro_f1", std["macro_f1"]))
+    rows = metric_rows(cm)
     with open(out / "eval_report.csv", "w", encoding="utf-8", newline="\n") as fh:
         fh.write("metric,value\n")
         for name, value in rows:
@@ -201,7 +191,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.set_defaults(func=fn)
 
     sp = sub.add_parser("experiment", help="run a cross-validated suite")
-    sp.add_argument("name", choices=("A", "B1", "B2", "C"), help="suite to run")
+    sp.add_argument("name", choices=tuple(EXPERIMENTS), help="suite to run")
     common(sp)
     sp.set_defaults(func=_cmd_experiment)
     return parser

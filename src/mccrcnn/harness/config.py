@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from ..errors import ConfigError
+from .synth import SyntheticCorpusSpec, _validate_spec
 
 
 @dataclass
@@ -192,16 +193,24 @@ def _validate(cfg: ExperimentConfig) -> None:
         (cfg.ngram.limit >= 1, "ngram limit must be >= 1"),
         (all(n >= 1 for n in cfg.ngram.sweep) and cfg.ngram.sweep,
          "ngram sweep must list integers >= 1"),
-        (cfg.synthetic.families >= 2, "synthetic families must be >= 2"),
-        (cfg.synthetic.samples_per_family >= 1, "synthetic samples_per_family must be >= 1"),
-        (1 <= cfg.synthetic.min_len <= cfg.synthetic.max_len,
-         "synthetic lengths must satisfy 1 <= min_len <= max_len"),
     ]
     for ok, message in checks:
         if not ok:
             raise ConfigError(message)
-    if cfg.synthetic.fusion_mode and cfg.synthetic.families != 2:
-        raise ConfigError("fusion_mode corpora use exactly 2 families")
+    try:
+        _validate_spec(synthetic_spec(cfg))
+    except ValueError as exc:
+        raise ConfigError(f"[synthetic] {exc}") from exc
+
+
+def synthetic_spec(cfg: ExperimentConfig) -> SyntheticCorpusSpec:
+    """The corpus spec that [synthetic] and the run seed describe."""
+    s = cfg.synthetic
+    return SyntheticCorpusSpec(
+        families=s.families, samples_per_family=s.samples_per_family,
+        seed=cfg.seed, fusion_mode=s.fusion_mode,
+        min_len=s.min_len, max_len=s.max_len,
+    )
 
 
 def config_echo(cfg: ExperimentConfig) -> list[str]:

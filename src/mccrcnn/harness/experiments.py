@@ -14,6 +14,11 @@ only and applied to the held-out split.
   C   feature ablation of the combined model: opcode-only, API-only,
       fused.
 
+A suite is a generator over one fold: given (cfg, fold, train split,
+test split) it yields (variant, test-split predictions) in a fixed
+order.  run_experiment owns the one fold loop and scores every yielded
+pair the same way, as one confusion matrix and its metric_rows.
+
 Each suite writes report_<name>.csv (rows experiment,fold,metric,value
 with fold "mean" aggregates, the seed, and labelled reference rows) and
 summary_<name>.txt.  Values are printed with repr(), iteration orders
@@ -157,6 +162,13 @@ def glove_matrixer(which: str, train_split: LabeledDataset,
     return matrix_fn(which, op_table, api_table, cfg.model.seq_len)
 
 
+def metric_rows(cm) -> list[tuple[str, float]]:
+    """(metric, value) rows of one confusion matrix, in report order."""
+    std = standard_metrics(cm)
+    return [("ovr_accuracy", ovr_accuracy(cm)), ("micro_accuracy", std["micro_accuracy"]),
+            ("macro_f1", std["macro_f1"])]
+
+
 class _Report:
     """Ordered experiment rows with deterministic text rendering."""
 
@@ -166,12 +178,6 @@ class _Report:
 
     def add(self, fold, metric: str, value) -> None:
         self.rows.append((str(fold), metric, repr(value)))
-
-    def add_fold_metrics(self, fold: int, variant: str, cm) -> None:
-        std = standard_metrics(cm)
-        self.add(fold, f"{variant}/ovr_accuracy", ovr_accuracy(cm))
-        self.add(fold, f"{variant}/micro_accuracy", std["micro_accuracy"])
-        self.add(fold, f"{variant}/macro_f1", std["macro_f1"])
 
     def fold_values(self) -> dict[str, list[float]]:
         """metric -> values from numeric-fold rows, in insertion order."""
@@ -240,102 +246,71 @@ def _iter_folds(cfg: ExperimentConfig, dataset: LabeledDataset):
         yield fold, dataset.subset(train_ids), dataset.subset(test_ids)
 
 
-def _run_nn(variant, arch, to_matrix, cfg, fold, train_split, test_split, rep, l):
+def _nn_predictions(arch, to_matrix, cfg, fold, train_split, test_split):
+    """Train one model on the split, then build the test matrices and predict them."""
     params, _history = train(
         model_cfg_for(cfg, arch), train_split, train_cfg_for(cfg, fold),
         to_matrix=to_matrix,
     )
-    preds = predict(params, [to_matrix(p) for p in test_split.payloads()])
-    rep.add_fold_metrics(fold, variant, confusion(preds.tolist(), test_split.labels(), l))
+    return predict(params, [to_matrix(p) for p in test_split.payloads()])
 
 
-def _experiment_a(cfg, dataset, rep):
-    ms = cfg.model
-    for fold, train_split, test_split in _iter_folds(cfg, dataset):
-        op_train = [p[0] for p in train_split.payloads()]
-        for n in cfg.ngram.sweep:
-            fs = select_ngram_features(op_train, n, cfg.ngram.limit)
-            dim = len(fs.grams)
+def _suite_a(cfg, fold, train_split, test_split):
+    op_train = [p[0] for p in train_split.payloads()]
+    for n in cfg.ngram.sweep:
+        fs = select_ngram_features(op_train, n, cfg.ngram.limit)
+        dim = len(fs.grams)
 
-            def onehot_of(payload, fs=fs, dim=dim):
-                return onehot_matrix(ngram_id_sequence(payload[0], fs, ms.seq_len), dim)
+        def onehot_of(payload, fs=fs, dim=dim):
+            return onehot_matrix(ngram_id_sequence(payload[0], fs, cfg.model.seq_len), dim)
 
-            _run_nn(f"ngram{n}_lstm", "lstm", onehot_of, cfg, fold,
-                    train_split, test_split, rep, dataset.l)
-        to_matrix = glove_matrixer("opcode", train_split, cfg, fold)
-        _run_nn("glove_lstm", "lstm", to_matrix, cfg, fold,
-                train_split, test_split, rep, dataset.l)
+        yield f"ngram{n}_lstm", _nn_predictions("lstm", onehot_of, cfg, fold,
+                                                train_split, test_split)
+    to_matrix = glove_matrixer("opcode", train_split, cfg, fold)
+    yield "glove_lstm", _nn_predictions("lstm", to_matrix, cfg, fold, train_split, test_split)
 
 
-def _experiment_b1(cfg, dataset, rep):
-    for fold, train_split, test_split in _iter_folds(cfg, dataset):
-        to_matrix = glove_matrixer("opcode", train_split, cfg, fold)
-        for variant, arch in (
-            ("opcode_lstm", "lstm"),
-            ("opcode_gcnn", "gcnn"),
-            ("opcode_mccrcnn", "mcc_rcnn"),
-        ):
-            _run_nn(variant, arch, to_matrix, cfg, fold,
-                    train_split, test_split, rep, dataset.l)
-        # linear SVM on the time average of the embedded sequence
-        xtr = np.stack([to_matrix(p).mean(axis=0) for p in train_split.payloads()])
-        xte = np.stack([to_matrix(p).mean(axis=0) for p in test_split.payloads()])
-        ytr = np.array(train_split.labels())
+def _suite_b1(cfg, fold, train_split, test_split):
+    to_matrix = glove_matrixer("opcode", train_split, cfg, fold)
+    for variant, arch in (("opcode_lstm", "lstm"), ("opcode_gcnn", "gcnn"),
+                          ("opcode_mccrcnn", "mcc_rcnn")):
+        yield variant, _nn_predictions(arch, to_matrix, cfg, fold, train_split, test_split)
+    # linear SVM on the time average of the embedded sequence
+    xtr = np.stack([to_matrix(p).mean(axis=0) for p in train_split.payloads()])
+    xte = np.stack([to_matrix(p).mean(axis=0) for p in test_split.payloads()])
+    std = Standardizer.fit(xtr)
+    model, _ = train_svm(std.transform(xtr), np.array(train_split.labels()), l=train_split.l)
+    yield "opcode_svm", model.predict(std.transform(xte))
+
+
+def _suite_b2(cfg, fold, train_split, test_split):
+    to_matrix = glove_matrixer("fused", train_split, cfg, fold)
+    yield "fused_mccrcnn", _nn_predictions("mcc_rcnn", to_matrix, cfg, fold,
+                                           train_split, test_split)
+    op_train = [p[0] for p in train_split.payloads()]
+    ytr = np.array(train_split.labels())
+    for n in cfg.ngram.sweep:
+        fs = select_ngram_features(op_train, n, cfg.ngram.limit)
+        xtr = np.array([ngram_vector(p[0], fs) for p in train_split.payloads()], np.float64)
+        xte = np.array([ngram_vector(p[0], fs) for p in test_split.payloads()], np.float64)
         std = Standardizer.fit(xtr)
-        model, _ = train_svm(std.transform(xtr), ytr, l=dataset.l)
-        preds = model.predict(std.transform(xte))
-        rep.add_fold_metrics(
-            fold, "opcode_svm", confusion(preds.tolist(), test_split.labels(), dataset.l)
-        )
+        ztr, zte = std.transform(xtr), std.transform(xte)
+        logi, _ = train_logistic(ztr, ytr, l=train_split.l)
+        yield f"logistic_ngram{n}", logi.predict(zte)
+        yield f"nb_ngram{n}", train_nb(xtr, ytr, l=train_split.l).predict(xte)
+        yield f"knn_ngram{n}", knn_predict(ztr, ytr, zte)
 
 
-def _experiment_b2(cfg, dataset, rep):
-    for fold, train_split, test_split in _iter_folds(cfg, dataset):
-        to_matrix = glove_matrixer("fused", train_split, cfg, fold)
-        _run_nn("fused_mccrcnn", "mcc_rcnn", to_matrix, cfg, fold,
-                train_split, test_split, rep, dataset.l)
-        op_train = [p[0] for p in train_split.payloads()]
-        ytr = np.array(train_split.labels())
-        ytest = test_split.labels()
-        for n in cfg.ngram.sweep:
-            fs = select_ngram_features(op_train, n, cfg.ngram.limit)
-            xtr = np.stack([ngram_vector(p[0], fs) for p in train_split.payloads()])
-            xte = np.stack([ngram_vector(p[0], fs) for p in test_split.payloads()])
-            xtr_f = xtr.astype(np.float64)
-            xte_f = xte.astype(np.float64)
-            std = Standardizer.fit(xtr_f)
-            logi, _ = train_logistic(std.transform(xtr_f), ytr, l=dataset.l)
-            preds = logi.predict(std.transform(xte_f))
-            rep.add_fold_metrics(
-                fold, f"logistic_ngram{n}", confusion(preds.tolist(), ytest, dataset.l)
-            )
-            nb = train_nb(xtr_f, ytr, l=dataset.l)
-            preds = nb.predict(xte_f)
-            rep.add_fold_metrics(
-                fold, f"nb_ngram{n}", confusion(preds.tolist(), ytest, dataset.l)
-            )
-            preds = knn_predict(std.transform(xtr_f), ytr, std.transform(xte_f))
-            rep.add_fold_metrics(
-                fold, f"knn_ngram{n}", confusion(preds.tolist(), ytest, dataset.l)
-            )
+def _suite_c(cfg, fold, train_split, test_split):
+    # each table is fit once: its seed depends on the layer and fold only
+    op_table, api_table = fit_tables("fused", train_split, cfg, fold)
+    for which in ("opcode", "api", "fused"):
+        to_matrix = matrix_fn(which, op_table, api_table, cfg.model.seq_len)
+        yield f"{which}_mccrcnn", _nn_predictions("mcc_rcnn", to_matrix, cfg, fold,
+                                                  train_split, test_split)
 
 
-def _experiment_c(cfg, dataset, rep):
-    for fold, train_split, test_split in _iter_folds(cfg, dataset):
-        # each table is fit once: its seed depends on the layer and fold only
-        op_table, api_table = fit_tables("fused", train_split, cfg, fold)
-        for which in ("opcode", "api", "fused"):
-            to_matrix = matrix_fn(which, op_table, api_table, cfg.model.seq_len)
-            _run_nn(f"{which}_mccrcnn", "mcc_rcnn", to_matrix, cfg, fold,
-                    train_split, test_split, rep, dataset.l)
-
-
-EXPERIMENTS = {
-    "A": _experiment_a,
-    "B1": _experiment_b1,
-    "B2": _experiment_b2,
-    "C": _experiment_c,
-}
+EXPERIMENTS = {"A": _suite_a, "B1": _suite_b1, "B2": _suite_b2, "C": _suite_c}
 
 
 def run_experiment(name: str, cfg: ExperimentConfig) -> Path:
@@ -346,7 +321,12 @@ def run_experiment(name: str, cfg: ExperimentConfig) -> Path:
     dataset = prepare_dataset(cfg)
     rep = _Report(name)
     rep.add("-", "seed", cfg.seed)
-    EXPERIMENTS[name](cfg, dataset, rep)
+    suite = EXPERIMENTS[name]
+    for fold, train_split, test_split in _iter_folds(cfg, dataset):
+        for variant, preds in suite(cfg, fold, train_split, test_split):
+            cm = confusion(preds.tolist(), test_split.labels(), dataset.l)
+            for metric, value in metric_rows(cm):
+                rep.add(fold, f"{variant}/{metric}", value)
     rep.finish(cfg.folds)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)

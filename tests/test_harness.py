@@ -9,12 +9,37 @@ import numpy as np
 import pytest
 
 from mccrcnn.asmlite import parse_asm_bytes
+from mccrcnn.baselines import Standardizer, knn_predict, train_logistic, train_nb, train_svm
 from mccrcnn.embedding import EmbeddingTable
 from mccrcnn.errors import ConfigError
 from mccrcnn.extraction import build_relation_graph, extract_key_api_sequence
 from mccrcnn.harness.cli import main
-from mccrcnn.harness.config import ExperimentConfig, config_echo, load_config
-from mccrcnn.harness.experiments import prepare_dataset
+from mccrcnn.features import (
+    ngram_id_sequence,
+    ngram_vector,
+    onehot_matrix,
+    select_ngram_features,
+)
+from mccrcnn.harness.config import (
+    EmbeddingSettings,
+    ExperimentConfig,
+    ModelSettings,
+    NgramSettings,
+    TrainSettings,
+    config_echo,
+    load_config,
+)
+from mccrcnn.harness.experiments import (
+    _iter_folds,
+    _Report,
+    fit_tables,
+    glove_matrixer,
+    matrix_fn,
+    model_cfg_for,
+    prepare_dataset,
+    run_experiment,
+    train_cfg_for,
+)
 from mccrcnn.harness.ingest import (
     MissingLabels,
     NoAsmFiles,
@@ -36,7 +61,8 @@ from mccrcnn.harness.synth import (
     SyntheticCorpusSpec,
     generate_synthetic_corpus,
 )
-from mccrcnn.neural import ModelConfig, init_params, named_params
+from mccrcnn.metrics import confusion, ovr_accuracy, standard_metrics
+from mccrcnn.neural import ModelConfig, init_params, named_params, predict, train
 
 def ini_text(**overrides):
     base = {
@@ -109,6 +135,8 @@ def test_config_requires_a_seed(tmp_path):
     # AdaGrad is the only optimizer: the key itself is unknown now
     ({"train": {"optimizer": "adam"}}, "optimizer"),
     ({"synthetic": {"fusion_mode": "maybe"}}, "cannot parse"),
+    # the generator needs 30 <= min_len, so loading refuses 1..29 too
+    ({"synthetic": {"min_len": "10"}}, "min_len"),
 ])
 def test_config_rejects_bad_input(tmp_path, overrides, needle):
     with pytest.raises(ConfigError, match=needle):
@@ -335,6 +363,138 @@ def test_cli_all_listings_without_code_exit_3(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+# ------------------------------------------------------ experiment suites
+# Frozen copy of the suites as they were before each became a per-fold
+# generator: every suite ran its own fold loop and scored its own rows.
+
+def reference_fold_metrics(rep, fold, variant, cm):
+    std = standard_metrics(cm)
+    rep.add(fold, f"{variant}/ovr_accuracy", ovr_accuracy(cm))
+    rep.add(fold, f"{variant}/micro_accuracy", std["micro_accuracy"])
+    rep.add(fold, f"{variant}/macro_f1", std["macro_f1"])
+
+
+def reference_run_nn(variant, arch, to_matrix, cfg, fold, train_split, test_split, rep, l):
+    params, _history = train(
+        model_cfg_for(cfg, arch), train_split, train_cfg_for(cfg, fold),
+        to_matrix=to_matrix,
+    )
+    preds = predict(params, [to_matrix(p) for p in test_split.payloads()])
+    reference_fold_metrics(rep, fold, variant, confusion(preds.tolist(), test_split.labels(), l))
+
+
+def reference_experiment_a(cfg, dataset, rep):
+    ms = cfg.model
+    for fold, train_split, test_split in _iter_folds(cfg, dataset):
+        op_train = [p[0] for p in train_split.payloads()]
+        for n in cfg.ngram.sweep:
+            fs = select_ngram_features(op_train, n, cfg.ngram.limit)
+            dim = len(fs.grams)
+
+            def onehot_of(payload, fs=fs, dim=dim):
+                return onehot_matrix(ngram_id_sequence(payload[0], fs, ms.seq_len), dim)
+
+            reference_run_nn(f"ngram{n}_lstm", "lstm", onehot_of, cfg, fold,
+                             train_split, test_split, rep, dataset.l)
+        to_matrix = glove_matrixer("opcode", train_split, cfg, fold)
+        reference_run_nn("glove_lstm", "lstm", to_matrix, cfg, fold,
+                         train_split, test_split, rep, dataset.l)
+
+
+def reference_experiment_b1(cfg, dataset, rep):
+    for fold, train_split, test_split in _iter_folds(cfg, dataset):
+        to_matrix = glove_matrixer("opcode", train_split, cfg, fold)
+        for variant, arch in (
+            ("opcode_lstm", "lstm"),
+            ("opcode_gcnn", "gcnn"),
+            ("opcode_mccrcnn", "mcc_rcnn"),
+        ):
+            reference_run_nn(variant, arch, to_matrix, cfg, fold,
+                             train_split, test_split, rep, dataset.l)
+        xtr = np.stack([to_matrix(p).mean(axis=0) for p in train_split.payloads()])
+        xte = np.stack([to_matrix(p).mean(axis=0) for p in test_split.payloads()])
+        ytr = np.array(train_split.labels())
+        std = Standardizer.fit(xtr)
+        model, _ = train_svm(std.transform(xtr), ytr, l=dataset.l)
+        preds = model.predict(std.transform(xte))
+        reference_fold_metrics(
+            rep, fold, "opcode_svm", confusion(preds.tolist(), test_split.labels(), dataset.l)
+        )
+
+
+def reference_experiment_b2(cfg, dataset, rep):
+    for fold, train_split, test_split in _iter_folds(cfg, dataset):
+        to_matrix = glove_matrixer("fused", train_split, cfg, fold)
+        reference_run_nn("fused_mccrcnn", "mcc_rcnn", to_matrix, cfg, fold,
+                         train_split, test_split, rep, dataset.l)
+        op_train = [p[0] for p in train_split.payloads()]
+        ytr = np.array(train_split.labels())
+        ytest = test_split.labels()
+        for n in cfg.ngram.sweep:
+            fs = select_ngram_features(op_train, n, cfg.ngram.limit)
+            xtr = np.stack([ngram_vector(p[0], fs) for p in train_split.payloads()])
+            xte = np.stack([ngram_vector(p[0], fs) for p in test_split.payloads()])
+            xtr_f = xtr.astype(np.float64)
+            xte_f = xte.astype(np.float64)
+            std = Standardizer.fit(xtr_f)
+            logi, _ = train_logistic(std.transform(xtr_f), ytr, l=dataset.l)
+            preds = logi.predict(std.transform(xte_f))
+            reference_fold_metrics(
+                rep, fold, f"logistic_ngram{n}", confusion(preds.tolist(), ytest, dataset.l)
+            )
+            nb = train_nb(xtr_f, ytr, l=dataset.l)
+            preds = nb.predict(xte_f)
+            reference_fold_metrics(
+                rep, fold, f"nb_ngram{n}", confusion(preds.tolist(), ytest, dataset.l)
+            )
+            preds = knn_predict(std.transform(xtr_f), ytr, std.transform(xte_f))
+            reference_fold_metrics(
+                rep, fold, f"knn_ngram{n}", confusion(preds.tolist(), ytest, dataset.l)
+            )
+
+
+def reference_experiment_c(cfg, dataset, rep):
+    for fold, train_split, test_split in _iter_folds(cfg, dataset):
+        op_table, api_table = fit_tables("fused", train_split, cfg, fold)
+        for which in ("opcode", "api", "fused"):
+            to_matrix = matrix_fn(which, op_table, api_table, cfg.model.seq_len)
+            reference_run_nn(f"{which}_mccrcnn", "mcc_rcnn", to_matrix, cfg, fold,
+                             train_split, test_split, rep, dataset.l)
+
+
+REFERENCE_SUITES = {
+    "A": reference_experiment_a,
+    "B1": reference_experiment_b1,
+    "B2": reference_experiment_b2,
+    "C": reference_experiment_c,
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_SUITES))
+def test_suite_reports_equal_frozen_suites(tmp_path, name):
+    """Each suite's report and summary are byte-identical to the frozen copy."""
+    corpus = tmp_path / "corpus"
+    generate_synthetic_corpus(
+        SyntheticCorpusSpec(families=3, samples_per_family=8, seed=5), corpus)
+    # small, yet long enough that the neural variants leave chance level
+    cfg = ExperimentConfig(
+        seed=5, corpus=corpus, labels=corpus / "labels.csv", out_dir=tmp_path / "out",
+        folds=2, embedding=EmbeddingSettings(k=6, window=4, epochs=8),
+        model=ModelSettings(seq_len=24, hidden=6, conv_channels=6),
+        train=TrainSettings(epochs=6, batch_size=4), ngram=NgramSettings(limit=50),
+    )
+    csv_path = run_experiment(name, cfg)
+    rep = _Report(name)
+    rep.add("-", "seed", cfg.seed)
+    REFERENCE_SUITES[name](cfg, prepare_dataset(cfg), rep)
+    rep.finish(cfg.folds)
+    assert csv_path.read_text(encoding="utf-8") == rep.csv_text()
+    summary = (tmp_path / "out" / f"summary_{name}.txt").read_text(encoding="utf-8")
+    assert summary == rep.summary_text(cfg)
+    variants = {m.split("/")[0] for m in rep.fold_values()}
+    assert len(variants) == {"A": 5, "B1": 4, "B2": 13, "C": 3}[name]
+
+
 # ------------------------------------------------------------- checkpoints
 
 def random_table(seed=0, nv=5, k=3):
@@ -559,6 +719,8 @@ def test_cli_exit_code_matrix(tmp_path, capsys):
         "alpha-1": {"embedding": {"alpha": "-1"}},
         "alphanan": {"embedding": {"alpha": "nan"}},
         "optimizer": {"train": {"optimizer": "adagrad"}},
+        # loaded, though the generator refuses min_len < 30
+        "minlen10": {"synthetic": {"min_len": "10"}},
     }
     for stem, overrides in bad_values.items():
         write_cfg(tmp_path, ini_text(**overrides), f"{stem}.ini")
@@ -581,6 +743,15 @@ def test_cli_exit_code_matrix(tmp_path, capsys):
                                                     hidden=4, seed=1), seq_len=16)
     fused = (tmp_path / "fused.ckpt").read_bytes()
     emb = (out / "opcode_glove.ckpt").read_bytes()
+    # checksums and shapes hold, but seq_len rows cannot be allocated: a
+    # 10**16 x 6 float64 matrix is past any address space, and 2**60 x 6
+    # past numpy's intp; eval and train raised MemoryError or ValueError
+    long_models = []
+    for seq_len in (10**16, 2**60):
+        save_model(tmp_path / "long.ckpt", init_params(ModelConfig(), input_dim=12, classes=2,
+                                                       hidden=4, seed=1), seq_len=seq_len)
+        long_models.append((tmp_path / "long.ckpt").read_bytes())
+    write_cfg(tmp_path, ini_text(model={"seq_len": str(10**16)}), "longseq.ini")
 
     def with_value(data, block, value):
         lines = data.decode().split("\n")[:-2]  # without the checksum line
@@ -607,6 +778,9 @@ def test_cli_exit_code_matrix(tmp_path, capsys):
         ("eval", "cfg.ini", {"model.ckpt": with_value(fused, "dense.b", "inf")}, 3),
         ("eval", "cfg.ini", {"model.ckpt": fused,
                              "opcode_glove.ckpt": with_value(emb, "w", "1e999")}, 3),
+    ] + [("eval", "cfg.ini", {"model.ckpt": data, "opcode_glove.ckpt": emb}, 3)
+         for data in long_models] + [
+        ("train", "longseq.ini", {}, 3),
     ] + [("train", f"{stem}.ini", {}, 2) for stem in bad_values]
     for verb, name, files, code in cases:
         for file_name, data in files.items():
@@ -616,6 +790,17 @@ def test_cli_exit_code_matrix(tmp_path, capsys):
         assert err.startswith("config error:" if code == 2 else "error:"), err
         assert sum("error:" in line for line in err.splitlines()) == 1, err
         assert "Traceback" not in err
+
+
+def test_cli_suite_a_seq_len_too_large_exit_3(tmp_path, capsys):
+    """Suite A's n-gram rows take seq_len too; 10**16 of them cannot exist."""
+    cfg = write_cfg(tmp_path, ini_text(model={"seq_len": str(10**16)}))
+    assert main(["gen", str(cfg)]) == 0
+    capsys.readouterr()
+    assert main(["experiment", "A", str(cfg)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "seq_len" in err, err
+    assert "Traceback" not in err
 
 
 def test_cli_eval_refuses_v1_model_with_exit_3(tmp_path, capsys):
