@@ -14,8 +14,10 @@ its center and context vectors.
 The updates are sequential in the shuffled order, but they are applied
 one dependency level at a time.  Entry (i, j) touches only center row i
 and context row j, so its level is one more than the highest level of
-any earlier entry that shares its i or its j.  Entries of one level share
-no row, so they run as one gather -> compute -> scatter, and each reads
+any earlier entry that shares its i or its j.  The state is one packed
+table: row r holds center token r as [w | b | acc_w | acc_b] and row
+|V| + r its context side.  Entries of one level share no row, so a level
+is one gather of its rows, one compute and one scatter, and each reads
 exactly the state the one-entry-at-a-time loop would have given it.  The
 arithmetic is the same element-wise IEEE operations in the same order,
 and each dot product goes through the same BLAS routine, so the result
@@ -259,34 +261,35 @@ def train_glove(cooc: CooccurrenceMatrix, vocab: Vocabulary, k: int,
     Each epoch draws a permutation and runs its entries level by level
     (see the module docstring): an entry's level is one past the last
     level of an earlier entry with the same center or context row, and a
-    level updates all its entries at once.  The tables and the losses are
-    bit-identical to applying the entries one at a time in permutation
-    order.
+    level updates the packed rows of all its entries at once.  The tables
+    and the losses are bit-identical to applying the entries one at a
+    time in permutation order.
 
-    Returns the table and the loss history: element 0 is J at
-    initialization, element e is J after epoch e.  Raises DivergedLoss if
-    J ever becomes non-finite.
+    Returns the table, copied out of the packed state, and the loss
+    history: element 0 is J at initialization, element e is J after epoch
+    e.  Raises DivergedLoss if J ever becomes non-finite.
     """
     if not cooc.entries:
         raise ValueError("co-occurrence matrix has no entries")
     if cooc.vocab_size != len(vocab):
         raise ValueError("vocabulary size does not match co-occurrence matrix")
+    if k < 1 or epochs < 0:
+        raise ValueError(f"need k >= 1 and epochs >= 0, got k={k}, epochs={epochs}")
     n = cooc.vocab_size
     rng = np.random.default_rng(seed)
     span = 0.5 / k
-    w = rng.uniform(-span, span, size=(n, k))
-    w_ctx = rng.uniform(-span, span, size=(n, k))
-    b = rng.uniform(-span, span, size=n)
-    b_ctx = rng.uniform(-span, span, size=n)
-    acc_w = np.ones_like(w)
-    acc_wc = np.ones_like(w_ctx)
-    acc_b = np.ones_like(b)
-    acc_bc = np.ones_like(b_ctx)
+    # row r is center token r as [w | b | acc_w | acc_b], row n + r its context row
+    state = np.ones((2 * n, 2 * (k + 1)))
+    w, w_ctx, b, b_ctx = state[:n, :k], state[n:, :k], state[:n, k], state[n:, k]
+    w[:] = rng.uniform(-span, span, size=(n, k))
+    w_ctx[:] = rng.uniform(-span, span, size=(n, k))
+    b[:] = rng.uniform(-span, span, size=n)
+    b_ctx[:] = rng.uniform(-span, span, size=n)
 
     ii, jj, xs = _entry_arrays(cooc)
     logx = np.log(xs)
     fx = _weight(xs, x_max, alpha)
-    tokens = vocab.ordered_tokens()
+    rows = np.stack([ii, jj + n], axis=1)
 
     def current_loss() -> float:
         diff = np.einsum("nk,nk->n", w[ii], w_ctx[jj]) + b[ii] + b_ctx[jj] - logx
@@ -306,32 +309,28 @@ def train_glove(cooc: CooccurrenceMatrix, vocab: Vocabulary, k: int,
             levels.append(lv)
         order = perm[np.argsort(levels, kind="stable")]
         bounds = np.cumsum(np.bincount(levels)).tolist()
+        # doubling is exact, so (2 fx) diff has the bits of 2 fx diff
+        rid, logx_o, fx2_o = rows[order].ravel(), logx[order], 2.0 * fx[order]
         for lo, hi in zip(bounds, bounds[1:]):
-            t = order[lo:hi]
-            i, j = ii[t], jj[t]
-            wi, wj = w[i], w_ctx[j]
-            # one (1, k) @ (k, 1) per entry is the BLAS dot of wi @ wj;
+            flat = state[rid[2 * lo:2 * hi]]
+            pair = flat.reshape(hi - lo, 2, 2 * (k + 1))  # [:, 0] center, [:, 1] context
+            # one (1, k) @ (k, 1) per entry is the BLAS dot of w[i] @ w_ctx[j];
             # einsum or a row sum would add the k terms in another order
-            dot = (wi[:, None, :] @ wj[:, :, None])[:, 0, 0]
-            diff = dot + b[i] + b_ctx[j] - logx[t]
-            coef = 2.0 * fx[t] * diff
-            gw = coef[:, None] * wj
-            gwc = coef[:, None] * wi
-            w[i] = wi - learning_rate * gw / np.sqrt(acc_w[i])
-            w_ctx[j] = wj - learning_rate * gwc / np.sqrt(acc_wc[j])
-            b[i] -= learning_rate * coef / np.sqrt(acc_b[i])
-            b_ctx[j] -= learning_rate * coef / np.sqrt(acc_bc[j])
-            acc_w[i] += gw * gw
-            acc_wc[j] += gwc * gwc
-            acc_b[i] += coef * coef
-            acc_bc[j] += coef * coef
+            dot = (pair[:, 0, None, :k] @ pair[:, 1, :k, None])[:, 0, 0]
+            coef = fx2_o[lo:hi] * (dot + pair[:, 0, k] + pair[:, 1, k] - logx_o[lo:hi])
+            # the center row's gradient is coef w_ctx[j], the context row's coef w[i]
+            g = coef[:, None, None] * pair[:, ::-1, :k + 1]
+            g[:, :, k] = coef[:, None]
+            pair[..., :k + 1] -= learning_rate * g / np.sqrt(pair[..., k + 1:])
+            pair[..., k + 1:] += g * g
+            state[rid[2 * lo:2 * hi]] = flat
         j_epoch = current_loss()
         if not np.isfinite(j_epoch):
             raise DivergedLoss(f"objective became non-finite at epoch {epoch + 1}")
         losses.append(j_epoch)
         log.debug("glove epoch %d: J=%.6f", epoch + 1, j_epoch)
 
-    table = EmbeddingTable(tokens=tokens, w=w, w_ctx=w_ctx, b=b, b_ctx=b_ctx)
+    table = EmbeddingTable(vocab.ordered_tokens(), *(a.copy() for a in (w, w_ctx, b, b_ctx)))
     return table, losses
 
 

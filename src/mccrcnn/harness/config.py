@@ -177,9 +177,11 @@ def _validate(cfg: ExperimentConfig) -> None:
         (cfg.folds >= 2, "folds must be >= 2"),
         (cfg.embedding.k >= 1, "embedding k must be >= 1"),
         (cfg.embedding.window >= 1, "embedding window must be >= 1"),
+        (cfg.embedding.epochs >= 1, "embedding epochs must be >= 1"),
         (cfg.embedding.learning_rate > 0, "embedding learning_rate must be > 0"),
         (cfg.embedding.x_max > 0, "embedding x_max must be > 0"),
         (cfg.embedding.alpha >= 0, "embedding alpha must be >= 0"),
+        (cfg.embedding.min_count >= 1, "embedding min_count must be >= 1"),
         (cfg.model.seq_len >= 1, "model seq_len must be >= 1"),
         (cfg.model.hidden >= 1, "model hidden must be >= 1"),
         (cfg.model.conv_channels >= 1, "model conv_channels must be >= 1"),

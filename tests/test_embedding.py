@@ -328,6 +328,24 @@ def test_train_glove_validates_inputs():
     bad = CooccurrenceMatrix(entries=cooc.entries, window=3, vocab_size=len(v) + 1)
     with pytest.raises(ValueError):
         train_glove(bad, v, k=4)
+    # k = 0 divided by zero and k = -1 failed inside numpy; epochs = -1 ran none
+    for kw in (dict(k=0), dict(k=-1), dict(k=4, epochs=-1)):
+        with pytest.raises(ValueError):
+            train_glove(cooc, v, **kw)
+
+
+def test_trained_arrays_are_separate_and_own_their_data():
+    """No returned array is a view of the training state, so no AdaGrad
+    accumulator can reach a checkpoint or a matrix through ``.base``."""
+    corpus = small_corpus()
+    v = build_vocab(corpus)
+    table, _ = train_glove(count_cooccurrence(corpus, v, window=3), v, k=4, epochs=2, seed=1)
+    arrays = [table.w, table.w_ctx, table.b, table.b_ctx]
+    for a in arrays:
+        assert a.flags.c_contiguous and a.flags.owndata and a.base is None
+    for x in range(len(arrays)):
+        for y in range(x + 1, len(arrays)):
+            assert not np.shares_memory(arrays[x], arrays[y])
 
 
 def test_final_vector_is_center_plus_context():

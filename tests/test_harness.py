@@ -137,6 +137,9 @@ def test_config_requires_a_seed(tmp_path):
     ({"synthetic": {"fusion_mode": "maybe"}}, "cannot parse"),
     # the generator needs 30 <= min_len, so loading refuses 1..29 too
     ({"synthetic": {"min_len": "10"}}, "min_len"),
+    # both loaded: epochs -3 wrote untrained tables, min_count -7 is no threshold
+    ({"embedding": {"epochs": "-3"}}, "embedding epochs"),
+    ({"embedding": {"min_count": "-7"}}, "min_count"),
 ])
 def test_config_rejects_bad_input(tmp_path, overrides, needle):
     with pytest.raises(ConfigError, match=needle):
@@ -718,6 +721,8 @@ def test_cli_exit_code_matrix(tmp_path, capsys):
         "emblrnan": {"embedding": {"learning_rate": "nan"}},
         "alpha-1": {"embedding": {"alpha": "-1"}},
         "alphanan": {"embedding": {"alpha": "nan"}},
+        "embepochs-3": {"embedding": {"epochs": "-3"}},
+        "mincount-7": {"embedding": {"min_count": "-7"}},
         "optimizer": {"train": {"optimizer": "adagrad"}},
         # loaded, though the generator refuses min_len < 30
         "minlen10": {"synthetic": {"min_len": "10"}},
