@@ -17,7 +17,7 @@ import numpy as np
 
 from .embedding import DivergedLoss
 from .errors import EmptyTrainSet
-from .neural import softmax_rows
+from .neural import cross_entropy, softmax_rows
 
 
 @dataclass
@@ -78,12 +78,7 @@ def _check_xy(x, y, l=None):
 
 def logistic_loss_and_grad(weights, biases, x, y_idx):
     """Mean cross-entropy and its gradient; y_idx is 0-based."""
-    probs = softmax_rows(x @ weights.T + biases)
-    n = len(x)
-    loss = float(-np.mean(np.log(probs[np.arange(n), y_idx])))
-    d = probs.copy()
-    d[np.arange(n), y_idx] -= 1.0
-    d /= n
+    loss, d = cross_entropy(softmax_rows(x @ weights.T + biases), y_idx)
     return loss, d.T @ x, d.sum(axis=0)
 
 

@@ -12,9 +12,11 @@ its dimensions and the loader infers the architecture from which blocks
 are present.
 
 Each format carries its own version.  Embeddings (GLOVEEMB) are v1.
-Models (MCCRCNN) are v2: the LSTM is stored as the two stacked blocks
-lstm.w (4h x (k + h)) and lstm.b (4h); v1 model files, which held eight
-per-gate blocks, are refused with FormatVersionMismatch.
+Models (MCCRCNN) are v3: the LSTM is stored as the two stacked blocks
+lstm.w (4h x (k + h)) and lstm.b (4h), and the gated convolution as
+conv.w (w x in x 2c, linear then gate columns) and conv.b (2c).  v1
+files (eight per-gate LSTM blocks) and v2 files (separate conv.v and
+conv.g gate blocks) are refused with FormatVersionMismatch.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from ..neural import GatedConvParams, LstmParams, ModelParams, named_params
 _EMB_MAGIC = "GLOVEEMB"
 _EMB_VERSION = "v1"
 _MODEL_MAGIC = "MCCRCNN"
-_MODEL_VERSION = "v2"
+_MODEL_VERSION = "v3"
 
 
 class FormatVersionMismatch(PipelineError):
@@ -198,12 +200,8 @@ def load_model(path) -> tuple[ModelParams, int]:
     conv = None
     if c > 0:
         in_ch = h if h > 0 else k
-        conv = GatedConvParams(
-            w=reader.array("conv.w", (w, in_ch, c)),
-            b=reader.array("conv.b", (c,)),
-            v=reader.array("conv.v", (w, in_ch, c)),
-            g=reader.array("conv.g", (c,)),
-        )
+        conv = GatedConvParams(w=reader.array("conv.w", (w, in_ch, 2 * c)),
+                               b=reader.array("conv.b", (2 * c,)))
     pooled = c if c > 0 else h
     dense_w = reader.array("dense.w", (l, pooled))
     dense_b = reader.array("dense.b", (l,))

@@ -3,7 +3,8 @@
 Forward pass for one T x k input matrix:
 
     H = LSTM(X)                       H is T x h
-    G = (H * W + b) .* sigmoid(H * V + g)   width-w conv, T x c
+    [L | A] = H * W + b               width-w conv, T x 2c
+    G = L .* sigmoid(A)               T x c
     pooled[c] = max over time of G[:, c]
     probs = softmax(W_d pooled + b_d)
 
@@ -13,8 +14,11 @@ act on z_t = [x_t ; h_{t-1}] with sigmoid/tanh nonlinearities, h_0 = c_0
 (4h), with row blocks in the order f, i, o, c: the sigmoid acts on the
 first 3h rows of W z_t + b and tanh on the last h.  The input part of W
 is applied to all T steps in one matmul before the recurrence.  The
-convolution zero-pads (w - 1) / 2 frames on both sides (odd w
-only) so the time length is preserved.  Ablations are configuration, not
+convolution is likewise one stacked kernel W (w x in x 2c) and bias b
+(2c): the first c output columns are the linear half L, the last c the
+gate A, so the forward is one matmul and the backward one per gradient.
+It zero-pads (w - 1) / 2 frames on both sides (odd w only) so the time
+length is preserved.  Ablations are configuration, not
 code: arch "lstm" pools the LSTM output directly, arch "gcnn" convolves
 the raw input.
 
@@ -68,6 +72,20 @@ def softmax_rows(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
+def cross_entropy(probs: np.ndarray, y_idx: np.ndarray):
+    """Mean cross-entropy of softmax rows against 0-based labels.
+
+    Returns (loss, dlogits), where dlogits = (probs - onehot) / n is the
+    loss gradient with respect to the logits.
+    """
+    n = len(y_idx)
+    loss = float(-np.mean(np.log(probs[np.arange(n), y_idx])))
+    dlogits = probs.copy()
+    dlogits[np.arange(n), y_idx] -= 1.0
+    dlogits /= n
+    return loss, dlogits
+
+
 @dataclass
 class LstmParams:
     """Stacked gates: w is (4h, k + h) over z = [x ; h_prev], b is (4h,).
@@ -90,12 +108,13 @@ class LstmParams:
 
 @dataclass
 class GatedConvParams:
-    """Linear kernel w/b and gate kernel v/g, both (width, in, out)."""
+    """Stacked kernel: w is (width, in, 2 out), b is (2 out,).
+
+    The first out columns are the linear kernel, the last out the gate.
+    """
 
     w: np.ndarray
     b: np.ndarray
-    v: np.ndarray
-    g: np.ndarray
 
     def __post_init__(self):
         if self.w.shape[0] % 2 == 0:
@@ -111,7 +130,7 @@ class GatedConvParams:
 
     @property
     def out_channels(self) -> int:
-        return self.w.shape[2]
+        return self.w.shape[2] // 2
 
 
 @dataclass
@@ -171,8 +190,6 @@ def named_params(params: ModelParams) -> dict[str, np.ndarray]:
     if params.conv is not None:
         out["conv.w"] = params.conv.w
         out["conv.b"] = params.conv.b
-        out["conv.v"] = params.conv.v
-        out["conv.g"] = params.conv.g
     out["dense.w"] = params.dense_w
     out["dense.b"] = params.dense_b
     return out
@@ -200,15 +217,9 @@ def init_params(model_cfg: ModelConfig, input_dim: int, classes: int,
         in_ch = hidden if model_cfg.arch == "mcc_rcnn" else input_dim
         out_ch = model_cfg.conv_channels or hidden
         width = model_cfg.kernel_width
-        if width % 2 == 0:
-            raise EvenKernelWidth(f"kernel width {width} is even")
-        fan = width * in_ch
-        conv = GatedConvParams(
-            w=uniform((width, in_ch, out_ch), fan),
-            b=np.zeros(out_ch),
-            v=uniform((width, in_ch, out_ch), fan),
-            g=np.zeros(out_ch),
-        )
+        # the linear kernel's draw, then the gate kernel's, side by side
+        kernels = uniform((2, width, in_ch, out_ch), width * in_ch)
+        conv = GatedConvParams(w=np.concatenate(kernels, axis=2), b=np.zeros(2 * out_ch))
         pooled_dim = out_ch
     dense_w = uniform((classes, pooled_dim), pooled_dim)
     return ModelParams(lstm=lstm, conv=conv, dense_w=dense_w, dense_b=np.zeros(classes))
@@ -340,13 +351,11 @@ def _gconv_forward_batch(p: GatedConvParams, h: np.ndarray, cache: dict | None =
     hp[:, pad:pad + t, :] = h
     cols = np.stack([hp[:, d:d + t, :] for d in range(width)], axis=2)
     cols = cols.reshape(b, t, width * c_in)
-    w2 = p.w.reshape(width * c_in, -1)
-    v2 = p.v.reshape(width * c_in, -1)
-    lin = cols @ w2
-    lin += p.b
-    gate = cols @ v2
-    gate += p.g
-    gate_sig = _sigmoid(gate)
+    c_out = p.out_channels
+    z = cols @ p.w.reshape(width * c_in, -1)  # [lin | gate]
+    z += p.b
+    lin = z[:, :, :c_out]
+    gate_sig = _sigmoid(z[:, :, c_out:])
     if cache is None:
         lin *= gate_sig
         return lin
@@ -355,27 +364,27 @@ def _gconv_forward_batch(p: GatedConvParams, h: np.ndarray, cache: dict | None =
 
 
 def _gconv_backward(p: GatedConvParams, cache: dict, dout: np.ndarray):
+    """Stacked-kernel gradients and the input gradient, each one product
+    or sum over the (B*T, 2c) slab [d(lin) | d(gate)]."""
     b, t, c_in = cache["in_shape"]
     width = p.width
     pad = (width - 1) // 2
     c_out = p.out_channels
-    cols = cache["cols"]
-    lin = cache["lin"]
     gate_sig = cache["gate_sig"]
 
-    dlin = dout * gate_sig
-    dgate = dout * lin * gate_sig * (1.0 - gate_sig)
+    dz = np.empty((b, t, 2 * c_out))
+    np.multiply(dout, gate_sig, out=dz[:, :, :c_out])
+    dgate = dz[:, :, c_out:]  # dout lin sig (1 - sig), in that order
+    np.multiply(dout, cache["lin"], out=dgate)
+    dgate *= gate_sig
+    dgate *= 1.0 - gate_sig
+    dz = dz.reshape(-1, 2 * c_out)
 
-    cols_flat = cols.reshape(-1, width * c_in)
     grads = {
-        "conv.w": (cols_flat.T @ dlin.reshape(-1, c_out)).reshape(width, c_in, c_out),
-        "conv.b": dlin.sum(axis=(0, 1)),
-        "conv.v": (cols_flat.T @ dgate.reshape(-1, c_out)).reshape(width, c_in, c_out),
-        "conv.g": dgate.sum(axis=(0, 1)),
+        "conv.w": (cache["cols"].reshape(-1, width * c_in).T @ dz).reshape(p.w.shape),
+        "conv.b": dz.sum(axis=0),
     }
-    w2 = p.w.reshape(width * c_in, -1)
-    v2 = p.v.reshape(width * c_in, -1)
-    dcols = (dlin @ w2.T + dgate @ v2.T).reshape(b, t, width, c_in)
+    dcols = (dz @ p.w.reshape(width * c_in, -1).T).reshape(b, t, width, c_in)
     dhp = np.zeros((b, t + width - 1, c_in))
     for d in range(width):
         dhp[:, d:d + t, :] += dcols[:, :, d, :]
@@ -453,8 +462,7 @@ def _stack_batch(params: ModelParams, batch):
 def batch_loss(params: ModelParams, batch) -> float:
     """Mean cross-entropy of a list of (matrix, label) pairs."""
     x, y = _stack_batch(params, batch)
-    probs = _forward_batch(params, x)
-    return float(-np.mean(np.log(probs[np.arange(len(y)), y])))
+    return cross_entropy(_forward_batch(params, x), y)[0]
 
 
 def loss_and_gradients(params: ModelParams, batch):
@@ -464,14 +472,8 @@ def loss_and_gradients(params: ModelParams, batch):
     arrays of matching shape.
     """
     x, y = _stack_batch(params, batch)
-    n = len(y)
     cache: dict = {}
-    probs = _forward_batch(params, x, cache)
-    loss = float(-np.mean(np.log(probs[np.arange(n), y])))
-
-    dlogits = probs.copy()
-    dlogits[np.arange(n), y] -= 1.0
-    dlogits /= n
+    loss, dlogits = cross_entropy(_forward_batch(params, x, cache), y)
     grads: dict[str, np.ndarray] = {
         "dense.w": dlogits.T @ cache["pooled"],
         "dense.b": dlogits.sum(axis=0),

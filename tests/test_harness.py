@@ -47,6 +47,7 @@ from mccrcnn.harness.ingest import (
     read_labels,
 )
 from mccrcnn.harness.persist import (
+    _MODEL_VERSION,
     CorruptFile,
     FormatVersionMismatch,
     _append_block,
@@ -613,25 +614,45 @@ def test_changed_line_endings_are_corrupt(tmp_path, kind):
             load(path)
 
 
-def write_v1_model(path, params, seq_len):
-    """A model file in the v1 layout, with eight per-gate LSTM blocks."""
-    h = params.lstm.hidden
-    lines = [f"MCCRCNN v1 {params.input_dim} {h} {params.conv.out_channels} "
+def write_old_model(path, params, seq_len, version):
+    """A model file in an earlier layout of a fused model.
+
+    v1 held eight per-gate LSTM blocks, v2 the stacked lstm.w and lstm.b.
+    Both held the conv's linear kernel conv.w, conv.b and its gate kernel
+    conv.v, conv.g as four blocks.
+    """
+    h, c = params.lstm.hidden, params.conv.out_channels
+    lines = [f"MCCRCNN {version} {params.input_dim} {h} {c} "
              f"{params.conv.width} {params.l} {seq_len}"]
     for kind, arr in (("w", params.lstm.w), ("b", params.lstm.b)):
-        for n, gate in enumerate("fioc"):
-            _append_block(lines, f"lstm.{kind}_{gate}", arr[n * h:(n + 1) * h])
-    for name, arr in named_params(params).items():
-        if not name.startswith("lstm."):
-            _append_block(lines, name, arr)
+        if version == "v1":
+            for n, gate in enumerate("fioc"):
+                _append_block(lines, f"lstm.{kind}_{gate}", arr[n * h:(n + 1) * h])
+        else:
+            _append_block(lines, f"lstm.{kind}", arr)
+    for name, arr in (("conv.w", params.conv.w[:, :, :c]), ("conv.b", params.conv.b[:c]),
+                      ("conv.v", params.conv.w[:, :, c:]), ("conv.g", params.conv.b[c:]),
+                      ("dense.w", params.dense_w), ("dense.b", params.dense_b)):
+        _append_block(lines, name, arr)
     _write_checkpoint(path, lines)
 
 
 def test_v1_model_checkpoint_is_refused(tmp_path):
     params = init_params(ModelConfig(), input_dim=3, classes=2, hidden=4)
     path = tmp_path / "model.ckpt"
-    write_v1_model(path, params, seq_len=8)
-    with pytest.raises(FormatVersionMismatch, match="format v1, expected v2"):
+    write_old_model(path, params, seq_len=8, version="v1")
+    with pytest.raises(FormatVersionMismatch, match="format v1, expected v3"):
+        load_model(path)
+
+
+def test_v2_model_checkpoint_is_refused(tmp_path):
+    params = init_params(ModelConfig(), input_dim=3, classes=2, hidden=4)
+    path = tmp_path / "model.ckpt"
+    write_old_model(path, params, seq_len=8, version="v2")
+    blocks = [ln.split()[0] for ln in path.read_text().splitlines() if ln[:1].isalpha()]
+    assert blocks == ["MCCRCNN", "lstm.w", "lstm.b", "conv.w", "conv.b", "conv.v", "conv.g",
+                      "dense.w", "dense.b", "checksum"]
+    with pytest.raises(FormatVersionMismatch, match="format v2, expected v3"):
         load_model(path)
 
 
@@ -736,9 +757,12 @@ def test_cli_exit_code_matrix(tmp_path, capsys):
     # checksums hold, but the block shapes claim terabytes
     huge = 10**12
     _write_checkpoint(tmp_path / "huge_model.ckpt",
-                      [f"MCCRCNN v2 6 {huge} 4 3 2 16", f"lstm.w {4 * huge} {6 + huge}", "0.0"])
+                      [f"MCCRCNN {_MODEL_VERSION} 6 {huge} 4 3 2 16",
+                       f"lstm.w {4 * huge} {6 + huge}", "0.0"])
     _write_checkpoint(tmp_path / "huge_emb.ckpt",
                       [f"GLOVEEMB v1 1 {huge}", "tokens 1", "mov", f"w 1 {huge}", "0.0"])
+    with pytest.raises(CorruptFile, match=f"lstm.w claims {4 * huge} rows"):
+        load_model(tmp_path / "huge_model.ckpt")  # past the version check, to the row guard
     huge_model = (tmp_path / "huge_model.ckpt").read_bytes()
     huge_emb = (tmp_path / "huge_emb.ckpt").read_bytes()
     # checksums hold, but float() parsed a non-finite value; on a model of
@@ -808,21 +832,33 @@ def test_cli_suite_a_seq_len_too_large_exit_3(tmp_path, capsys):
     assert "Traceback" not in err
 
 
-def test_cli_eval_refuses_v1_model_with_exit_3(tmp_path, capsys):
+def eval_trained_model_rewritten(tmp_path, capsys, version):
+    """Train, rewrite the checkpoint in an old layout, run eval in a subprocess."""
     cfg = write_cfg(tmp_path)
     assert main(["gen", str(cfg)]) == 0
     assert main(["train", str(cfg)]) == 0
     capsys.readouterr()
     ckpt = tmp_path / "out" / "model.ckpt"
     params, seq_len = load_model(ckpt)
-    write_v1_model(ckpt, params, seq_len)
-    proc = subprocess.run(
+    write_old_model(ckpt, params, seq_len, version)
+    return subprocess.run(
         [sys.executable, "-m", "mccrcnn.harness.cli", "eval", str(cfg)],
         capture_output=True, text=True,
     )
+
+
+def test_cli_eval_refuses_v1_model_with_exit_3(tmp_path, capsys):
+    proc = eval_trained_model_rewritten(tmp_path, capsys, "v1")
     assert proc.returncode == 3, proc.stderr
     assert "Traceback" not in proc.stderr
-    assert "format v1, expected v2" in proc.stderr
+    assert "format v1, expected v3" in proc.stderr
+
+
+def test_cli_eval_refuses_v2_model_with_exit_3(tmp_path, capsys):
+    proc = eval_trained_model_rewritten(tmp_path, capsys, "v2")
+    assert proc.returncode == 3, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "format v2, expected v3" in proc.stderr
 
 
 def test_console_script_entry_point(tmp_path):

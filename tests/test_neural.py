@@ -151,6 +151,22 @@ def rel_err(got, want):
     return np.max(np.abs(got - want)) / np.max(np.abs(want))
 
 
+def head_loss_and_grad(params, out, labels):
+    """The pool, dense and softmax head above a (B, T, C) layer output,
+    written out: mean cross-entropy and its gradient by the output."""
+    b = len(labels)
+    y = np.array(labels) - 1
+    pooled, arg = max_pool_over_time(out)
+    logits = pooled @ params.dense_w.T + params.dense_b
+    probs = np.exp(logits - logits.max(axis=1, keepdims=True))
+    probs /= probs.sum(axis=1, keepdims=True)
+    loss = -np.mean(np.log(probs[np.arange(b), y]))
+    dlogits = probs.copy()
+    dlogits[np.arange(b), y] -= 1.0
+    dlogits /= b
+    return loss, max_pool_backward(arg, out.shape, dlogits @ params.dense_w)
+
+
 @pytest.mark.parametrize("b,t", [(1, 1), (1, 7), (5, 1), (5, 7)])
 def test_stacked_lstm_matches_four_gate_reference(b, t):
     k, h = 3, 4
@@ -167,16 +183,7 @@ def test_stacked_lstm_matches_four_gate_reference(b, t):
     got_h, _ = lstm_forward(params.lstm, x)
     assert rel_err(got_h, want_h) <= 1e-12
 
-    # the head above the LSTM, written out to get dL/dH for the reference
-    pooled, arg = max_pool_over_time(want_h)
-    logits = pooled @ params.dense_w.T + params.dense_b
-    probs = np.exp(logits - logits.max(axis=1, keepdims=True))
-    probs /= probs.sum(axis=1, keepdims=True)
-    want_loss = -np.mean(np.log(probs[np.arange(b), np.array(labels) - 1]))
-    dlogits = probs.copy()
-    dlogits[np.arange(b), np.array(labels) - 1] -= 1.0
-    dlogits /= b
-    dh_seq = max_pool_backward(arg, want_h.shape, dlogits @ params.dense_w)
+    want_loss, dh_seq = head_loss_and_grad(params, want_h, labels)
     dw, db = four_gate_backward(gw, ref_cache, dh_seq)
 
     loss, grads = loss_and_gradients(params, list(zip(x, labels)))
@@ -252,9 +259,14 @@ def test_lstm_shapes():
 
 # -------------------------------------------------------------- gated conv
 
+def stacked_conv(w, b, v, g):
+    """GatedConvParams from a linear kernel w/b and a gate kernel v/g."""
+    return GatedConvParams(w=np.concatenate((w, v), axis=2), b=np.concatenate((b, g)))
+
+
 def test_width_one_conv_is_pointwise_glu():
     rng = np.random.default_rng(2)
-    p = GatedConvParams(
+    p = stacked_conv(
         w=rng.normal(size=(1, 3, 2)), b=rng.normal(size=2),
         v=rng.normal(size=(1, 3, 2)), g=rng.normal(size=2),
     )
@@ -263,13 +275,13 @@ def test_width_one_conv_is_pointwise_glu():
     for t in range(5):
         for o in range(2):
             lin = float(h[t] @ p.w[0, :, o] + p.b[o])
-            gate = sig(float(h[t] @ p.v[0, :, o] + p.g[o]))
+            gate = sig(float(h[t] @ p.w[0, :, 2 + o] + p.b[2 + o]))
             assert out[t, o] == pytest.approx(lin * gate, abs=1e-14)
 
 
 def test_width_three_conv_zero_pads_both_ends():
     rng = np.random.default_rng(3)
-    p = GatedConvParams(
+    p = stacked_conv(
         w=rng.normal(size=(3, 2, 2)), b=rng.normal(size=2),
         v=rng.normal(size=(3, 2, 2)), g=rng.normal(size=2),
     )
@@ -281,17 +293,80 @@ def test_width_three_conv_zero_pads_both_ends():
         window = padded[t:t + 3]  # frames t-1, t, t+1 of the original
         for o in range(2):
             lin = float((window * p.w[:, :, o]).sum() + p.b[o])
-            gate = sig(float((window * p.v[:, :, o]).sum() + p.g[o]))
+            gate = sig(float((window * p.w[:, :, 2 + o]).sum() + p.b[2 + o]))
             assert out[t, o] == pytest.approx(lin * gate, abs=1e-13)
 
 
 def test_even_kernel_width_rejected():
     with pytest.raises(EvenKernelWidth):
-        GatedConvParams(w=np.zeros((2, 1, 1)), b=np.zeros(1),
-                        v=np.zeros((2, 1, 1)), g=np.zeros(1))
+        GatedConvParams(w=np.zeros((2, 1, 2)), b=np.zeros(2))
     with pytest.raises(EvenKernelWidth):
         init_params(ModelConfig(arch="gcnn", kernel_width=4), input_dim=2,
                     classes=2, hidden=3)
+
+
+# A frozen copy of the gated convolution from before its kernels were
+# stacked: a linear kernel w/b and a gate kernel v/g, two products
+# forward and four backward.
+
+def two_kernel_forward(w, b, v, g, h):
+    bsz, t, c_in = h.shape
+    width = w.shape[0]
+    pad = (width - 1) // 2
+    hp = np.zeros((bsz, t + width - 1, c_in))
+    hp[:, pad:pad + t, :] = h
+    cols = np.stack([hp[:, d:d + t, :] for d in range(width)], axis=2)
+    cols = cols.reshape(bsz, t, width * c_in)
+    lin = cols @ w.reshape(width * c_in, -1) + b
+    gate_sig = 1.0 / (1.0 + np.exp(-(cols @ v.reshape(width * c_in, -1) + g)))
+    return lin * gate_sig, (cols, lin, gate_sig)
+
+
+def two_kernel_backward(w, v, cache, dout):
+    cols, lin, gate_sig = cache
+    bsz, t, _ = dout.shape
+    width, c_in, c_out = w.shape
+    pad = (width - 1) // 2
+    dlin = dout * gate_sig
+    dgate = dout * lin * gate_sig * (1.0 - gate_sig)
+    cols_flat = cols.reshape(-1, width * c_in)
+    dw = (cols_flat.T @ dlin.reshape(-1, c_out)).reshape(w.shape)
+    dv = (cols_flat.T @ dgate.reshape(-1, c_out)).reshape(v.shape)
+    dcols = (dlin @ w.reshape(width * c_in, -1).T
+             + dgate @ v.reshape(width * c_in, -1).T).reshape(bsz, t, width, c_in)
+    dhp = np.zeros((bsz, t + width - 1, c_in))
+    for d in range(width):
+        dhp[:, d:d + t, :] += dcols[:, :, d, :]
+    return dw, dlin.sum(axis=(0, 1)), dv, dgate.sum(axis=(0, 1)), dhp[:, pad:pad + t, :]
+
+
+@pytest.mark.parametrize("width", [1, 3, 5])
+@pytest.mark.parametrize("t", [1, 7])
+@pytest.mark.parametrize("b", [1, 5, 16])
+def test_stacked_gconv_matches_two_kernel_reference(b, t, width):
+    k, c = 4, 3
+    params = init_params(ModelConfig(arch="gcnn", conv_channels=c, kernel_width=width),
+                         input_dim=k, classes=3, hidden=5, seed=21)
+    rng = np.random.default_rng(22)
+    params.conv.b[:] = rng.normal(scale=0.5, size=2 * c)  # nonzero biases
+    w, v = params.conv.w[:, :, :c], params.conv.w[:, :, c:]
+    bias, g = params.conv.b[:c], params.conv.b[c:]
+    x = rng.normal(size=(b, t, k))
+    labels = [1 + n % 3 for n in range(b)]
+
+    want_out, ref_cache = two_kernel_forward(w, bias, v, g, x)
+    got_out, cache = gated_conv_forward(params.conv, x)
+    assert rel_err(got_out, want_out) <= 1e-12
+
+    want_loss, dout = head_loss_and_grad(params, want_out, labels)
+    dw, db, dv, dg, dx = two_kernel_backward(w, v, ref_cache, dout)
+
+    loss, grads = loss_and_gradients(params, list(zip(x, labels)))
+    assert abs(loss - want_loss) <= 1e-12 * abs(want_loss)
+    assert rel_err(grads["conv.w"], np.concatenate((dw, dv), axis=2)) <= 1e-12
+    assert rel_err(grads["conv.b"], np.concatenate((db, dg))) <= 1e-12
+    _, got_dx = _gconv_backward(params.conv, cache, dout)
+    assert rel_err(got_dx, dx) <= 1e-12
 
 
 # ------------------------------------------------------------------- pool
@@ -347,7 +422,7 @@ def test_forward_matches_scalar_reimplementation():
         vals = []
         for t in range(4):
             lin = sum(hs[t][u] * conv.w[0, u, o] for u in range(2)) + conv.b[o]
-            gate = sig(sum(hs[t][u] * conv.v[0, u, o] for u in range(2)) + conv.g[o])
+            gate = sig(sum(hs[t][u] * conv.w[0, u, 3 + o] for u in range(2)) + conv.b[3 + o])
             vals.append(lin * gate)
         pooled.append(max(vals))
     logits = [
@@ -406,20 +481,27 @@ def test_init_is_seeded_and_biases_zero():
     assert not np.array_equal(a.lstm.w, c.lstm.w)
     assert a.lstm.w.shape == (16, 7) and a.lstm.b.shape == (16,)
     assert not a.lstm.b.any()
-    assert not a.conv.b.any() and not a.conv.g.any() and not a.dense_b.any()
+    assert not a.conv.b.any() and not a.dense_b.any()
     bound = 1.0 / math.sqrt(3 + 4)
     assert abs(a.lstm.w).max() <= bound
     # one stacked draw equals the four per-gate (h, k + h) draws, in order
     rng = np.random.default_rng(5)
     gates = [rng.uniform(-bound, bound, size=(4, 7)) for _ in "fioc"]
     assert np.array_equal(a.lstm.w, np.vstack(gates))
+    # the stacked conv kernel equals the linear then the gate (3, 4, 4)
+    # draws, side by side on the output axis
+    bound = 1.0 / math.sqrt(3 * 4)
+    kernels = [rng.uniform(-bound, bound, size=(3, 4, 4)) for _ in "wv"]
+    assert a.conv.w.shape == (3, 4, 8) and a.conv.b.shape == (8,)
+    assert np.array_equal(a.conv.w, np.concatenate(kernels, axis=2))
 
 
 # ------------------------------------------- inference keeps no cache
 
 # A frozen copy of the forward chain from before inference dropped the
 # backward cache: every forward filled the per-step gates, c and tanh c
-# and the conv temporaries, and the bias was added out of place.
+# and the conv temporaries, and the bias was added out of place.  Its conv
+# reads the stacked kernel the way the training path does.
 
 def reference_sigmoid(x):
     return 0.5 * (1.0 + np.tanh(x / 2.0))
@@ -459,8 +541,9 @@ def reference_gconv_forward(p, h):
     hp[:, pad:pad + t, :] = h
     cols = np.stack([hp[:, d:d + t, :] for d in range(width)], axis=2)
     cols = cols.reshape(b, t, width * c_in)
-    lin = cols @ p.w.reshape(width * c_in, -1) + p.b
-    gate_sig = reference_sigmoid(cols @ p.v.reshape(width * c_in, -1) + p.g)
+    z = cols @ p.w.reshape(width * c_in, -1) + p.b
+    lin = z[:, :, :p.out_channels]
+    gate_sig = reference_sigmoid(z[:, :, p.out_channels:])
     return lin * gate_sig, {"cols": cols, "lin": lin, "gate_sig": gate_sig,
                             "in_shape": (b, t, c_in)}
 
@@ -501,12 +584,22 @@ def reference_loss_and_gradients(params, x, y):
 
 
 def busy_params(arch, k=12, hidden=6, seed=0):
-    """Initialised params with every tensor, biases too, moved off init."""
+    """Initialised params with every tensor, biases too, moved off init.
+
+    The conv's noise is drawn half by half, linear kernel and bias, then
+    gate kernel and bias, so the model is the one these tests used when
+    the two halves were separate tensors.
+    """
     params = init_params(ModelConfig(arch=arch, conv_channels=5), input_dim=k,
                          classes=3, hidden=hidden, seed=seed)
     rng = np.random.default_rng(seed + 100)
-    for arr in named_params(params).values():
-        arr += rng.normal(scale=0.4, size=arr.shape)
+    for name, arr in named_params(params).items():
+        if name == "conv.w":
+            for half in (slice(None, 5), slice(5, None)):
+                arr[:, :, half] += rng.normal(scale=0.4, size=arr[:, :, half].shape)
+                params.conv.b[half] += rng.normal(scale=0.4, size=5)
+        elif name != "conv.b":
+            arr += rng.normal(scale=0.4, size=arr.shape)
     return params
 
 
@@ -619,7 +712,7 @@ def test_named_params_covers_every_tensor():
     names = list(named_params(params))
     assert names == [
         "lstm.w", "lstm.b",
-        "conv.w", "conv.b", "conv.v", "conv.g",
+        "conv.w", "conv.b",
         "dense.w", "dense.b",
     ]
     # the dict holds live views: edits show up in the model
