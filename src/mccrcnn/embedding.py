@@ -217,14 +217,16 @@ def _entry_arrays(cooc: CooccurrenceMatrix):
     return ii, jj, xs
 
 
+def _residual(w, w_ctx, b, b_ctx, ii, jj, logx) -> np.ndarray:
+    """w[i]·w̃[j] + b[i] + b̃[j] − ln X_ij for every nonzero entry (i, j)."""
+    return np.einsum("nk,nk->n", w[ii], w_ctx[jj]) + b[ii] + b_ctx[jj] - logx
+
+
 def glove_loss(cooc: CooccurrenceMatrix, table: EmbeddingTable,
                x_max: float = 100.0, alpha: float = 0.75) -> float:
     """Exact objective J for the given parameters."""
     ii, jj, xs = _entry_arrays(cooc)
-    diff = (
-        np.einsum("nk,nk->n", table.w[ii], table.w_ctx[jj])
-        + table.b[ii] + table.b_ctx[jj] - np.log(xs)
-    )
+    diff = _residual(table.w, table.w_ctx, table.b, table.b_ctx, ii, jj, np.log(xs))
     return float(np.sum(_weight(xs, x_max, alpha) * diff * diff))
 
 
@@ -236,10 +238,7 @@ def glove_gradients(cooc: CooccurrenceMatrix, table: EmbeddingTable,
     corresponding table arrays.
     """
     ii, jj, xs = _entry_arrays(cooc)
-    diff = (
-        np.einsum("nk,nk->n", table.w[ii], table.w_ctx[jj])
-        + table.b[ii] + table.b_ctx[jj] - np.log(xs)
-    )
+    diff = _residual(table.w, table.w_ctx, table.b, table.b_ctx, ii, jj, np.log(xs))
     coef = 2.0 * _weight(xs, x_max, alpha) * diff
     dw = np.zeros_like(table.w)
     dw_ctx = np.zeros_like(table.w_ctx)
@@ -292,7 +291,7 @@ def train_glove(cooc: CooccurrenceMatrix, vocab: Vocabulary, k: int,
     rows = np.stack([ii, jj + n], axis=1)
 
     def current_loss() -> float:
-        diff = np.einsum("nk,nk->n", w[ii], w_ctx[jj]) + b[ii] + b_ctx[jj] - logx
+        diff = _residual(w, w_ctx, b, b_ctx, ii, jj, logx)
         return float(np.sum(fx * diff * diff))
 
     i_list, j_list = ii.tolist(), jj.tolist()

@@ -1,9 +1,16 @@
 """Command line driver.
 
 Verbs: gen, ingest, extract, embed, train, eval, experiment.  Every verb
-takes a config file plus optional --seed and --out overrides.  Exit
-codes: 0 success, 2 configuration problems, 3 pipeline failures (bad
-corpora, unreadable checkpoints, diverged training, I/O).
+takes a config file plus optional --seed and --out overrides.  main
+loads it once, requires [data] corpus, defaults [data] labels to
+<corpus>/labels.csv, and hands the config to the verb.  Exit codes: 0
+success, 2 configuration problems, 3 pipeline failures (bad corpora,
+unreadable checkpoints, diverged training, I/O).
+
+Files are named per token stream (config.STREAMS): extract writes
+<stream>_sequences.tsv for every stream; embed and train write
+<stream>_glove.ckpt and <stream>_vectors.txt for the streams of the
+[model] features layer (config.LAYERS), and eval loads the same files.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ from ..extraction import write_sequences
 from ..features import ShapeMismatch
 from ..metrics import confusion
 from ..neural import predict, train
-from .config import ExperimentConfig, load_config, synthetic_spec
+from .config import LAYERS, STREAMS, ExperimentConfig, load_config, synthetic_spec
 from .experiments import (
     EXPERIMENTS,
     fit_tables,
@@ -37,28 +44,16 @@ from .persist import load_embedding, load_model, save_embedding, save_model
 from .synth import generate_synthetic_corpus
 
 
-def _require_data(cfg: ExperimentConfig) -> None:
-    if cfg.corpus is None:
-        raise ConfigError("[data] corpus= is required for this command")
-    if cfg.labels is None:
-        cfg.labels = Path(cfg.corpus) / "labels.csv"
-
-
-def _cmd_gen(args) -> int:
-    cfg = load_config(args.config, args.seed, args.out)
-    if cfg.corpus is None:
-        raise ConfigError("[data] corpus= names the directory to generate into")
+def _cmd_gen(cfg: ExperimentConfig, args) -> int:
     manifest = generate_synthetic_corpus(synthetic_spec(cfg), cfg.corpus)
-    generated_labels = Path(cfg.corpus) / "labels.csv"
-    if cfg.labels is not None and Path(cfg.labels) != generated_labels:
+    generated_labels = cfg.corpus / "labels.csv"
+    if cfg.labels != generated_labels:
         shutil.copyfile(generated_labels, cfg.labels)
     print(f"wrote {len(manifest['samples'])} samples under {cfg.corpus}")
     return 0
 
 
-def _cmd_ingest(args) -> int:
-    cfg = load_config(args.config, args.seed, args.out)
-    _require_data(cfg)
+def _cmd_ingest(cfg: ExperimentConfig, args) -> int:
     files, labels = ingest_corpus(cfg.corpus, cfg.labels)
     counts = Counter(labels[f.sample_id] for f in files)
     print(f"samples={len(files)} classes={max(labels.values())}")
@@ -67,55 +62,46 @@ def _cmd_ingest(args) -> int:
     return 0
 
 
-def _cmd_extract(args) -> int:
-    cfg = load_config(args.config, args.seed, args.out)
-    _require_data(cfg)
+def _cmd_extract(cfg: ExperimentConfig, args) -> int:
     dataset = prepare_dataset(cfg)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    write_sequences(out / "opcode_sequences.tsv", [p[0] for p in dataset.payloads()])
-    write_sequences(out / "api_sequences.tsv", [p[1] for p in dataset.payloads()])
+    for i, stream in enumerate(STREAMS):
+        write_sequences(out / f"{stream}_sequences.tsv", [p[i] for p in dataset.payloads()])
     print(f"wrote sequences for {len(dataset)} samples under {out}")
     return 0
 
 
-def _save_tables(out: Path, op_table, api_table) -> None:
-    if op_table is not None:
-        save_embedding(out / "opcode_glove.ckpt", op_table)
-        write_text_embeddings(out / "opcode_vectors.txt", op_table)
-    if api_table is not None:
-        save_embedding(out / "api_glove.ckpt", api_table)
-        write_text_embeddings(out / "api_vectors.txt", api_table)
+def _save_tables(out: Path, tables) -> None:
+    for stream, table in zip(STREAMS, tables):
+        if table is not None:
+            save_embedding(out / f"{stream}_glove.ckpt", table)
+            write_text_embeddings(out / f"{stream}_vectors.txt", table)
 
 
-def _cmd_embed(args) -> int:
-    cfg = load_config(args.config, args.seed, args.out)
-    _require_data(cfg)
+def _cmd_embed(cfg: ExperimentConfig, args) -> int:
     dataset = prepare_dataset(cfg)
-    op_table, api_table = fit_tables(cfg.model.features, dataset, cfg, fold=0)
+    tables = fit_tables(cfg.model.features, dataset, cfg, fold=0)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _save_tables(out, op_table, api_table)
-    for name, table in (("opcode", op_table), ("api", api_table)):
+    _save_tables(out, tables)
+    for stream, table in zip(STREAMS, tables):
         if table is not None:
-            print(f"{name}: |V|={len(table.tokens)} k={table.k}")
+            print(f"{stream}: |V|={len(table.tokens)} k={table.k}")
     return 0
 
 
-def _cmd_train(args) -> int:
-    cfg = load_config(args.config, args.seed, args.out)
-    _require_data(cfg)
+def _cmd_train(cfg: ExperimentConfig, args) -> int:
     dataset = prepare_dataset(cfg)
-    which = cfg.model.features
-    op_table, api_table = fit_tables(which, dataset, cfg, fold=0)
-    to_matrix = matrix_fn(which, op_table, api_table, cfg.model.seq_len)
+    tables = fit_tables(cfg.model.features, dataset, cfg, fold=0)
+    to_matrix = matrix_fn(cfg.model.features, *tables, cfg.model.seq_len)
     params, history = train(
         model_cfg_for(cfg, cfg.model.arch), dataset, train_cfg_for(cfg, 0),
         to_matrix=to_matrix,
     )
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _save_tables(out, op_table, api_table)
+    _save_tables(out, tables)
     save_model(out / "model.ckpt", params, cfg.model.seq_len)
     with open(out / "history.csv", "w", encoding="utf-8", newline="\n") as fh:
         fh.write("epoch,loss,accuracy\n")
@@ -128,19 +114,14 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _cmd_eval(args) -> int:
-    cfg = load_config(args.config, args.seed, args.out)
-    _require_data(cfg)
+def _cmd_eval(cfg: ExperimentConfig, args) -> int:
     dataset = prepare_dataset(cfg)
     out = Path(cfg.out_dir)
     params, seq_len = load_model(out / "model.ckpt")
     which = cfg.model.features
-    op_table = api_table = None
-    if which in ("opcode", "fused"):
-        op_table = load_embedding(out / "opcode_glove.ckpt")
-    if which in ("api", "fused"):
-        api_table = load_embedding(out / "api_glove.ckpt")
-    to_matrix = matrix_fn(which, op_table, api_table, seq_len)
+    tables = [load_embedding(out / f"{stream}_glove.ckpt") if stream in LAYERS[which] else None
+              for stream in STREAMS]
+    to_matrix = matrix_fn(which, *tables, seq_len)
     matrices = [to_matrix(p) for p in dataset.payloads()]
     if matrices[0].shape[1] != params.input_dim:
         raise ShapeMismatch(f"{which} features have {matrices[0].shape[1]} columns, "
@@ -157,9 +138,7 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _cmd_experiment(args) -> int:
-    cfg = load_config(args.config, args.seed, args.out)
-    _require_data(cfg)
+def _cmd_experiment(cfg: ExperimentConfig, args) -> int:
     csv_path = run_experiment(args.name, cfg)
     print(f"wrote {csv_path}")
     return 0
@@ -203,7 +182,12 @@ def main(argv=None) -> int:
         level=logging.INFO, format="%(levelname)s %(name)s: %(message)s"
     )
     try:
-        return args.func(args)
+        cfg = load_config(args.config, args.seed, args.out)
+        if cfg.corpus is None:
+            raise ConfigError("[data] corpus= is required")
+        if cfg.labels is None:
+            cfg.labels = cfg.corpus / "labels.csv"
+        return args.func(cfg, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

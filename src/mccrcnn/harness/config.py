@@ -1,7 +1,7 @@
 """INI-style configuration for the pipeline CLI.
 
 Files are flat key=value text grouped in sections ([run], [data],
-[synthetic], [embedding], [model], [train], [ngram], [cv]).  Every knob
+[synthetic], [embedding], [model], [train], [ngram]).  Every knob
 has a code default except the seed, which must come from the file or the
 command line so no run ever depends on wall-clock entropy.  Unknown
 sections or keys raise ConfigError (exit code 2), and relative paths
@@ -12,11 +12,17 @@ from __future__ import annotations
 
 import configparser
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from ..errors import ConfigError
 from .synth import SyntheticCorpusSpec, _validate_spec
+
+#: feature layer -> the token streams it embeds.  Streams are listed in
+#: the payload order of prepare_dataset, (opcode seq, api seq), which is
+#: also fuse's column order.
+LAYERS = {"opcode": ("opcode",), "api": ("api",), "fused": ("opcode", "api")}
+STREAMS = LAYERS["fused"]
 
 
 @dataclass
@@ -46,7 +52,7 @@ class ModelSettings:
     conv_channels: int = 24
     kernel_width: int = 3
     arch: str = "mcc_rcnn"
-    features: str = "fused"  # opcode | api | fused
+    features: str = "fused"  # a key of LAYERS
 
 
 @dataclass
@@ -84,35 +90,24 @@ _SECTION_TARGETS = {
     "ngram": NgramSettings,
 }
 
+#: [run] and [data] key -> (ExperimentConfig field, kind); Path values
+#: resolve against the config file's directory
+_TOP_KEYS = {
+    "run": {"seed": ("seed", int), "out": ("out_dir", Path), "folds": ("folds", int)},
+    "data": {"corpus": ("corpus", Path), "labels": ("labels", Path)},
+}
 
-def _convert(raw: str, template, key: str, section: str):
-    kind = type(template)
+
+def _convert(raw: str, kind, key: str, section: str):
     raw = raw.strip()
     try:
         if kind is bool:
-            low = raw.lower()
-            if low in ("1", "true", "yes", "on"):
-                return True
-            if low in ("0", "false", "no", "off"):
-                return False
-            raise ValueError(raw)
-        if kind is int:
-            return int(raw)
-        if kind is float:
-            return float(raw)
+            return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
         if kind is tuple:
             return tuple(int(p) for p in raw.replace(",", " ").split())
-        return raw
-    except ValueError as exc:
+        return kind(raw)
+    except (KeyError, ValueError) as exc:
         raise ConfigError(f"[{section}] {key}={raw!r}: cannot parse as {kind.__name__}") from exc
-
-
-def _apply_section(obj, parser, section: str):
-    fields = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
-    for key, raw in parser.items(section):
-        if key not in fields:
-            raise ConfigError(f"unknown key {key!r} in section [{section}]")
-        setattr(obj, key, _convert(raw, fields[key], key, section))
 
 
 def load_config(path, seed_override: int | None = None,
@@ -134,32 +129,21 @@ def load_config(path, seed_override: int | None = None,
     except configparser.Error as exc:
         raise ConfigError(f"malformed config file {path}: {exc}") from exc
 
-    base = path.parent
     cfg = ExperimentConfig(seed=-1)
-
     for section in parser.sections():
         if section in _SECTION_TARGETS:
-            _apply_section(getattr(cfg, section), parser, section)
-        elif section == "run":
-            for key, raw in parser.items("run"):
-                if key == "seed":
-                    cfg.seed = _convert(raw, 0, key, "run")
-                elif key == "out":
-                    cfg.out_dir = base / raw.strip()
-                elif key == "folds":
-                    cfg.folds = _convert(raw, 0, key, "run")
-                else:
-                    raise ConfigError(f"unknown key {key!r} in section [run]")
-        elif section == "data":
-            for key, raw in parser.items("data"):
-                if key == "corpus":
-                    cfg.corpus = base / raw.strip()
-                elif key == "labels":
-                    cfg.labels = base / raw.strip()
-                else:
-                    raise ConfigError(f"unknown key {key!r} in section [data]")
+            obj = getattr(cfg, section)
+            keys = {f.name: (f.name, type(getattr(obj, f.name))) for f in dataclasses.fields(obj)}
+        elif section in _TOP_KEYS:
+            obj, keys = cfg, _TOP_KEYS[section]
         else:
             raise ConfigError(f"unknown config section [{section}]")
+        for key, raw in parser.items(section):
+            if key not in keys:
+                raise ConfigError(f"unknown key {key!r} in section [{section}]")
+            name, kind = keys[key]
+            value = path.parent / raw.strip() if kind is Path else _convert(raw, kind, key, section)
+            setattr(obj, name, value)
 
     if seed_override is not None:
         cfg.seed = seed_override
@@ -188,7 +172,7 @@ def _validate(cfg: ExperimentConfig) -> None:
         (cfg.model.kernel_width >= 1 and cfg.model.kernel_width % 2 == 1,
          "model kernel_width must be odd and >= 1"),
         (cfg.model.arch in ("mcc_rcnn", "lstm", "gcnn"), "unknown model arch"),
-        (cfg.model.features in ("opcode", "api", "fused"), "unknown feature layer"),
+        (cfg.model.features in LAYERS, "unknown feature layer"),
         (cfg.train.learning_rate > 0, "train learning_rate must be > 0"),
         (cfg.train.epochs >= 1, "train epochs must be >= 1"),
         (cfg.train.batch_size >= 1, "train batch_size must be >= 1"),
@@ -207,12 +191,7 @@ def _validate(cfg: ExperimentConfig) -> None:
 
 def synthetic_spec(cfg: ExperimentConfig) -> SyntheticCorpusSpec:
     """The corpus spec that [synthetic] and the run seed describe."""
-    s = cfg.synthetic
-    return SyntheticCorpusSpec(
-        families=s.families, samples_per_family=s.samples_per_family,
-        seed=cfg.seed, fusion_mode=s.fusion_mode,
-        min_len=s.min_len, max_len=s.max_len,
-    )
+    return SyntheticCorpusSpec(seed=cfg.seed, **asdict(cfg.synthetic))
 
 
 def config_echo(cfg: ExperimentConfig) -> list[str]:

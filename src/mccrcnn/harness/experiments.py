@@ -19,6 +19,10 @@ test split) it yields (variant, test-split predictions) in a fixed
 order.  run_experiment owns the one fold loop and scores every yielded
 pair the same way, as one confusion matrix and its metric_rows.
 
+Feature layers come from config.LAYERS: fit_tables fits one GloVe
+table per stream of a layer and matrix_fn embeds and fuses those
+streams; suite C walks every layer.
+
 Each suite writes report_<name>.csv (rows experiment,fold,metric,value
 with fold "mean" aggregates, the seed, and labelled reference rows) and
 summary_<name>.txt.  Values are printed with repr(), iteration orders
@@ -58,7 +62,7 @@ from ..features import (
 )
 from ..metrics import confusion, kfold_split, ovr_accuracy, standard_metrics
 from ..neural import ModelConfig, TrainConfig, predict, train
-from .config import ExperimentConfig, config_echo
+from .config import LAYERS, STREAMS, ExperimentConfig, config_echo
 from .ingest import ingest_corpus
 
 log = logging.getLogger(__name__)
@@ -78,6 +82,7 @@ STAGE_FOLDS = 0
 STAGE_EMBED_OP = 1
 STAGE_EMBED_API = 2
 STAGE_MODEL = 3
+_STAGE_EMBED = dict(zip(STREAMS, (STAGE_EMBED_OP, STAGE_EMBED_API)))
 
 
 def derive_seed(root: int, stage: int, fold: int = 0) -> int:
@@ -126,31 +131,24 @@ def fit_embedding(sequences, settings, seed: int) -> EmbeddingTable:
 
 def fit_tables(which: str, train_split: LabeledDataset,
                cfg: ExperimentConfig, fold: int):
-    """(opcode table, api table) fit on the split; None for unused layers."""
-    es = cfg.embedding
-    op_table = api_table = None
-    if which in ("opcode", "fused"):
-        seqs = [p[0] for p in train_split.payloads()]
-        op_table = fit_embedding(seqs, es, derive_seed(cfg.seed, STAGE_EMBED_OP, fold))
-    if which in ("api", "fused"):
-        seqs = [p[1] for p in train_split.payloads()]
-        api_table = fit_embedding(seqs, es, derive_seed(cfg.seed, STAGE_EMBED_API, fold))
-    return op_table, api_table
+    """(opcode table, api table) fit on the split; None for streams not in the layer."""
+    tables = [None] * len(STREAMS)
+    for i, stream in enumerate(STREAMS):
+        if stream in LAYERS[which]:
+            seqs = [p[i] for p in train_split.payloads()]
+            seed = derive_seed(cfg.seed, _STAGE_EMBED[stream], fold)
+            tables[i] = fit_embedding(seqs, cfg.embedding, seed)
+    return tuple(tables)
 
 
 def matrix_fn(which: str, op_table, api_table, seq_len: int):
     """payload -> (T, k) matrix function over fitted embedding tables."""
+    tables = (op_table, api_table)
+    used = [i for i, stream in enumerate(STREAMS) if stream in LAYERS[which]]
 
     def to_matrix(payload):
-        op_seq, api_seq = payload
-        if which == "opcode":
-            return sequence_to_matrix(op_seq, op_table, seq_len)
-        if which == "api":
-            return sequence_to_matrix(api_seq, api_table, seq_len)
-        return fuse(
-            sequence_to_matrix(op_seq, op_table, seq_len),
-            sequence_to_matrix(api_seq, api_table, seq_len),
-        )
+        mats = [sequence_to_matrix(payload[i], tables[i], seq_len) for i in used]
+        return mats[0] if len(mats) == 1 else fuse(*mats)
 
     return to_matrix
 
@@ -303,9 +301,9 @@ def _suite_b2(cfg, fold, train_split, test_split):
 
 def _suite_c(cfg, fold, train_split, test_split):
     # each table is fit once: its seed depends on the layer and fold only
-    op_table, api_table = fit_tables("fused", train_split, cfg, fold)
-    for which in ("opcode", "api", "fused"):
-        to_matrix = matrix_fn(which, op_table, api_table, cfg.model.seq_len)
+    tables = fit_tables("fused", train_split, cfg, fold)
+    for which in LAYERS:
+        to_matrix = matrix_fn(which, *tables, cfg.model.seq_len)
         yield f"{which}_mccrcnn", _nn_predictions("mcc_rcnn", to_matrix, cfg, fold,
                                                   train_split, test_split)
 

@@ -319,6 +319,17 @@ def test_train_glove_deterministic_under_seed():
     assert not np.array_equal(t1.w, t3.w)
 
 
+@pytest.mark.parametrize("epochs", [0, 1, 5])
+def test_train_glove_last_loss_is_glove_loss_of_returned_table(epochs):
+    """The trainer's J curve and glove_loss evaluate one objective, bit for bit."""
+    corpus = small_corpus()
+    v = build_vocab(corpus)
+    cooc = count_cooccurrence(corpus, v, window=3)
+    table, losses = train_glove(cooc, v, k=4, epochs=epochs, x_max=5.0, alpha=0.5, seed=3)
+    assert len(losses) == epochs + 1
+    assert losses[-1] == glove_loss(cooc, table, x_max=5.0, alpha=0.5)
+
+
 def test_train_glove_validates_inputs():
     corpus = small_corpus()
     v = build_vocab(corpus)
