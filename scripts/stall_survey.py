@@ -1,0 +1,95 @@
+"""Survey the fused model's training stall over many seeds.
+
+On some seeds the fused ``mcc_rcnn`` fit ends its epochs with two of
+three families merged, or with all three in one (ROADMAP item 1).  For
+each seed this rebuilds the set-up of the benchmark's ``scan`` workload
+through the package API:
+
+* a 3 x 100 synthetic corpus generated from the seed
+* the first stratified half of ``kfold_split(k=2)``, seeded as the
+  experiment suites seed their folds
+* fused embedding tables and a fused ``mcc_rcnn`` model trained on it
+  with ``train_cfg_for(cfg, 1)``
+
+and prints one tab-separated row per seed: the seed, the held-out
+accuracy on the other half and the final training loss.  The last line
+counts the seeds below held-out 1.0.  Rows depend only on the code and
+the seed, so two versions of the code can be compared with ``diff``;
+the wall time goes to stderr.
+
+Usage::
+
+    PYTHONPATH=src python scripts/stall_survey.py            # the 42 survey seeds
+    PYTHONPATH=src python scripts/stall_survey.py 205 52734659
+"""
+
+from __future__ import annotations
+
+import argparse
+import random
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+import numpy as np
+
+from mccrcnn import neural
+from mccrcnn.harness import experiments
+from mccrcnn.harness.config import ExperimentConfig
+from mccrcnn.harness.synth import SyntheticCorpusSpec, generate_synthetic_corpus
+from mccrcnn.metrics import kfold_split
+
+#: the seed the stall was first seen on, the bench seed that collapses to
+#: one class, and 40 seeds no one picked
+DEFAULT_SEEDS = (1416900791, 205) + tuple(random.Random(i).randrange(2**31) for i in range(40))
+
+
+def survey_seed(seed: int, workdir: Path, per_family: int = 100, **settings) -> tuple[float, float]:
+    """(held-out accuracy, final training loss) of the fused fit on ``seed``.
+
+    ``settings`` are ``ExperimentConfig`` fields (``embedding``, ``model``,
+    ``train``); the defaults are the ones ``scan`` runs at full size.
+    """
+    corpus = Path(workdir) / "corpus"
+    generate_synthetic_corpus(
+        SyntheticCorpusSpec(families=3, samples_per_family=per_family, seed=seed), corpus)
+    cfg = ExperimentConfig(seed=seed, corpus=corpus, labels=corpus / "labels.csv",
+                           out_dir=Path(workdir) / "out", **settings)
+    dataset = experiments.prepare_dataset(cfg)
+    by_id = {sid: y for sid, _p, y in dataset.records}
+    train_ids, test_ids = kfold_split(
+        dataset.ids(), k=2, stratify_by=by_id,
+        seed=experiments.derive_seed(seed, experiments.STAGE_FOLDS))[0]
+    train_split = dataset.subset(train_ids)
+    tables = experiments.fit_tables("fused", train_split, cfg, fold=1)
+    to_matrix = experiments.matrix_fn("fused", *tables, cfg.model.seq_len)
+    params, history = neural.train(
+        experiments.model_cfg_for(cfg, "mcc_rcnn"), train_split,
+        experiments.train_cfg_for(cfg, 1), to_matrix=to_matrix)
+    test_split = dataset.subset(test_ids)
+    predicted = neural.predict(params, [to_matrix(p) for p in test_split.payloads()])
+    accuracy = float(np.mean(predicted == np.asarray(test_split.labels())))
+    return accuracy, float(history[-1]["loss"])
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("seeds", nargs="*", type=int, default=list(DEFAULT_SEEDS),
+                        help="corpus and run seeds (default: the 42 survey seeds)")
+    args = parser.parse_args(argv)
+    start = time.perf_counter()
+    stalled = 0
+    print("seed\theldout_accuracy\tfinal_loss")
+    for seed in args.seeds:
+        with tempfile.TemporaryDirectory() as workdir:
+            accuracy, loss = survey_seed(seed, Path(workdir))
+        stalled += accuracy < 1.0
+        print(f"{seed}\t{accuracy!r}\t{loss!r}", flush=True)
+    print(f"below held-out 1.0: {stalled} of {len(args.seeds)}")
+    print(f"wall {time.perf_counter() - start:.1f} s", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -21,12 +21,25 @@ differs, so only fused features separate the families.
 The manifest records, per sample, the family, the style bits, and the
 API order a control-flow walk from the entry should produce (main-block
 APIs in position order, then the subroutine API at its call site).
-Identical specs and seeds yield byte-identical corpora.
+
+Draws: every random choice comes from one ``np.random.default_rng(seed)``
+stream, in a fixed order.  Each chain's transition rows and start row are
+turned into cumulative tables once, the way ``Generator.choice(p=row)``
+builds them, and a Markov walk of n tokens takes n uniforms in one
+``rng.random(n)`` call and finds each state by bisection in its row's
+table, so it draws the same stream and picks the same states as n
+``choice`` calls.  A sample's instruction sizes come from one
+``rng.integers(2, 8, size=...)`` call.  Operands, byte columns, comments
+and jump forms draw from different distributions in line order, so they
+stay scalar draws.  On the same numpy version, identical specs and seeds
+yield byte-identical corpora; numpy does not promise its generator
+streams across releases.
 """
 
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -65,6 +78,17 @@ _OPERAND_POOL = (
 
 _COMMENT_POOL = ("; ----------------", "; main body", "; check result", "; cleanup")
 
+#: upper bound on max_len, the instructions of one sample; every walk
+#: draws its uniforms as one array, so a larger length is refused, not
+#: allocated
+MAX_LEN = 100_000
+
+#: item kinds that take no bytes (align pads to the next 16, undrawn)
+_UNSIZED = frozenset({"label", "comment", "blank", "align"})
+
+#: two-digit upper-case hex of every byte value, for byte columns
+_HEX = tuple(f"{v:02X}" for v in range(256))
+
 _TEXT_BASE = 0x401000
 _DATA_BASE = 0x403000
 _IDATA_BASE = 0x40F000
@@ -92,6 +116,8 @@ def _validate_spec(spec: SyntheticCorpusSpec) -> None:
         raise ValueError("samples_per_family must be >= 1")
     if not (30 <= spec.min_len <= spec.max_len):
         raise ValueError("need 30 <= min_len <= max_len")
+    if spec.max_len > MAX_LEN:
+        raise ValueError(f"max_len must be <= {MAX_LEN} instructions per sample")
     ops = spec.opcode_alphabet
     need_ops = 12 if spec.fusion_mode else 6
     if len(set(ops)) != len(ops) or len(ops) < need_ops:
@@ -123,11 +149,28 @@ def _start_dist(rng: np.random.Generator, n: int) -> np.ndarray:
     return row / row.sum()
 
 
-def _markov(rng, trans, start, alphabet, length) -> list[str]:
-    state = int(rng.choice(len(alphabet), p=start))
+def _cdf(row: np.ndarray) -> list[float]:
+    """The table ``Generator.choice(p=row)`` searches, as Python floats."""
+    cdf = row.cumsum()
+    cdf /= cdf[-1]
+    return cdf.tolist()
+
+
+def _chain(rng: np.random.Generator, n: int) -> tuple[list[float], list[list[float]]]:
+    """Draw one n-state opcode chain: (start CDF, one CDF per state's row)."""
+    trans = _transition(rng, n)
+    start = _start_dist(rng, n)
+    return _cdf(start), [_cdf(row) for row in trans]
+
+
+def _markov(rng, chain, alphabet, length) -> list[str]:
+    """Walk ``length`` states; ``bisect_right`` is ``searchsorted(side="right")``."""
+    start, rows = chain
+    uniforms = rng.random(length).tolist()
+    state = bisect_right(start, uniforms[0])
     seq = [alphabet[state]]
-    for _ in range(length - 1):
-        state = int(rng.choice(len(alphabet), p=trans[state]))
+    for u in uniforms[1:]:
+        state = bisect_right(rows[state], u)
         seq.append(alphabet[state])
     return seq
 
@@ -175,23 +218,20 @@ def _render_sample(rng, ops_stream_main, ops_stream_sub, motif):
         items.append(("op", op))
     items.append(("ret", None))
 
-    # address pass
+    # address pass; every instruction's size comes from one draw
+    n_sized = sum(kind not in _UNSIZED for kind, _ in items)
+    sizes = iter(rng.integers(2, 8, size=n_sized).tolist())
     cursor = _TEXT_BASE
     sym: dict[str, int] = {}
     recs: list[tuple] = []
     for kind, payload in items:
+        advance = 0 if kind in _UNSIZED else next(sizes)
+        recs.append((kind, payload, cursor, advance))
         if kind == "label":
             sym[payload] = cursor
-            recs.append((kind, payload, cursor, 0))
-        elif kind in ("comment", "blank"):
-            recs.append((kind, payload, cursor, 0))
         elif kind == "align":
-            recs.append((kind, payload, cursor, 0))
             cursor = (cursor // 16 + 1) * 16
-        else:
-            advance = int(rng.integers(2, 8))
-            recs.append((kind, payload, cursor, advance))
-            cursor += advance
+        cursor += advance
 
     def resolve(name: str) -> str:
         if name == "start":
@@ -230,7 +270,7 @@ def _render_sample(rng, ops_stream_main, ops_stream_sub, motif):
         byte_text = ""
         if rng.random() < 0.5 and advance:
             raw = rng.integers(0, 256, size=min(advance, 4))
-            byte_text = " ".join(f"{int(v):02X}" for v in raw) + " "
+            byte_text = " ".join([_HEX[v] for v in raw.tolist()]) + " "
         lines.append(prefix + byte_text + content)
 
     lines.append("")
@@ -238,7 +278,7 @@ def _render_sample(rng, ops_stream_main, ops_stream_sub, motif):
     for _ in range(int(rng.integers(2, 5))):
         pick = rng.random()
         if pick < 0.4:
-            content = f"db 0{int(rng.integers(0, 256)):02X}h"
+            content = f"db 0{_HEX[int(rng.integers(0, 256))]}h"
             step = 1
         elif pick < 0.8:
             content = f"dd {int(rng.integers(0, 65536))}"
@@ -280,13 +320,13 @@ def generate_synthetic_corpus(spec: SyntheticCorpusSpec, out_dir) -> dict:
         for s in range(2):
             motif = tuple(apis[i] for i in chosen[s * _MOTIF_LEN:(s + 1) * _MOTIF_LEN])
             sub = sub_alphabets[s]
-            styles.append((_transition(rng, len(sub)), _start_dist(rng, len(sub)), motif, sub))
+            styles.append((_chain(rng, len(sub)), motif, sub))
     else:
         profiles = []
         for _ in range(spec.families):
             motif_idx = rng.choice(len(apis), size=_MOTIF_LEN, replace=False)
             motif = tuple(apis[i] for i in motif_idx)
-            profiles.append((_transition(rng, n_ops), _start_dist(rng, n_ops), motif))
+            profiles.append((_chain(rng, n_ops), motif))
 
     samples = []
     files: dict[str, str] = {}
@@ -295,16 +335,16 @@ def generate_synthetic_corpus(spec: SyntheticCorpusSpec, out_dir) -> dict:
             if spec.fusion_mode:
                 op_style = i % 2
                 api_style = op_style if family == 1 else 1 - op_style
-                trans, start, _, alphabet = styles[op_style]
-                motif = styles[api_style][2]
+                chain, _, alphabet = styles[op_style]
+                motif = styles[api_style][1]
             else:
                 op_style = api_style = None
-                trans, start, motif = profiles[family - 1]
+                chain, motif = profiles[family - 1]
                 alphabet = ops
             total = int(rng.integers(spec.min_len, spec.max_len + 1))
             sub_len = int(rng.integers(5, 9))
-            main_ops = _markov(rng, trans, start, alphabet, total - sub_len)
-            sub_ops = _markov(rng, trans, start, alphabet, sub_len)
+            main_ops = _markov(rng, chain, alphabet, total - sub_len)
+            sub_ops = _markov(rng, chain, alphabet, sub_len)
             sid = f"{family:02d}_{i:04d}"
             text, api_seq = _render_sample(rng, main_ops, sub_ops, motif)
             files[sid] = text

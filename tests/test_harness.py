@@ -60,7 +60,9 @@ from mccrcnn.harness.persist import (
 )
 from mccrcnn.harness.synth import (
     DEFAULT_APIS,
+    MAX_LEN,
     SyntheticCorpusSpec,
+    _validate_spec,
     generate_synthetic_corpus,
 )
 from mccrcnn.metrics import confusion, ovr_accuracy, standard_metrics
@@ -142,6 +144,8 @@ def test_config_requires_a_seed(tmp_path):
     # both loaded: epochs -3 wrote untrained tables, min_count -7 is no threshold
     ({"embedding": {"epochs": "-3"}}, "embedding epochs"),
     ({"embedding": {"min_count": "-7"}}, "min_count"),
+    # loaded, and then the generator's per-token loop ran for hours
+    ({"synthetic": {"max_len": "1000000000000"}}, "max_len"),
 ])
 def test_config_rejects_bad_input(tmp_path, overrides, needle):
     with pytest.raises(ConfigError, match=needle):
@@ -198,9 +202,13 @@ def test_synth_validation_errors(tmp_path):
         dict(opcode_alphabet=("mov", "add", "jz", "sub", "inc", "dec")),
         dict(api_alphabet=("A", "B", "C")),
         dict(fusion_mode=True, api_alphabet=DEFAULT_APIS[:6]),
+        dict(max_len=MAX_LEN + 1),
+        dict(max_len=10**12),
     ):
         with pytest.raises(ValueError):
             generate_synthetic_corpus(small_spec(**kw), tmp_path / "x")
+    assert not (tmp_path / "x").exists()
+    _validate_spec(small_spec(min_len=MAX_LEN, max_len=MAX_LEN))  # the ceiling itself holds
 
 
 def test_synth_files_parse_and_match_labels(tmp_path):
@@ -805,6 +813,8 @@ def test_cli_exit_code_matrix(tmp_path, capsys):
         "optimizer": {"train": {"optimizer": "adagrad"}},
         # loaded, though the generator refuses min_len < 30
         "minlen10": {"synthetic": {"min_len": "10"}},
+        # loaded, and then gen ran a per-token loop of ~5·10**11 draws
+        "maxlen1e12": {"synthetic": {"max_len": "1000000000000"}},
     }
     for stem, overrides in bad_values.items():
         write_cfg(tmp_path, ini_text(**overrides), f"{stem}.ini")
