@@ -27,12 +27,15 @@ for the convolution, subgradient routed to the argmax for the pool) and
 validated against central finite differences by gradient_check().  The
 BPTT computes the gate-local derivatives of every step at once before
 its time loop, which then carries only dh and dc back.
+The LSTM's time loop works in one set of step buffers per call (the
+(B, 4h) gates, c and tanh c), with its gate views made once and every
+step's gate and state math done in place.
 Inference keeps no backward cache: predict, mcc_rcnn_forward and
-batch_loss hold only what the next layer reads, one step's LSTM gates
-at a time.  Only loss_and_gradients fills the cache (every step's
-gates, c and tanh c, the conv columns and gate), as do the public
-lstm_forward and gated_conv_forward, which return it.  Both paths run
-the same code and give the same bits.
+batch_loss hold only what the next layer reads.  Only
+loss_and_gradients fills the cache (every step's gates, c and tanh c,
+copied from the step buffers, and the conv columns and gate), as do the
+public lstm_forward and gated_conv_forward, which return it.  Both paths
+run the same loop and give the same bits.
 Everything is float64 and deterministic under a seed.  Public single
 sample entry points accept (T, k) arrays; training internals batch to
 (B, T, k) for speed.
@@ -230,38 +233,55 @@ def init_params(model_cfg: ModelConfig, input_dim: int, classes: int,
 def _lstm_forward_batch(p: LstmParams, x: np.ndarray, cache: dict | None = None):
     """Hidden state sequence of a (B, T, k) batch.
 
-    With a ``cache`` dict, fills it with every step's gates, c and tanh c
-    for _lstm_backward; without one, a single (B, 4h) gate buffer is
-    reused across steps and only the hidden states are kept.
+    Every step works in one set of contiguous buffers allocated per call:
+    the (B, 4h) gates, with their f, i, o and candidate views made once,
+    and the (B, h) cell state, i * cand and tanh c.  Each step's hidden
+    state is written straight into its slice of the output, which is the
+    next step's h_prev.  The sigmoid rows go through the same one tanh as
+    the candidate, halved before and mapped to 0.5 (1 + tanh) after,
+    which gives the bits of _sigmoid: halving is exact and + and *
+    commute.  With a ``cache`` dict, each step's gates, c and tanh c are
+    copied into it for _lstm_backward.  (Writing them through ``out=``
+    straight into the strided cache slices was slower.)
     """
     b, t, k = x.shape
     h = p.hidden
-    keep = cache is not None
     # input projection of every step at once; the loop adds h_prev @ W_h
     xw = x @ p.w[:, :k].T
     xw += p.b
     w_h = np.ascontiguousarray(p.w[:, k:].T)
-    gates = np.empty((b, t if keep else 1, 4 * h))  # activated f, i, o, candidate
-    if keep:
+    # the large arrays first: allocated after the step buffers, they moved
+    # where the heap is trimmed, and a training run took ~15% more page faults
+    if cache is not None:
+        gates = np.empty((b, t, 4 * h))
         cs = np.empty((b, t, h))
         tcs = np.empty((b, t, h))
     hs = np.empty((b, t, h))
     h_prev = np.zeros((b, h))
-    c_prev = np.zeros((b, h))
+    g = np.empty((b, 4 * h))  # pre-activations, then activated f, i, o, candidate
+    sig, cand = g[:, :3 * h], g[:, 3 * h:]
+    f, i, o = g[:, :h], g[:, h:2 * h], g[:, 2 * h:3 * h]
+    c = np.zeros((b, h))
+    ic = np.empty((b, h))
+    tc = np.empty((b, h))
     for step in range(t):
-        a = xw[:, step] + h_prev @ w_h
-        g = gates[:, step if keep else 0]
-        g[:, :3 * h] = _sigmoid(a[:, :3 * h])
-        g[:, 3 * h:] = np.tanh(a[:, 3 * h:])
-        c = g[:, :h] * c_prev + g[:, h:2 * h] * g[:, 3 * h:]
-        tc = np.tanh(c)
-        h_prev = g[:, 2 * h:3 * h] * tc
-        c_prev = c
-        if keep:
+        np.matmul(h_prev, w_h, out=g)
+        g += xw[:, step]
+        sig /= 2.0
+        np.tanh(g, out=g)
+        sig += 1.0
+        sig *= 0.5
+        c *= f
+        np.multiply(i, cand, out=ic)
+        c += ic
+        np.tanh(c, out=tc)
+        h_prev = hs[:, step]
+        np.multiply(o, tc, out=h_prev)
+        if cache is not None:
+            gates[:, step] = g
             cs[:, step] = c
             tcs[:, step] = tc
-        hs[:, step] = h_prev
-    if keep:
+    if cache is not None:
         cache.update(x=x, gates=gates, c=cs, tc=tcs, h=hs)
     return hs
 
@@ -494,9 +514,12 @@ def loss_and_gradients(params: ModelParams, batch):
 def predict(params: ModelParams, matrices, batch_size: int = 64) -> np.ndarray:
     """Predicted labels (1-based) for a list of (T, k) matrices.
 
-    Inference only: no backward cache is kept, so each chunk's forward
-    holds one step's LSTM gates at a time.  The chunking is part of the
-    result: other chunk sizes change the probabilities in the last bits.
+    Inference only: no backward cache is kept.  The chunk sizes are
+    fixed because they can change the probabilities in the last bits.
+    With OpenBLAS 0.3.31 at one thread, chunks of 2..100 rows gave the
+    same bits as one 150-row batch (T = 48, k = 48, h = 24); only 1-row
+    chunks differed (by ~5e-16), since one row goes through gemv, not
+    gemm.  Other BLAS builds may block rows differently.
     """
     out = np.zeros(len(matrices), dtype=np.int64)
     for lo in range(0, len(matrices), batch_size):

@@ -28,7 +28,13 @@ from mccrcnn.neural import (
     predict,
     train,
 )
-from mccrcnn.neural import _forward_batch, _gconv_backward, _lstm_backward, _sigmoid
+from mccrcnn.neural import (
+    _forward_batch,
+    _gconv_backward,
+    _lstm_backward,
+    _lstm_forward_batch,
+    _sigmoid,
+)
 
 
 def sig(x):
@@ -632,6 +638,44 @@ def test_inference_matches_frozen_cache_keeping_forward_bit_for_bit(arch):
     assert grads.keys() == want_grads.keys()
     for name, grad in grads.items():
         assert np.array_equal(grad, want_grads[name]), name
+
+
+@pytest.mark.parametrize("b", [1, 2, 6, 16, 22, 32, 64])
+def test_lstm_forward_matches_frozen_reference_at_every_shape(b):
+    """Batch 1 takes gemv, the rest gemm; T = 1 never reads h_prev and
+    h = 1 makes every gate view one column wide."""
+    rng = np.random.default_rng(b)
+    k = 7
+    for t in (1, 2, 48):
+        for h in (1, 6, 24):
+            p = LstmParams(w=rng.normal(scale=0.6, size=(4 * h, k + h)),
+                           b=rng.normal(scale=0.4, size=4 * h))
+            x = rng.normal(size=(b, t, k))
+            want_hs, want_cache = reference_lstm_forward(p, x)
+            assert np.array_equal(_lstm_forward_batch(p, x), want_hs), (t, h)
+            cache = {}
+            assert np.array_equal(_lstm_forward_batch(p, x, cache), want_hs), (t, h)
+            assert cache.keys() == want_cache.keys()
+            for key, want in want_cache.items():
+                assert np.array_equal(cache[key], want), (t, h, key)
+
+
+def test_lstm_forward_writes_neither_its_input_nor_earlier_results():
+    p = busy_params("lstm").lstm
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=(16, 9, 12))
+    x_before = x.copy()
+    first_cache = {}
+    earlier = [_lstm_forward_batch(p, x), _lstm_forward_batch(p, x, first_cache)]
+    earlier += first_cache.values()
+    kept = [a.copy() for a in earlier]
+    second_cache = {}
+    second = [_lstm_forward_batch(p, x[::-1] * 2.0), _lstm_forward_batch(p, -x, second_cache)]
+    assert np.array_equal(x, x_before)
+    for old, copy in zip(earlier, kept):
+        assert np.array_equal(old, copy)
+    for new in second + list(second_cache.values()):
+        assert not any(np.shares_memory(new, old) for old in earlier)
 
 
 class KeyLog(dict):

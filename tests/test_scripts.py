@@ -1,8 +1,11 @@
 """The scripts under scripts/ run against the package as it is."""
 
 import importlib.util
+import json
 import math
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -30,3 +33,77 @@ def test_stall_survey_rebuilds_the_scan_set_up(tmp_path):
     metrics = scan.finish()
     assert not scan.problems, scan.problems
     assert (accuracy, loss) == (metrics["accuracy"][0], metrics["train_loss"][0])
+
+
+def bench_line(correct, pass_s, setup_s, rss):
+    """A last output line of bench/run_bench.py --trace 0."""
+    metrics = {"pass_s": (pass_s, "s"), "setup_s": (setup_s, "s"), "peak_rss_mb": (rss, "MB")}
+    return json.dumps({"correct": correct, "attempted": 150, "failed": 0 if correct else 3,
+                       "metrics": {k: {"value": v, "unit": u} for k, (v, u) in metrics.items()}})
+
+
+def test_bench_pairs_alternates_order_and_summarizes_ratios(monkeypatch):
+    """Canned result lines only: no benchmark run and no git process."""
+    pairs_mod = load(ROOT / "scripts" / "bench_pairs.py")
+    monkeypatch.setattr(pairs_mod.subprocess, "run", None)  # any process start fails
+    assert pairs_mod.schedule(1) == [("A", "B")]
+    assert pairs_mod.schedule(4) == [("A", "B"), ("B", "A"), ("A", "B"), ("B", "A")]
+
+    result = pairs_mod.parse_result("env line\n" + bench_line(True, 0.3, 2.0, 68.5) + "\n")
+    assert result["correct"] and result["failed"] == 0
+    assert result["metrics"] == {"pass_s": 0.3, "setup_s": 2.0, "peak_rss_mb": 68.5}
+
+    lines = [  # (A, B) per pair: pass_s B/A 0.8, 0.9, 1.1, 0.5; setup_s one tie
+        (bench_line(True, 0.5, 2.0, 68.0), bench_line(True, 0.4, 2.0, 69.0)),
+        (bench_line(True, 0.2, 1.0, 70.0), bench_line(True, 0.18, 1.1, 69.0)),
+        (bench_line(True, 0.3, 3.0, 68.0), bench_line(False, 0.33, 2.0, 70.0)),
+        (bench_line(True, 0.4, 2.0, 68.0), bench_line(True, 0.2, 1.0, 67.0)),
+    ]
+    pairs = [{"A": pairs_mod.parse_result(a), "B": pairs_mod.parse_result(b)} for a, b in lines]
+    summary = pairs_mod.summarize(pairs, ["pass_s", "setup_s", "peak_rss_mb"])
+    assert list(summary) == ["pass_s", "setup_s", "peak_rss_mb"]
+    s = summary["pass_s"]
+    assert s["median_ratio"] == pytest.approx(0.85) and s["b_lower"] == 3
+    assert s["median_a"] == pytest.approx(0.35) and s["median_b"] == pytest.approx(0.265)
+    assert s["quartiles_a"] == pytest.approx((0.225, 0.475))  # exclusive method, n = 4
+    assert summary["setup_s"]["b_lower"] == 2  # the tie counts for neither side
+    assert summary["peak_rss_mb"]["b_lower"] == 2
+    one = pairs_mod.summarize(pairs[:1], ["pass_s"])["pass_s"]
+    assert one["quartiles_a"] == (0.5, 0.5) and one["median_ratio"] == pytest.approx(0.8)
+
+
+def test_bench_pairs_main_runs_the_schedule(monkeypatch, capsys):
+    """main with the export and the benchmark run replaced by fakes."""
+    pairs_mod = load(ROOT / "scripts" / "bench_pairs.py")
+    monkeypatch.setattr(pairs_mod.subprocess, "run", None)
+    monkeypatch.setattr(pairs_mod, "export", lambda rev, dest: f"commit-{rev}")
+    runs = []
+
+    def fake_bench(tree, workload, seed, seconds):
+        runs.append((tree.name, workload, seed, seconds))
+        fast = tree.name == "B"
+        return pairs_mod.parse_result(bench_line(True, 0.2 if fast else 0.3, 2.0, 68.0))
+
+    monkeypatch.setattr(pairs_mod, "run_bench", fake_bench)
+    assert pairs_mod.main(["HEAD~1", "HEAD", "--workload", "scan", "--pairs", "3",
+                           "--first-seed", "7"]) == 0
+    assert runs == [("A", "scan", 7, 20.0), ("B", "scan", 7, 20.0), ("B", "scan", 8, 20.0),
+                    ("A", "scan", 8, 20.0), ("A", "scan", 9, 20.0), ("B", "scan", 9, 20.0)]
+    out = capsys.readouterr().out
+    assert "A: 3/3 runs correct, 0 operations failed" in out
+    assert "B/A median 0.6667  B lower in 3/3" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["--workload", "scan", "--pairs", "0"],
+    ["--workload", "scan", "--pairs", "-2"],
+    ["--workload", "scan", "--pairs", "two"],
+    ["--workload", "no_such_workload", "--pairs", "3"],
+    ["--workload", "scan"],
+])
+def test_bench_pairs_rejects_bad_arguments_before_any_process(argv, monkeypatch, capsys):
+    pairs_mod = load(ROOT / "scripts" / "bench_pairs.py")
+    monkeypatch.setattr(pairs_mod.subprocess, "run", None)
+    with pytest.raises(SystemExit) as exc:
+        pairs_mod.main(["HEAD~1", "HEAD", *argv])
+    assert exc.value.code == 2 and "error:" in capsys.readouterr().err
