@@ -11,8 +11,14 @@ every pair the same way.
 Each pair prints both sides' end-to-end metrics (the ``end_to_end``
 names of BENCHMARK.json) and whether each run was correct.  The summary
 gives, per metric, each side's median and quartiles, the median of the
-per-pair ratios B / A, and in how many pairs B read lower than A (ties
-count for neither).
+per-pair ratios B / A, in how many pairs B read lower than A (ties
+count for neither) and a verdict.  Every gated metric is lower-is-better:
+
+* ``gain``: B read lower in at least 9 of 10 pairs, and A's median
+  exceeds B's by more than the distance between A's quartiles
+* ``regression``: B's median exceeds A's by more than the metric's
+  ``bound`` (a fraction of A's median, as BENCHMARK.json gives it)
+* ``none``: neither
 
 Usage, from anywhere inside the repository::
 
@@ -70,6 +76,17 @@ def summarize(pairs: list[dict[str, dict]], metrics: list[str]) -> dict[str, dic
     return out
 
 
+def verdict(s: dict, pairs: int, bound: float) -> str:
+    """``gain``, ``regression`` or ``none`` for one metric's summary ``s``
+    over ``pairs`` pairs, by the rules of the module docstring."""
+    q1, q3 = s["quartiles_a"]
+    if 10 * s["b_lower"] >= 9 * pairs and s["median_a"] - s["median_b"] > q3 - q1:
+        return "gain"
+    if s["median_b"] > s["median_a"] * (1 + bound):
+        return "regression"
+    return "none"
+
+
 def _git(*args: str, **kw) -> subprocess.CompletedProcess:
     try:
         return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True, **kw)
@@ -111,7 +128,8 @@ def _pairs_arg(text: str) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    gated = [m["name"] for m in benchmark["end_to_end"]]
+    bounds = {m["name"]: m["bound"] for m in benchmark["end_to_end"]}
+    gated = list(bounds)
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("rev_a", help="revision A, the base of every ratio")
     parser.add_argument("rev_b", help="revision B")
@@ -148,7 +166,8 @@ def main(argv: list[str] | None = None) -> int:
         (a1, a3), (b1, b3) = s["quartiles_a"], s["quartiles_b"]
         print(f"{name}: A {s['median_a']:.4f} [{a1:.4f}..{a3:.4f}]  "
               f"B {s['median_b']:.4f} [{b1:.4f}..{b3:.4f}]  "
-              f"B/A median {s['median_ratio']:.4f}  B lower in {s['b_lower']}/{n}")
+              f"B/A median {s['median_ratio']:.4f}  B lower in {s['b_lower']}/{n}  "
+              f"verdict {verdict(s, n, bounds[name])}")
     return 0
 
 

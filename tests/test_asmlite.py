@@ -347,13 +347,21 @@ def reference_parse_line(line):
 FIELDS = ParsedLine._fields
 
 
-def disagreements(lines):
-    """Lines where parse_line and the reference differ in any field."""
+def disagreements(lines, chunk=150):
+    """Lines where parse_line, or parse_asm_file over listings of ``chunk``
+    consecutive lines, differs from the reference in any field.  The
+    listings let operand texts repeat within one parse, so a memo whose
+    key misses part of what the operands depend on shows here."""
     bad = []
-    for line in lines:
-        got, want = parse_line(line), reference_parse_line(line)
-        if got != want:  # record equality: all FIELDS, in order
-            bad.append((line, got, want))
+    for start in range(0, len(lines), chunk):
+        part = lines[start:start + chunk]
+        text = "\n".join(part)
+        # a lone empty line is no listing (EmptyFile); parse_line covers it
+        listed = parse_asm_file(text, "chunk").lines if text else (parse_line(text),)
+        for line, in_listing in zip(part, listed):
+            got, want = parse_line(line), reference_parse_line(line)
+            if got != want or in_listing != want:  # record equality: all FIELDS, in order
+                bad.append((line, got, in_listing, want))
     return bad
 
 
@@ -468,3 +476,20 @@ def test_parse_asm_bytes_random_and_truncated_only_raise_empty_file(corpus_lines
             continue
         assert asm.round_trip().encode("latin-1") == data
         assert len(asm.lines) == data.count(b"\n") + 1
+        text = data.decode("latin-1")
+        assert asm.lines == tuple(parse_line(ln) for ln in text.split("\n"))
+
+
+def test_listing_parse_depends_on_that_listing_only(corpus_lines):
+    """Listing B parses to the same records after listing A as alone, and
+    shares no operand tuple with A: the operand memo lives for one call."""
+    text_a = "\n".join(corpus_lines[:3000])
+    text_b = "\n".join(corpus_lines[3000:6000])
+    alone = parse_asm_file(text_b, "b").lines
+    asm_a = parse_asm_file(text_a, "a")
+    after = parse_asm_file(text_b, "b").lines
+    assert after == alone
+    common = {ln.operands for ln in after} & {ln.operands for ln in asm_a.lines}
+    assert common - {()}  # equal operand texts occur in both listings
+    shared = {id(ln.operands) for ln in after if ln.operands}
+    assert shared.isdisjoint(id(ln.operands) for ln in asm_a.lines)

@@ -72,6 +72,33 @@ def test_bench_pairs_alternates_order_and_summarizes_ratios(monkeypatch):
     assert one["quartiles_a"] == (0.5, 0.5) and one["median_ratio"] == pytest.approx(0.8)
 
 
+def test_bench_pairs_verdicts_on_canned_pairs(monkeypatch):
+    """gain needs B lower in >= 9/10 pairs and a median gap wider than A's
+    quartile distance; regression needs B's median above A's by more than
+    the bound, a fraction of A's median."""
+    pairs_mod = load(ROOT / "scripts" / "bench_pairs.py")
+    monkeypatch.setattr(pairs_mod.subprocess, "run", None)
+
+    def verdict(a_values, b_values, bound=0.25):
+        pairs = [{"A": pairs_mod.parse_result(bench_line(True, a, 2.0, 68.0)),
+                  "B": pairs_mod.parse_result(bench_line(True, b, 2.0, 68.0))}
+                 for a, b in zip(a_values, b_values)]
+        s = pairs_mod.summarize(pairs, ["pass_s"])["pass_s"]
+        return pairs_mod.verdict(s, len(pairs), bound)
+
+    a = [0.30, 0.31, 0.29, 0.30, 0.32, 0.30, 0.31, 0.29, 0.30, 0.30]  # quartiles 0.2975..0.31
+    assert verdict(a, [x - 0.03 for x in a]) == "gain"  # 10/10, gap 0.03 > 0.0125
+    assert verdict(a, [x - 0.03 for x in a[:9]] + [0.31]) == "gain"  # 9/10
+    assert verdict(a, [x - 0.03 for x in a[:8]] + [0.31, 0.31]) == "none"  # 8/10
+    assert verdict(a, [x - 0.01 for x in a]) == "none"  # 10/10, gap 0.01 < 0.0125
+    assert verdict(a, [x - 0.03 for x in a[:9]] + [0.30]) == "gain"  # a tie counts for neither side
+    assert verdict(a, [x - 0.03 for x in a[:8]] + [0.30, 0.30]) == "none"  # two ties
+    assert verdict(a, [x * 1.2 for x in a]) == "none"  # +20% inside a 0.25 bound
+    assert verdict(a, [x * 1.3 for x in a]) == "regression"
+    assert verdict(a, [x * 1.2 for x in a], bound=0.1) == "regression"
+    assert verdict([0.3], [0.2]) == "gain"  # one pair: quartile distance 0
+
+
 def test_bench_pairs_main_runs_the_schedule(monkeypatch, capsys):
     """main with the export and the benchmark run replaced by fakes."""
     pairs_mod = load(ROOT / "scripts" / "bench_pairs.py")
@@ -91,7 +118,10 @@ def test_bench_pairs_main_runs_the_schedule(monkeypatch, capsys):
                     ("A", "scan", 8, 20.0), ("A", "scan", 9, 20.0), ("B", "scan", 9, 20.0)]
     out = capsys.readouterr().out
     assert "A: 3/3 runs correct, 0 operations failed" in out
-    assert "B/A median 0.6667  B lower in 3/3" in out
+    assert "B/A median 0.6667  B lower in 3/3  verdict gain" in out
+    summary = [line for line in out.splitlines() if " verdict " in line]
+    assert [line.split(":")[0] for line in summary] == ["pass_s", "setup_s", "peak_rss_mb"]
+    assert all(line.endswith("verdict none") for line in summary[1:])
 
 
 @pytest.mark.parametrize("argv", [
