@@ -12,12 +12,11 @@ mnemonic.  On top of instructions the grammar knows four more line kinds:
 * data directives: db / dw / dd / dq / align
 * labels: a single "name:" token, or the IDA form "name proc near"
 * blank lines (empty or whitespace only)
-* unparsed: anything else, kept verbatim
+* unparsed: anything else
 
 Parsing is total.  No input line ever raises; lines that fail the grammar
-simply come back with kind UNPARSED.  Every ParsedLine keeps the exact
-source text in ``raw``, so joining the raw fields with "\\n" reproduces the
-input byte for byte.
+simply come back with kind UNPARSED.  A listing parses to one ParsedLine
+per "\\n"-separated line, in order, so record i describes line i.
 
 Ambiguity between byte columns and hex-looking mnemonics ("dd", "db", or a
 line whose tokens are all hex pairs) is resolved by backtracking: the
@@ -76,7 +75,7 @@ _LABEL = re.compile(r"^[A-Za-z_.@?$][A-Za-z0-9_.@?$]*:$")
 
 
 class ParsedLine(NamedTuple):
-    """One source line plus everything the grammar could recover from it.
+    """Everything the grammar could recover from one source line.
 
     ``mnemonic`` and ``operands`` are populated for INSTRUCTION and
     DATA_DIRECTIVE lines, ``label`` for LABEL lines.  ``section`` and
@@ -88,7 +87,6 @@ class ParsedLine(NamedTuple):
     """
 
     kind: LineKind
-    raw: str
     section: str | None = None
     address: int | None = None
     mnemonic: str | None = None
@@ -103,16 +101,11 @@ class AsmFile:
     sample_id: str
     lines: tuple[ParsedLine, ...]
 
-    def round_trip(self) -> str:
-        """Reconstruct the original text from the raw fields."""
-        return "\n".join(ln.raw for ln in self.lines)
-
 
 def parse_line(line: str) -> ParsedLine:
     """Parse a single source line (no newline). Total: never raises on content.
 
-    A trailing carriage return is treated as whitespace for parsing but
-    preserved in ``raw``.
+    A trailing carriage return is treated as whitespace.
     """
     if "\n" in line:
         raise ValueError("parse_line expects a single line without newline")
@@ -141,7 +134,7 @@ def _parse_lines(lines: Iterable[str]) -> tuple[ParsedLine, ...]:
         m = line_match(line)
         if m is None:
             kind = unparsed if line.strip() else LineKind.BLANK
-            append(new(ParsedLine, (kind, line, None, None, None, (), None)))
+            append(new(ParsedLine, (kind, None, None, None, (), None)))
             continue
         section, addr, code = m.groups()
         address = int(addr, 16)
@@ -149,20 +142,19 @@ def _parse_lines(lines: Iterable[str]) -> tuple[ParsedLine, ...]:
         tokens = code.split(None, 2)
         if not tokens:
             # address-only or comment-only line
-            append(new(ParsedLine, (unparsed, line, section, address, None, (), None)))
+            append(new(ParsedLine, (unparsed, section, address, None, (), None)))
             continue
         if len(tokens) == 1:
             if label_match(tokens[0]):
-                append(new(ParsedLine, (label_kind, line, section, address, None, (),
-                                        tokens[0][:-1])))
+                append(new(ParsedLine, (label_kind, section, address, None, (), tokens[0][:-1])))
                 continue
         elif tokens[1].lower() == "proc":
-            append(new(ParsedLine, (label_kind, line, section, address, None, (), tokens[0])))
+            append(new(ParsedLine, (label_kind, section, address, None, (), tokens[0])))
             continue
 
         insn = insn_match(code)
         if insn is None:
-            append(new(ParsedLine, (unparsed, line, section, address, None, (), None)))
+            append(new(ParsedLine, (unparsed, section, address, None, (), None)))
             continue
         mnemonic, rest = insn.groups()
         mnemonic = mnemonic.lower()
@@ -170,7 +162,7 @@ def _parse_lines(lines: Iterable[str]) -> tuple[ParsedLine, ...]:
         if operands is None:
             operands = memo[rest] = tuple(split_operands(" ".join(rest.split())))
         kind = data_kind if mnemonic in directives else insn_kind
-        append(new(ParsedLine, (kind, line, section, address, mnemonic, operands, None)))
+        append(new(ParsedLine, (kind, section, address, mnemonic, operands, None)))
     return tuple(out)
 
 

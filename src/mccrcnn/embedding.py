@@ -125,6 +125,13 @@ class EmbeddingTable:
         r = self._row[token]
         return self.w[r] + self.w_ctx[r]
 
+    def vectors(self, tokens) -> np.ndarray:
+        """Final embeddings of ``tokens`` as a (len(tokens), k) array, in
+        order; a token not in the table reads a zero row."""
+        final = np.vstack([self.w + self.w_ctx, np.zeros((1, self.k))])
+        oov = len(final) - 1
+        return final[[self._row.get(tok, oov) for tok in tokens]]
+
 
 def build_vocab(corpus, min_count: int = 1) -> Vocabulary:
     """Count tokens across all sequences and assign ids.

@@ -151,7 +151,7 @@ def build_relation_graph(asm: AsmFile) -> RelationGraph:
     label_addr: dict[str, int] = {}
     imports: set[str] = set()
     for ln in asm.lines:
-        kind, _raw, section, address, mnemonic, operands, label = ln
+        kind, section, address, mnemonic, operands, label = ln
         if kind is LineKind.INSTRUCTION and section in CODE_SECTIONS:
             if address not in seen:
                 seen.add(address)
@@ -172,7 +172,7 @@ def build_relation_graph(asm: AsmFile) -> RelationGraph:
     jump_edges: list[tuple[int, int, JumpKind]] = []
     call_edges: list[tuple[int, int, int | None]] = []
     # i indexes the instruction after this one: a call's return address
-    for i, (_kind, _raw, _section, address, mnemonic, operands, _label) in enumerate(code, 1):
+    for i, (_kind, _section, address, mnemonic, operands, _label) in enumerate(code, 1):
         if not operands:
             continue
         if mnemonic == "call":

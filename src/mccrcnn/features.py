@@ -85,12 +85,9 @@ def sequence_to_matrix(seq: TokenSequence, table: EmbeddingTable, t: int = 512) 
     """Embed a sequence into a (t, k) float64 matrix (truncate head / zero pad)."""
     if t < 1:
         raise ValueError("t must be >= 1")
-    # final vectors plus one trailing zero row that every OOV token reads
-    vectors = np.vstack([table.w + table.w_ctx, np.zeros((1, table.k))])
-    oov = len(vectors) - 1
-    rows = [table._row.get(tok, oov) for tok in seq.tokens[:t]]
+    rows = table.vectors(seq.tokens[:t])
     out = _zeros((t, table.k), np.float64)
-    out[:len(rows)] = vectors[rows]
+    out[:len(rows)] = rows
     return out
 
 

@@ -195,14 +195,12 @@ def synthetic_spec(cfg: ExperimentConfig) -> SyntheticCorpusSpec:
 
 
 def config_echo(cfg: ExperimentConfig) -> list[str]:
-    """Every effective setting as `section.key=value` lines (report audit)."""
-    lines = [
-        f"run.seed={cfg.seed}",
-        f"run.folds={cfg.folds}",
-        f"run.out={cfg.out_dir}",
-        f"data.corpus={cfg.corpus}",
-        f"data.labels={cfg.labels}",
-    ]
+    """Every effective setting but the paths, as `section.key=value` lines.
+
+    The summaries carry this echo; leaving out run.out, data.corpus and
+    data.labels keeps them independent of where a run lives.
+    """
+    lines = [f"run.seed={cfg.seed}", f"run.folds={cfg.folds}"]
     for section in ("synthetic", "embedding", "model", "train", "ngram"):
         obj = getattr(cfg, section)
         for f in dataclasses.fields(obj):

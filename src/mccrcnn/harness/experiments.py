@@ -26,8 +26,9 @@ streams; suite C walks every layer.
 Each suite writes report_<name>.csv (rows experiment,fold,metric,value
 with fold "mean" aggregates, the seed, and labelled reference rows) and
 summary_<name>.txt.  Values are printed with repr(), iteration orders
-are fixed, and every seed is derived from the run seed, so rerunning a
-config reproduces both files byte for byte.
+are fixed, every seed is derived from the run seed, and the summary
+echoes no path, so rerunning a config reproduces both files byte for
+byte, from any directory.
 
 REFERENCE_FULL_CORPUS_PCT holds accuracy figures reported for the same
 experiment designs on a full-scale corpus of real disassembly.  They

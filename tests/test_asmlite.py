@@ -1,4 +1,4 @@
-"""Listing parser: line grammar, total parsing, exact round trips."""
+"""Listing parser: line grammar, total parsing, one record per line."""
 
 import re
 import string
@@ -145,7 +145,7 @@ def test_comma_inside_quotes_does_not_split():
 def test_trailing_carriage_return_parses_and_round_trips():
     ln = parse_line(".text:00401000 push ebp\r")
     assert ln.kind is LineKind.INSTRUCTION
-    assert ln.raw.endswith("\r")
+    assert ln == parse_line(".text:00401000 push ebp")  # the \r is whitespace
 
 
 def test_extrn_import_line_is_instruction():
@@ -176,15 +176,22 @@ def test_empty_sample_id_raises():
         parse_asm_file("x", "")
 
 
+def assert_total(asm, text):
+    """One record per "\\n"-separated line of text, in order, each equal
+    to the frozen reference parser's record of that line."""
+    assert len(asm.lines) == text.count("\n") + 1
+    assert asm.lines == tuple(reference_parse_line(ln) for ln in text.split("\n"))
+
+
 def test_round_trip_exact():
     asm = parse_asm_file(KAGGLE_STYLE, "k1")
-    assert asm.round_trip() == KAGGLE_STYLE
+    assert_total(asm, KAGGLE_STYLE)
 
 
 def test_round_trip_crlf_and_trailing_newline():
     text = ".text:00401000 push ebp\r\n.text:00401001 retn\r\n"
     asm = parse_asm_file(text, "crlf")
-    assert asm.round_trip() == text
+    assert_total(asm, text)
     kinds = [ln.kind for ln in asm.lines]
     assert kinds == [LineKind.INSTRUCTION, LineKind.INSTRUCTION, LineKind.BLANK]
 
@@ -197,16 +204,16 @@ def test_round_trip_arbitrary_bytes():
         if not data:
             continue
         asm = parse_asm_bytes(data, "fuzz")
-        assert asm.round_trip().encode("latin-1") == data
+        assert_total(asm, data.decode("latin-1"))
 
 
 # ------------------------------------------------------------ record contract
 
 def test_parsed_line_fields_and_defaults():
-    # the field order of the frozen dataclass this record replaced
+    # what the grammar recovers, in this order; no field holds the source text
     assert ParsedLine._fields == (
-        "kind", "raw", "section", "address", "mnemonic", "operands", "label")
-    ln = ParsedLine(LineKind.BLANK, "")
+        "kind", "section", "address", "mnemonic", "operands", "label")
+    ln = ParsedLine(LineKind.BLANK)
     assert (ln.section, ln.address, ln.mnemonic, ln.operands, ln.label) == (
         None, None, None, (), None)
 
@@ -223,10 +230,10 @@ def test_parsed_line_is_immutable():
 def test_parsed_lines_equal_exactly_when_fields_equal():
     line = ".text:00401000 mov eax, 1"
     a = parse_line(line)
-    b = ParsedLine(LineKind.INSTRUCTION, line, ".text", 0x401000, "mov", ("eax", "1"))
+    b = ParsedLine(LineKind.INSTRUCTION, ".text", 0x401000, "mov", ("eax", "1"))
     assert a == b and hash(a) == hash(b)
-    other = {"kind": LineKind.DATA_DIRECTIVE, "raw": line + " ", "section": "CODE",
-             "address": 0x401001, "mnemonic": "push", "operands": ("eax",), "label": "x"}
+    other = {"kind": LineKind.DATA_DIRECTIVE, "section": "CODE", "address": 0x401001,
+             "mnemonic": "push", "operands": ("eax",), "label": "x"}
     for name in ParsedLine._fields:
         assert a != a._replace(**{name: other[name]}), name
 
@@ -245,7 +252,7 @@ def test_kaggle_style_excerpt_mostly_parses():
 
 
 def test_round_trip_many_random_listing_shapes():
-    """Assemble random lines from grammar fragments; reparse must be exact."""
+    """Assemble random lines from grammar fragments; each gets its record."""
     rng = np.random.default_rng(3)
     pieces = [
         ".text:%06X push ebp",
@@ -267,7 +274,7 @@ def test_round_trip_many_random_listing_shapes():
         if not text:
             continue
         asm = parse_asm_file(text, "rand")
-        assert asm.round_trip() == text
+        assert_total(asm, text)
         assert len(asm.lines) == n
 
 
@@ -315,20 +322,20 @@ def reference_parse_line(line):
         raise ValueError("parse_line expects a single line without newline")
     body = line.rstrip("\r")
     if not body.strip():
-        return ParsedLine(kind=LineKind.BLANK, raw=line)
+        return ParsedLine(kind=LineKind.BLANK)
     m = _REF_SECTION_ADDR.match(body)
     if m is None:
-        return ParsedLine(kind=LineKind.UNPARSED, raw=line)
+        return ParsedLine(kind=LineKind.UNPARSED)
     section = m.group("section")
     address = int(m.group("addr"), 16)
     tokens = reference_strip_comment(body[m.end():]).split()
     if not tokens:
-        return ParsedLine(kind=LineKind.UNPARSED, raw=line, section=section, address=address)
+        return ParsedLine(kind=LineKind.UNPARSED, section=section, address=address)
     if len(tokens) == 1 and _REF_LABEL.match(tokens[0]):
-        return ParsedLine(kind=LineKind.LABEL, raw=line, section=section,
+        return ParsedLine(kind=LineKind.LABEL, section=section,
                           address=address, label=tokens[0][:-1])
     if len(tokens) >= 2 and tokens[1].lower() == "proc":
-        return ParsedLine(kind=LineKind.LABEL, raw=line, section=section,
+        return ParsedLine(kind=LineKind.LABEL, section=section,
                           address=address, label=tokens[0])
     j = 0
     while j < len(tokens) and _REF_HEX_BYTE.match(tokens[j]):
@@ -336,10 +343,10 @@ def reference_parse_line(line):
     while j > 0 and (j == len(tokens) or not _REF_MNEMONIC.match(tokens[j])):
         j -= 1
     if j == len(tokens) or not _REF_MNEMONIC.match(tokens[j]):
-        return ParsedLine(kind=LineKind.UNPARSED, raw=line, section=section, address=address)
+        return ParsedLine(kind=LineKind.UNPARSED, section=section, address=address)
     mnemonic = tokens[j].lower()
     kind = LineKind.DATA_DIRECTIVE if mnemonic in DATA_DIRECTIVES else LineKind.INSTRUCTION
-    return ParsedLine(kind=kind, raw=line, section=section, address=address,
+    return ParsedLine(kind=kind, section=section, address=address,
                       mnemonic=mnemonic,
                       operands=reference_split_operands(" ".join(tokens[j + 1:])))
 
@@ -440,7 +447,7 @@ def random_lines(seed, count):
 
 
 def test_parser_matches_reference_on_fixtures():
-    assert len(FIELDS) == 7
+    assert len(FIELDS) == 6
     assert disagreements(FIXTURE_LINES) == []
 
 
@@ -474,7 +481,6 @@ def test_parse_asm_bytes_random_and_truncated_only_raise_empty_file(corpus_lines
         except EmptyFile:
             assert data == b""
             continue
-        assert asm.round_trip().encode("latin-1") == data
         assert len(asm.lines) == data.count(b"\n") + 1
         text = data.decode("latin-1")
         assert asm.lines == tuple(parse_line(ln) for ln in text.split("\n"))

@@ -368,6 +368,21 @@ def test_final_vector_is_center_plus_context():
         assert np.array_equal(table.vector(tok), table.w[r] + table.w_ctx[r])
 
 
+def test_vectors_are_final_vectors_with_zero_rows_for_oov():
+    corpus = small_corpus()
+    v = build_vocab(corpus)
+    table, _ = train_glove(count_cooccurrence(corpus, v, window=3), v, k=4, epochs=3, seed=1)
+    tokens = list(table.tokens) + ["mystery", table.tokens[0]]
+    rows = table.vectors(tokens)
+    assert rows.shape == (len(tokens), 4) and rows.dtype == np.float64
+    for tok, row in zip(tokens, rows):
+        want = table.vector(tok) if tok in table else np.zeros(4)
+        assert row.tobytes() == want.tobytes(), tok  # bit for bit
+    assert table.vectors([]).shape == (0, 4)
+    table.w[0] += 1.0  # tables are mutable: every lookup reads the current arrays
+    assert table.vectors(table.tokens[:1])[0].tobytes() == table.vector(table.tokens[0]).tobytes()
+
+
 # ------------------------------------------- exactness of the level schedule
 
 def reference_train_glove(cooc, vocab, k, epochs=50, learning_rate=0.05,

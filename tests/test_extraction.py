@@ -477,8 +477,8 @@ def test_walk_all_ret_variants_stop():
         ) == [], r
 
 
-def random_program(rng):
-    """A seeded random jump/call graph as listing lines.
+def random_listing(rng):
+    """A seeded random jump/call graph as listing text.
 
     Targets include the instruction itself, other instructions, labels
     that point into data, addresses past the code, registers, and
@@ -510,7 +510,11 @@ def random_program(rng):
         lines.append(f".text:{addrs[-1]:08X} nop")  # duplicate address
     if rng.random() < 0.2:
         rng.shuffle(lines)  # out of address order
-    return program(*lines)
+    return "\n".join(lines)
+
+
+def random_program(rng):
+    return parse_asm_file(random_listing(rng), "t")
 
 
 def test_walk_terminates_on_random_graphs():
@@ -530,12 +534,13 @@ def test_walk_terminates_on_random_graphs():
         assert extract_key_api_sequence(build_relation_graph(asm), asm).tokens == out
 
 
-def scrambled(asm, rng):
-    """The same listing with three of its lines repeated, each addressed one
-    also followed by another instruction at its address, then shuffled."""
-    lines = [ln.raw for ln in asm.lines]
-    for ln in rng.sample(asm.lines, k=min(3, len(asm.lines))):
-        lines.append(ln.raw)
+def scrambled(asm, text, rng):
+    """The listing ``text``, parsed as ``asm``, with three of its lines
+    repeated, each addressed one also followed by another instruction at
+    its address, then shuffled."""
+    lines = text.split("\n")
+    for line, ln in rng.sample(list(zip(lines, asm.lines)), k=min(3, len(lines))):
+        lines.append(line)
         if ln.address is not None:
             lines.append(f"{ln.section}:{ln.address:08X} {rng.choice(['nop', 'retn', 'jmp eax'])}")
     rng.shuffle(lines)
@@ -553,17 +558,20 @@ def assert_matches_reference(asm, where):
 def test_graph_and_walk_equal_two_pass_reference(tmp_path):
     rng = random.Random(20261018)
     for trial in range(500):
-        asm = random_program(rng)
+        text = random_listing(rng)
+        asm = parse_asm_file(text, "t")
         assert_matches_reference(asm, trial)
-        assert_matches_reference(scrambled(asm, rng), ("scrambled", trial))
+        assert_matches_reference(scrambled(asm, text, rng), ("scrambled", trial))
     generate_synthetic_corpus(
         SyntheticCorpusSpec(families=3, samples_per_family=20, seed=11), tmp_path)
     paths = sorted(tmp_path.glob("*.asm"))
     assert len(paths) == 60
     for path in paths:
-        asm = parse_asm_bytes(path.read_bytes(), path.stem)
+        data = path.read_bytes()
+        asm = parse_asm_bytes(data, path.stem)
         assert_matches_reference(asm, path.name)
-        assert_matches_reference(scrambled(asm, rng), ("scrambled", path.name))
+        assert_matches_reference(scrambled(asm, data.decode("latin-1"), rng),
+                                 ("scrambled", path.name))
 
 
 def test_extrn_in_code_section_is_both_code_and_import():

@@ -165,7 +165,8 @@ def test_config_echo_lists_every_setting(tmp_path):
     assert "run.seed=5" in lines
     assert "embedding.alpha=0.75" in lines
     assert "ngram.sweep=1,2,3,4" in lines
-    assert f"data.corpus={tmp_path / 'corpus'}" in lines
+    # no path: a summary must not depend on where the run lives
+    assert not [ln for ln in lines if ln.split("=")[0] in ("run.out", "data.corpus", "data.labels")]
     assert len(lines) == len(set(lines))
     assert sum(1 for ln in lines if ln.startswith("train.")) == 3
 
@@ -762,6 +763,20 @@ def test_cli_experiment_writes_report(tmp_path, capsys):
     assert report.splitlines()[0] == "experiment,fold,metric,value"
     assert "fused_mccrcnn" in report and "reference" in report
     assert (tmp_path / "out" / "summary_C.txt").exists()
+    capsys.readouterr()
+
+
+def test_cli_experiment_output_is_the_same_from_any_directory(tmp_path, capsys):
+    """One config and seed, run from two directories: byte-identical files."""
+    runs = [tmp_path / "a", tmp_path / "deeper" / "b"]
+    for run in runs:
+        run.mkdir(parents=True)
+        cfg = write_cfg(run)
+        assert main(["gen", str(cfg)]) == 0
+        assert main(["experiment", "B2", str(cfg)]) == 0
+    for name in ("report_B2.csv", "summary_B2.txt"):
+        first, second = ((run / "out" / name).read_bytes() for run in runs)
+        assert first == second, name
     capsys.readouterr()
 
 

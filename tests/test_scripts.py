@@ -35,6 +35,21 @@ def test_stall_survey_rebuilds_the_scan_set_up(tmp_path):
     assert (accuracy, loss) == (metrics["accuracy"][0], metrics["train_loss"][0])
 
 
+def test_stall_survey_count_line_gives_the_largest_stalled_loss(monkeypatch, capsys):
+    """A stubbed survey_seed: no corpus is generated and nothing trains.
+    Seed 1 reaches 1.0 with the largest loss, which the count line skips."""
+    survey = load(ROOT / "scripts" / "stall_survey.py")
+    outcomes = {1: (1.0, 0.9), 2: (0.333, 0.691), 3: (0.987, 0.024), 4: (0.8, 0.32)}
+    monkeypatch.setattr(survey, "survey_seed", lambda seed, workdir: outcomes[seed])
+    assert survey.main(["1", "2", "3", "4"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[1:5] == ["1\t1.0\t0.9", "2\t0.333\t0.691", "3\t0.987\t0.024", "4\t0.8\t0.32"]
+    assert out[-1] == "below held-out 1.0: 3 of 4, largest final loss among them 0.691"
+    assert survey.main(["1"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[-1] == "below held-out 1.0: 0 of 1, largest final loss among them -"
+
+
 def bench_line(correct, pass_s, setup_s, rss):
     """A last output line of bench/run_bench.py --trace 0."""
     metrics = {"pass_s": (pass_s, "s"), "setup_s": (setup_s, "s"), "peak_rss_mb": (rss, "MB")}
