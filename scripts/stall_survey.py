@@ -12,11 +12,13 @@ through the package API:
   with ``train_cfg_for(cfg, 1)``
 
 and prints one tab-separated row per seed: the seed, the held-out
-accuracy on the other half and the final training loss.  The last line
-counts the seeds below held-out 1.0 and gives the largest final loss
-among them: a plateau ends near 0.32..0.69, while a model that fitted
-its training half and still missed held-out samples ends far lower (at
-most 0.064 in a survey with centered vectors, ROADMAP item 1).  Rows
+accuracy on the other half, the final training loss and the ids of the
+held-out samples the fit got wrong (comma-joined, ``-`` for none).  The
+last line counts the seeds below held-out 1.0 and gives the largest
+final loss among them: a plateau ends near 0.32..0.69, while a model
+that fitted its training half and still missed held-out samples ends
+far lower (at most 0.064 in a survey with centered vectors, ROADMAP
+item 1).  Rows
 depend only on the code and the seed, so two versions of the code can
 be compared with ``diff``; the wall time goes to stderr.
 
@@ -48,8 +50,10 @@ from mccrcnn.metrics import kfold_split
 DEFAULT_SEEDS = (1416900791, 205) + tuple(random.Random(i).randrange(2**31) for i in range(40))
 
 
-def survey_seed(seed: int, workdir: Path, per_family: int = 100, **settings) -> tuple[float, float]:
-    """(held-out accuracy, final training loss) of the fused fit on ``seed``.
+def survey_seed(seed: int, workdir: Path, per_family: int = 100,
+                **settings) -> tuple[float, float, list[str]]:
+    """(held-out accuracy, final training loss, ids of the held-out samples
+    it got wrong) of the fused fit on ``seed``.
 
     ``settings`` are ``ExperimentConfig`` fields (``embedding``, ``model``,
     ``train``); the defaults are the ones ``scan`` runs at full size.
@@ -72,8 +76,9 @@ def survey_seed(seed: int, workdir: Path, per_family: int = 100, **settings) -> 
         experiments.train_cfg_for(cfg, 1), to_matrix=to_matrix)
     test_split = dataset.subset(test_ids)
     predicted = neural.predict(params, [to_matrix(p) for p in test_split.payloads()])
-    accuracy = float(np.mean(predicted == np.asarray(test_split.labels())))
-    return accuracy, float(history[-1]["loss"])
+    right = predicted == np.asarray(test_split.labels())
+    missed = [sid for sid, ok in zip(test_split.ids(), right.tolist()) if not ok]
+    return float(np.mean(right)), float(history[-1]["loss"]), missed
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -83,13 +88,13 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     start = time.perf_counter()
     stalled_losses = []
-    print("seed\theldout_accuracy\tfinal_loss")
+    print("seed\theldout_accuracy\tfinal_loss\tmissed_ids")
     for seed in args.seeds:
         with tempfile.TemporaryDirectory() as workdir:
-            accuracy, loss = survey_seed(seed, Path(workdir))
+            accuracy, loss, missed = survey_seed(seed, Path(workdir))
         if accuracy < 1.0:
             stalled_losses.append(loss)
-        print(f"{seed}\t{accuracy!r}\t{loss!r}", flush=True)
+        print(f"{seed}\t{accuracy!r}\t{loss!r}\t{','.join(missed) or '-'}", flush=True)
     largest = repr(max(stalled_losses)) if stalled_losses else "-"
     print(f"below held-out 1.0: {len(stalled_losses)} of {len(args.seeds)}, "
           f"largest final loss among them {largest}")

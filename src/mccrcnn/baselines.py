@@ -15,8 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embedding import DivergedLoss
-from .errors import EmptyTrainSet
+from .errors import DivergedLoss, EmptyTrainSet
 from .neural import cross_entropy, softmax_rows
 
 

@@ -46,17 +46,13 @@ from itertools import repeat
 
 import numpy as np
 
-from .errors import PipelineError
+from .errors import DivergedLoss, PipelineError
 
 log = logging.getLogger(__name__)
 
 
 class EmptyVocabulary(PipelineError):
     """No token survived the frequency threshold."""
-
-
-class DivergedLoss(PipelineError):
-    """The training objective became non-finite."""
 
 
 class ZeroVector(PipelineError):
@@ -101,7 +97,8 @@ class CooccurrenceMatrix:
 
 @dataclass
 class EmbeddingTable:
-    """Trained GloVe parameters; row r holds the token with id r + 1."""
+    """Trained GloVe parameters; row r holds the token with id r + 1, and
+    ``vectors`` is the one read of final rows."""
 
     tokens: tuple[str, ...]
     w: np.ndarray        # center vectors, (|V|, k)
@@ -120,14 +117,10 @@ class EmbeddingTable:
     def __contains__(self, token: str) -> bool:
         return token in self._row
 
-    def vector(self, token: str) -> np.ndarray:
-        """Final embedding: center plus context vector."""
-        r = self._row[token]
-        return self.w[r] + self.w_ctx[r]
-
     def vectors(self, tokens) -> np.ndarray:
-        """Final embeddings of ``tokens`` as a (len(tokens), k) array, in
-        order; a token not in the table reads a zero row."""
+        """Final embeddings (center plus context vector) of ``tokens`` as a
+        (len(tokens), k) array, in order; a token not in the table reads a
+        zero row."""
         final = np.vstack([self.w + self.w_ctx, np.zeros((1, self.k))])
         oov = len(final) - 1
         return final[[self._row.get(tok, oov) for tok in tokens]]
@@ -345,7 +338,7 @@ def cosine_similarity(table: EmbeddingTable, token_a: str, token_b: str) -> floa
     for tok in (token_a, token_b):
         if tok not in table:
             raise KeyError(f"token not in embedding table: {tok!r}")
-    va, vb = table.vector(token_a), table.vector(token_b)
+    va, vb = table.vectors([token_a, token_b])
     na, nb = float(np.linalg.norm(va)), float(np.linalg.norm(vb))
     if na == 0.0 or nb == 0.0:
         raise ZeroVector("cosine similarity undefined for a zero embedding")
@@ -360,6 +353,5 @@ def write_text_embeddings(path, table: EmbeddingTable) -> None:
     """
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"{len(table.tokens)} {table.k}\n")
-        for tok in table.tokens:
-            vec = table.vector(tok)
+        for tok, vec in zip(table.tokens, table.vectors(table.tokens)):
             fh.write(tok + " " + " ".join(repr(float(v)) for v in vec) + "\n")

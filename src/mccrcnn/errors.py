@@ -1,7 +1,8 @@
 """Shared exception hierarchy.
 
 The CLI maps ConfigError to exit code 2 and every other PipelineError
-(data or processing failure) to exit code 3.
+(data or processing failure) to exit code 3.  Errors that more than one
+module raises live here; an error with one raiser lives beside it.
 """
 
 
@@ -15,3 +16,11 @@ class ConfigError(PipelineError):
 
 class EmptyTrainSet(PipelineError):
     """A model was given no training samples."""
+
+
+class DivergedLoss(PipelineError):
+    """A training objective became non-finite."""
+
+
+class ShapeMismatch(PipelineError):
+    """Two matrices, or a matrix and a model, disagree in shape."""

@@ -18,12 +18,8 @@ from itertools import chain, repeat
 import numpy as np
 
 from .embedding import EmbeddingTable
-from .errors import PipelineError
+from .errors import PipelineError, ShapeMismatch
 from .extraction import TokenSequence
-
-
-class ShapeMismatch(PipelineError):
-    """Two matrices, or a matrix and a model, disagree in shape."""
 
 
 @dataclass(frozen=True)

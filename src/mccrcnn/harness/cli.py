@@ -25,7 +25,6 @@ from pathlib import Path
 from ..embedding import write_text_embeddings
 from ..errors import ConfigError, PipelineError
 from ..extraction import write_sequences
-from ..features import ShapeMismatch
 from ..metrics import confusion
 from ..neural import predict, train
 from .config import LAYERS, STREAMS, ExperimentConfig, load_config, synthetic_spec
@@ -122,11 +121,7 @@ def _cmd_eval(cfg: ExperimentConfig, args) -> int:
     tables = [load_embedding(out / f"{stream}_glove.ckpt") if stream in LAYERS[which] else None
               for stream in STREAMS]
     to_matrix = matrix_fn(which, *tables, seq_len)
-    matrices = [to_matrix(p) for p in dataset.payloads()]
-    if matrices[0].shape[1] != params.input_dim:
-        raise ShapeMismatch(f"{which} features have {matrices[0].shape[1]} columns, "
-                            f"the model takes {params.input_dim}")
-    preds = predict(params, matrices)
+    preds = predict(params, [to_matrix(p) for p in dataset.payloads()])
     cm = confusion(preds.tolist(), dataset.labels(), max(dataset.l, params.l))
     rows = metric_rows(cm)
     with open(out / "eval_report.csv", "w", encoding="utf-8", newline="\n") as fh:

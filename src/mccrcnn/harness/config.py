@@ -16,6 +16,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from ..errors import ConfigError
+from ..neural import ARCHS
 from .synth import SyntheticCorpusSpec, _validate_spec
 
 #: feature layer -> the token streams it embeds.  Streams are listed in
@@ -23,6 +24,33 @@ from .synth import SyntheticCorpusSpec, _validate_spec
 #: also fuse's column order.
 LAYERS = {"opcode": ("opcode",), "api": ("api",), "fused": ("opcode", "api")}
 STREAMS = LAYERS["fused"]
+
+# Upper bounds on sizes, so that an absurd value is a config error, not a
+# numpy MemoryError, an OOM kill or a run that never ends.  Each is far
+# above the defaults (k, hidden and conv_channels 24, window 8, kernel
+# width 3, n-grams 1..4) and every configuration the tests and the bench
+# use.  Sizes that multiply with seq_len are not bounded here.
+
+#: GloVe keeps 2 (k + 1) float64 per token and side: 16 KB per vocabulary
+#: token at the bound, and a fused matrix row holds 2k floats
+MAX_EMBED_K = 512
+#: co-occurrence counting expands COOC_CHUNK_TOKENS centres times the
+#: window at once: 24 MB of temporaries at the bound on three 5000-token
+#: sequences (tracemalloc peak; window 8 takes 0.9 MB)
+MAX_WINDOW = 256
+#: lstm.w is (4 hidden, 2k + hidden): 2048 x 1536 float64, 25 MB, with
+#: hidden and k at their bounds
+MAX_HIDDEN = 512
+#: conv.w is (kernel_width, hidden, 2 conv_channels): 15 x 512 x 1024
+#: float64, 63 MB, with all three at their bounds
+MAX_CONV_CHANNELS = 512
+#: the same conv.w, and the convolution unfolds kernel_width frames of
+#: every step: (16, 48, 15 x 512) float64, 47 MB at batch 16, seq_len 48
+MAX_KERNEL_WIDTH = 15
+#: n-gram selection runs one np.unique pass over the corpus positions per
+#: token of a gram and keeps limit n-tuples: 700 x 64 token references
+#: at the default limit
+MAX_NGRAM_N = 64
 
 
 @dataclass
@@ -159,26 +187,28 @@ def _validate(cfg: ExperimentConfig) -> None:
     # every bound is written as the condition that holds, so NaN fails it
     checks = [
         (cfg.folds >= 2, "folds must be >= 2"),
-        (cfg.embedding.k >= 1, "embedding k must be >= 1"),
-        (cfg.embedding.window >= 1, "embedding window must be >= 1"),
+        (1 <= cfg.embedding.k <= MAX_EMBED_K, f"embedding k must be in 1..{MAX_EMBED_K}"),
+        (1 <= cfg.embedding.window <= MAX_WINDOW,
+         f"embedding window must be in 1..{MAX_WINDOW}"),
         (cfg.embedding.epochs >= 1, "embedding epochs must be >= 1"),
         (cfg.embedding.learning_rate > 0, "embedding learning_rate must be > 0"),
         (cfg.embedding.x_max > 0, "embedding x_max must be > 0"),
         (cfg.embedding.alpha >= 0, "embedding alpha must be >= 0"),
         (cfg.embedding.min_count >= 1, "embedding min_count must be >= 1"),
         (cfg.model.seq_len >= 1, "model seq_len must be >= 1"),
-        (cfg.model.hidden >= 1, "model hidden must be >= 1"),
-        (cfg.model.conv_channels >= 1, "model conv_channels must be >= 1"),
-        (cfg.model.kernel_width >= 1 and cfg.model.kernel_width % 2 == 1,
-         "model kernel_width must be odd and >= 1"),
-        (cfg.model.arch in ("mcc_rcnn", "lstm", "gcnn"), "unknown model arch"),
+        (1 <= cfg.model.hidden <= MAX_HIDDEN, f"model hidden must be in 1..{MAX_HIDDEN}"),
+        (1 <= cfg.model.conv_channels <= MAX_CONV_CHANNELS,
+         f"model conv_channels must be in 1..{MAX_CONV_CHANNELS}"),
+        (1 <= cfg.model.kernel_width <= MAX_KERNEL_WIDTH and cfg.model.kernel_width % 2 == 1,
+         f"model kernel_width must be odd and in 1..{MAX_KERNEL_WIDTH}"),
+        (cfg.model.arch in ARCHS, "unknown model arch"),
         (cfg.model.features in LAYERS, "unknown feature layer"),
         (cfg.train.learning_rate > 0, "train learning_rate must be > 0"),
         (cfg.train.epochs >= 1, "train epochs must be >= 1"),
         (cfg.train.batch_size >= 1, "train batch_size must be >= 1"),
         (cfg.ngram.limit >= 1, "ngram limit must be >= 1"),
-        (all(n >= 1 for n in cfg.ngram.sweep) and cfg.ngram.sweep,
-         "ngram sweep must list integers >= 1"),
+        (all(1 <= n <= MAX_NGRAM_N for n in cfg.ngram.sweep) and cfg.ngram.sweep,
+         f"ngram sweep must list integers in 1..{MAX_NGRAM_N}"),
     ]
     for ok, message in checks:
         if not ok:

@@ -62,7 +62,7 @@ from ..features import (
     sequence_to_matrix,
 )
 from ..metrics import confusion, kfold_split, ovr_accuracy, standard_metrics
-from ..neural import ModelConfig, TrainConfig, predict, train
+from ..neural import ARCHS, ModelConfig, TrainConfig, predict, train
 from .config import LAYERS, STREAMS, ExperimentConfig, config_echo
 from .ingest import ingest_corpus
 
@@ -93,12 +93,12 @@ def derive_seed(root: int, stage: int, fold: int = 0) -> int:
 def prepare_dataset(cfg: ExperimentConfig) -> LabeledDataset:
     """Ingest and extract the labelled corpus, one record per sample.
 
-    ingest_corpus decides which files and labels meet.  A listing
-    without code-section instructions is dropped and logged; an empty
-    API sequence is kept (its feature rows are all zero).  Records are
-    (sample_id, (opcode seq, api seq), label), sorted by sample id,
-    and ``l`` is the largest label among them.  Raises NoCode when no
-    labelled listing has code.
+    ingest_corpus decides which files and labels meet, and their order
+    (by sample id).  A listing without code-section instructions is
+    dropped and logged; an empty API sequence is kept (its feature rows
+    are all zero).  Records are (sample_id, (opcode seq, api seq),
+    label), and ``l`` is the largest label among them.  Raises NoCode
+    when no labelled listing has code.
     """
     asm_files, labels = ingest_corpus(cfg.corpus, cfg.labels)
     records = []
@@ -112,9 +112,6 @@ def prepare_dataset(cfg: ExperimentConfig) -> LabeledDataset:
         records.append((asm.sample_id, (op_seq, api_seq), labels[asm.sample_id]))
     if not records:
         raise NoCode(f"no labelled listing under {cfg.corpus} has code-section instructions")
-    # ingest returns files in path order, which is not id order:
-    # "a-b.asm" sorts before "a.asm", but id "a" before "a-b"
-    records.sort(key=lambda r: r[0])
     return LabeledDataset(records=tuple(records), l=max(y for _s, _p, y in records))
 
 
@@ -271,9 +268,9 @@ def _suite_a(cfg, fold, train_split, test_split):
 
 def _suite_b1(cfg, fold, train_split, test_split):
     to_matrix = glove_matrixer("opcode", train_split, cfg, fold)
-    for variant, arch in (("opcode_lstm", "lstm"), ("opcode_gcnn", "gcnn"),
-                          ("opcode_mccrcnn", "mcc_rcnn")):
-        yield variant, _nn_predictions(arch, to_matrix, cfg, fold, train_split, test_split)
+    for arch in ARCHS:
+        yield (f"opcode_{arch.replace('_', '')}",
+               _nn_predictions(arch, to_matrix, cfg, fold, train_split, test_split))
     # linear SVM on the time average of the embedded sequence
     xtr = np.stack([to_matrix(p).mean(axis=0) for p in train_split.payloads()])
     xte = np.stack([to_matrix(p).mean(axis=0) for p in test_split.payloads()])

@@ -59,15 +59,13 @@ def read_labels(path) -> dict[str, int]:
 
 
 def ingest_corpus(corpus_dir, labels_path) -> tuple[list[AsmFile], dict[str, int]]:
-    """Load every labelled .asm file under corpus_dir, in path order.
+    """Load every labelled .asm file under corpus_dir, in sample id order.
 
-    Path order is not always id order ("a-b.asm" sorts before "a.asm",
-    but id "a" before "a-b"); prepare_dataset sorts by id itself.
     The sample id is the file stem.  Files without a label and labels
     without a file are dropped and logged.
     """
     root = Path(corpus_dir)
-    paths = sorted(root.glob("*.asm"))
+    paths = sorted(root.glob("*.asm"), key=lambda p: p.stem)
     if not paths:
         raise NoAsmFiles(f"no .asm files under {root}")
     labels = read_labels(labels_path)

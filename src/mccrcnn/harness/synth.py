@@ -83,6 +83,14 @@ _COMMENT_POOL = ("; ----------------", "; main body", "; check result", "; clean
 #: allocated
 MAX_LEN = 100_000
 
+#: upper bounds on the corpus shape, which keep sample ids at their fixed
+#: widths (two-digit family, four-digit index).  Every family draws an
+#: opcode chain (26 x 26 cumulative probabilities by default), and every
+#: sample's text stays in memory until the corpus is written: 4.6 KB a
+#: sample on average at the default lengths, so ~4.6 GB at both bounds
+MAX_FAMILIES = 99
+MAX_SAMPLES_PER_FAMILY = 9_999
+
 #: item kinds that take no bytes (align pads to the next 16, undrawn)
 _UNSIZED = frozenset({"label", "comment", "blank", "align"})
 
@@ -108,12 +116,12 @@ class SyntheticCorpusSpec:
 
 
 def _validate_spec(spec: SyntheticCorpusSpec) -> None:
-    if spec.families < 2:
-        raise ValueError("families must be >= 2")
+    if not 2 <= spec.families <= MAX_FAMILIES:
+        raise ValueError(f"families must be in 2..{MAX_FAMILIES}")
     if spec.fusion_mode and spec.families != 2:
         raise ValueError("fusion_mode corpora use exactly 2 families")
-    if spec.samples_per_family < 1:
-        raise ValueError("samples_per_family must be >= 1")
+    if not 1 <= spec.samples_per_family <= MAX_SAMPLES_PER_FAMILY:
+        raise ValueError(f"samples_per_family must be in 1..{MAX_SAMPLES_PER_FAMILY}")
     if not (30 <= spec.min_len <= spec.max_len):
         raise ValueError("need 30 <= min_len <= max_len")
     if spec.max_len > MAX_LEN:

@@ -19,8 +19,8 @@ convolution is likewise one stacked kernel W (w x in x 2c) and bias b
 gate A, so the forward is one matmul and the backward one per gradient.
 It zero-pads (w - 1) / 2 frames on both sides (odd w only) so the time
 length is preserved.  Ablations are configuration, not
-code: arch "lstm" pools the LSTM output directly, arch "gcnn" convolves
-the raw input.
+code (ARCHS): arch "lstm" pools the LSTM output directly, arch "gcnn"
+convolves the raw input.  Every forward first checks the input width.
 
 All gradients are hand-derived (BPTT through the LSTM, column unfolding
 for the convolution, subgradient routed to the argmax for the pool) and
@@ -48,10 +48,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embedding import DivergedLoss
-from .errors import EmptyTrainSet, PipelineError
+from .errors import DivergedLoss, EmptyTrainSet, PipelineError, ShapeMismatch
 
 log = logging.getLogger(__name__)
+
+#: architecture names, ablations first, and each one's (LSTM, gated conv)
+ARCHS = ("lstm", "gcnn", "mcc_rcnn")
+_LAYERS = dict(zip(ARCHS, ((True, False), (False, True), (True, True))))
 
 
 class EvenKernelWidth(PipelineError):
@@ -151,12 +154,10 @@ class ModelParams:
 
     @property
     def arch(self) -> str:
-        if self.lstm is not None and self.conv is not None:
-            return "mcc_rcnn"
-        if self.lstm is not None:
-            return "lstm"
-        if self.conv is not None:
-            return "gcnn"
+        layers = (self.lstm is not None, self.conv is not None)
+        for name, has in _LAYERS.items():
+            if has == layers:
+                return name
         raise ValueError("model has neither an LSTM nor a convolution")
 
     @property
@@ -170,7 +171,7 @@ class ModelParams:
 class ModelConfig:
     """Architecture knobs; hidden size lives in TrainConfig."""
 
-    arch: str = "mcc_rcnn"  # "mcc_rcnn" | "lstm" | "gcnn"
+    arch: str = "mcc_rcnn"  # a name in ARCHS
     conv_channels: int | None = None  # defaults to the hidden size
     kernel_width: int = 3
 
@@ -201,8 +202,9 @@ def named_params(params: ModelParams) -> dict[str, np.ndarray]:
 def init_params(model_cfg: ModelConfig, input_dim: int, classes: int,
                 hidden: int, seed: int = 0) -> ModelParams:
     """Seeded init: weights uniform within +-1/sqrt(fan_in), biases zero."""
-    if model_cfg.arch not in ("mcc_rcnn", "lstm", "gcnn"):
+    if model_cfg.arch not in ARCHS:
         raise ValueError(f"unknown arch {model_cfg.arch!r}")
+    use_lstm, use_conv = _LAYERS[model_cfg.arch]
     rng = np.random.default_rng(seed)
 
     def uniform(shape, fan_in):
@@ -212,12 +214,12 @@ def init_params(model_cfg: ModelConfig, input_dim: int, classes: int,
     lstm = None
     conv = None
     pooled_dim = None
-    if model_cfg.arch in ("mcc_rcnn", "lstm"):
+    if use_lstm:
         z_dim = input_dim + hidden
         lstm = LstmParams(w=uniform((4 * hidden, z_dim), z_dim), b=np.zeros(4 * hidden))
         pooled_dim = hidden
-    if model_cfg.arch in ("mcc_rcnn", "gcnn"):
-        in_ch = hidden if model_cfg.arch == "mcc_rcnn" else input_dim
+    if use_conv:
+        in_ch = hidden if use_lstm else input_dim
         out_ch = model_cfg.conv_channels or hidden
         width = model_cfg.kernel_width
         # the linear kernel's draw, then the gate kernel's, side by side
@@ -440,8 +442,12 @@ def _forward_batch(params: ModelParams, x: np.ndarray, cache: dict | None = None
     """Class probabilities of a (B, T, k) batch.
 
     Only a caller that backpropagates passes ``cache``; it is filled with
-    each layer's activations and the pool's argmax.
+    each layer's activations and the pool's argmax.  Raises ShapeMismatch
+    when the input width is not the model's.
     """
+    if x.shape[-1] != params.input_dim:
+        raise ShapeMismatch(f"input has {x.shape[-1]} columns, "
+                            f"the model takes {params.input_dim}")
     cur = x
     if params.lstm is not None:
         sub = None if cache is None else cache.setdefault("lstm", {})

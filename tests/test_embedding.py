@@ -359,16 +359,17 @@ def test_trained_arrays_are_separate_and_own_their_data():
             assert not np.shares_memory(arrays[x], arrays[y])
 
 
-def test_final_vector_is_center_plus_context():
-    corpus = small_corpus()
-    v = build_vocab(corpus)
-    cooc = count_cooccurrence(corpus, v, window=3)
-    table, _ = train_glove(cooc, v, k=4, epochs=3, seed=1)
-    for r, tok in enumerate(table.tokens):
-        assert np.array_equal(table.vector(tok), table.w[r] + table.w_ctx[r])
+def final_row(table, tok):
+    """The contract of a final row: w[r] + w_ctx[r], or zeros for OOV."""
+    if tok not in table:
+        return np.zeros(table.k)
+    r = table.tokens.index(tok)
+    return table.w[r] + table.w_ctx[r]
 
 
 def test_vectors_are_final_vectors_with_zero_rows_for_oov():
+    """The one read of final rows: the feature matrices, the text export
+    and cosine_similarity all go through ``vectors``."""
     corpus = small_corpus()
     v = build_vocab(corpus)
     table, _ = train_glove(count_cooccurrence(corpus, v, window=3), v, k=4, epochs=3, seed=1)
@@ -376,11 +377,11 @@ def test_vectors_are_final_vectors_with_zero_rows_for_oov():
     rows = table.vectors(tokens)
     assert rows.shape == (len(tokens), 4) and rows.dtype == np.float64
     for tok, row in zip(tokens, rows):
-        want = table.vector(tok) if tok in table else np.zeros(4)
-        assert row.tobytes() == want.tobytes(), tok  # bit for bit
+        assert row.tobytes() == final_row(table, tok).tobytes(), tok  # bit for bit
     assert table.vectors([]).shape == (0, 4)
     table.w[0] += 1.0  # tables are mutable: every lookup reads the current arrays
-    assert table.vectors(table.tokens[:1])[0].tobytes() == table.vector(table.tokens[0]).tobytes()
+    tok = table.tokens[0]
+    assert table.vectors([tok])[0].tobytes() == final_row(table, tok).tobytes()
 
 
 # ------------------------------------------- exactness of the level schedule
@@ -541,6 +542,9 @@ def test_cosine_same_token_is_one():
     v = build_vocab(corpus)
     table, _ = train_glove(count_cooccurrence(corpus, v, 3), v, k=4, epochs=2, seed=0)
     assert cosine_similarity(table, "mov", "mov") == pytest.approx(1.0)
+    va, vb = table.vectors(["mov", "push"])  # the final rows, as the matrices read them
+    want = float(va @ vb / (np.linalg.norm(va) * np.linalg.norm(vb)))
+    assert cosine_similarity(table, "mov", "push") == want
 
 
 def test_cosine_missing_token_and_zero_vector():
@@ -565,4 +569,4 @@ def test_text_export_round_trips_final_vectors(tmp_path):
     for row in rows:
         tok, *values = row.split(" ")
         back = np.array([float(v) for v in values])
-        assert back.tobytes() == table.vector(tok).tobytes(), tok  # bit for bit
+        assert back.tobytes() == table.vectors([tok])[0].tobytes(), tok  # bit for bit

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from mccrcnn.embedding import EmbeddingTable
+from mccrcnn.errors import ShapeMismatch
 from mccrcnn.extraction import SequenceKind, TokenSequence
 from mccrcnn.features import (
     LabeledDataset,
     NgramFeatureSet,
-    ShapeMismatch,
     fuse,
     ngram_id_sequence,
     ngram_vector,
@@ -39,8 +39,8 @@ def test_matrix_pads_short_sequences_with_zero_rows():
     t = table_for(["mov", "push"])
     m = sequence_to_matrix(seq(["push", "mov"]), t, t=5)
     assert m.shape == (5, 3) and m.dtype == np.float64
-    assert np.array_equal(m[0], t.vector("push"))
-    assert np.array_equal(m[1], t.vector("mov"))
+    assert np.array_equal(m[0], t.vectors(["push"])[0])
+    assert np.array_equal(m[1], t.vectors(["mov"])[0])
     assert not m[2:].any()
 
 
@@ -48,7 +48,7 @@ def test_matrix_truncates_long_sequences_at_the_head():
     t = table_for(["a", "b", "c"])
     m = sequence_to_matrix(seq(["a", "b", "c", "a"]), t, t=2)
     assert m.shape == (2, 3)
-    assert np.array_equal(m[1], t.vector("b"))
+    assert np.array_equal(m[1], t.vectors(["b"])[0])
 
 
 def test_matrix_unknown_tokens_become_zero_rows():
@@ -76,7 +76,7 @@ def test_matrix_matches_per_token_vectors():
             want = np.zeros((t, k))
             for pos, tok in enumerate(tokens[:t]):
                 if tok in table:
-                    want[pos] = table.vector(tok)
+                    want[pos] = table.vectors([tok])[0]
             assert np.array_equal(got, want), (tokens, t)
 
 

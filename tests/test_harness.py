@@ -22,6 +22,12 @@ from mccrcnn.features import (
     select_ngram_features,
 )
 from mccrcnn.harness.config import (
+    MAX_CONV_CHANNELS,
+    MAX_EMBED_K,
+    MAX_HIDDEN,
+    MAX_KERNEL_WIDTH,
+    MAX_NGRAM_N,
+    MAX_WINDOW,
     EmbeddingSettings,
     ExperimentConfig,
     ModelSettings,
@@ -60,7 +66,9 @@ from mccrcnn.harness.persist import (
 )
 from mccrcnn.harness.synth import (
     DEFAULT_APIS,
+    MAX_FAMILIES,
     MAX_LEN,
+    MAX_SAMPLES_PER_FAMILY,
     SyntheticCorpusSpec,
     _validate_spec,
     generate_synthetic_corpus,
@@ -150,6 +158,25 @@ def test_config_requires_a_seed(tmp_path):
 def test_config_rejects_bad_input(tmp_path, overrides, needle):
     with pytest.raises(ConfigError, match=needle):
         load_config(write_cfg(tmp_path, ini_text(**overrides)))
+
+
+@pytest.mark.parametrize("section, key, bound, step", [
+    ("embedding", "k", MAX_EMBED_K, 1),
+    ("embedding", "window", MAX_WINDOW, 1),
+    ("model", "hidden", MAX_HIDDEN, 1),
+    ("model", "conv_channels", MAX_CONV_CHANNELS, 1),
+    ("model", "kernel_width", MAX_KERNEL_WIDTH, 2),  # odd widths only
+    ("ngram", "sweep", MAX_NGRAM_N, 1),
+    ("synthetic", "families", MAX_FAMILIES, 1),
+    ("synthetic", "samples_per_family", MAX_SAMPLES_PER_FAMILY, 1),
+])
+def test_config_size_bounds(tmp_path, section, key, bound, step):
+    """Each size loads at its bound and is refused one step past it.
+    Only the config is loaded: nothing is allocated or generated."""
+    cfg = load_config(write_cfg(tmp_path, ini_text(**{section: {key: str(bound)}})))
+    assert getattr(getattr(cfg, section), key) in (bound, (bound,))
+    with pytest.raises(ConfigError, match=key.split("_")[0]):
+        load_config(write_cfg(tmp_path, ini_text(**{section: {key: str(bound + step)}})))
 
 
 def test_config_booleans_take_configparser_spellings(tmp_path):
@@ -830,6 +857,16 @@ def test_cli_exit_code_matrix(tmp_path, capsys):
         "minlen10": {"synthetic": {"min_len": "10"}},
         # loaded, and then gen ran a per-token loop of ~5·10**11 draws
         "maxlen1e12": {"synthetic": {"max_len": "1000000000000"}},
+        # loaded, and then numpy raised MemoryError or ValueError (exit 1),
+        # or gen or B2 ran past any timeout
+        "k1e12": {"embedding": {"k": "1000000000000"}},
+        "window1e12": {"embedding": {"window": "1000000000000"}},
+        "hidden1e12": {"model": {"hidden": "1000000000000"}},
+        "channels1e12": {"model": {"conv_channels": "1000000000000"}},
+        "width1e12": {"model": {"kernel_width": "1000000000001"}},
+        "sweep1e12": {"ngram": {"sweep": "1000000000000"}},
+        "families1e12": {"synthetic": {"families": "1000000000000"}},
+        "perfamily1e12": {"synthetic": {"samples_per_family": "1000000000000"}},
     }
     for stem, overrides in bad_values.items():
         write_cfg(tmp_path, ini_text(**overrides), f"{stem}.ini")

@@ -6,9 +6,10 @@ import warnings
 import numpy as np
 import pytest
 
-from mccrcnn.embedding import DivergedLoss
+from mccrcnn.errors import DivergedLoss, PipelineError, ShapeMismatch
 from mccrcnn.features import LabeledDataset
 from mccrcnn.neural import (
+    ARCHS,
     EmptyTrainSet,
     EvenKernelWidth,
     GatedConvParams,
@@ -818,6 +819,27 @@ def test_train_rejects_bad_inputs():
     params = init_params(ModelConfig(), input_dim=3, classes=2, hidden=3)
     with pytest.raises(ValueError):
         batch_loss(params, [(np.zeros((4, 3)), 5)])
+
+
+@pytest.mark.parametrize("arch", ARCHS)
+def test_every_forward_refuses_a_wrong_input_width(arch):
+    """The model checks its input width itself, before any matmul, so
+    every entry point fails with a typed error, not numpy's ValueError."""
+    params = init_params(ModelConfig(arch=arch, conv_channels=3),
+                         input_dim=4, classes=2, hidden=3, seed=0)
+    assert params.arch == arch and params.input_dim == 4
+    assert issubclass(ShapeMismatch, PipelineError)
+    rng = np.random.default_rng(0)
+    for width in (3, 5):  # one column too narrow, one too wide
+        mats = [rng.normal(size=(6, width)) for _ in range(2)]
+        batch = [(m, 1) for m in mats]
+        for call in (lambda: predict(params, mats), lambda: mcc_rcnn_forward(params, mats[0]),
+                     lambda: loss_and_gradients(params, batch), lambda: batch_loss(params, batch)):
+            with pytest.raises(ShapeMismatch, match=f"input has {width} columns, "
+                                                    "the model takes 4"):
+                call()
+    ok = [rng.normal(size=(6, 4)) for _ in range(2)]
+    assert predict(params, ok).shape == (2,)
 
 
 def test_predict_is_one_based_and_batch_invariant():

@@ -23,7 +23,8 @@ def test_stall_survey_rebuilds_the_scan_set_up(tmp_path):
     survey = load(ROOT / "scripts" / "stall_survey.py")
     workloads = load(ROOT / "bench" / "workloads.py")
     assert len(survey.DEFAULT_SEEDS) == 42 and survey.DEFAULT_SEEDS[:2] == (1416900791, 205)
-    accuracy, loss = survey.survey_seed(4, tmp_path / "survey", per_family=6, **workloads.TINY)
+    accuracy, loss, missed = survey.survey_seed(4, tmp_path / "survey", per_family=6,
+                                                **workloads.TINY)
     assert 0.0 <= accuracy <= 1.0 and math.isfinite(loss)
 
     scan = workloads.Scan(4, "tiny", tmp_path / "scan")
@@ -33,17 +34,23 @@ def test_stall_survey_rebuilds_the_scan_set_up(tmp_path):
     metrics = scan.finish()
     assert not scan.problems, scan.problems
     assert (accuracy, loss) == (metrics["accuracy"][0], metrics["train_loss"][0])
+    held_out = [sid for sid, _raw, _y in scan.listings]
+    assert len(missed) == round((1 - accuracy) * len(held_out))
+    assert set(missed) <= set(held_out)
 
 
 def test_stall_survey_count_line_gives_the_largest_stalled_loss(monkeypatch, capsys):
     """A stubbed survey_seed: no corpus is generated and nothing trains.
     Seed 1 reaches 1.0 with the largest loss, which the count line skips."""
     survey = load(ROOT / "scripts" / "stall_survey.py")
-    outcomes = {1: (1.0, 0.9), 2: (0.333, 0.691), 3: (0.987, 0.024), 4: (0.8, 0.32)}
+    outcomes = {1: (1.0, 0.9, []), 2: (0.333, 0.691, ["01_0003", "02_0007"]),
+                3: (0.987, 0.024, ["03_0001"]), 4: (0.8, 0.32, ["01_0000"])}
     monkeypatch.setattr(survey, "survey_seed", lambda seed, workdir: outcomes[seed])
     assert survey.main(["1", "2", "3", "4"]) == 0
     out = capsys.readouterr().out.splitlines()
-    assert out[1:5] == ["1\t1.0\t0.9", "2\t0.333\t0.691", "3\t0.987\t0.024", "4\t0.8\t0.32"]
+    assert out[0] == "seed\theldout_accuracy\tfinal_loss\tmissed_ids"
+    assert out[1:5] == ["1\t1.0\t0.9\t-", "2\t0.333\t0.691\t01_0003,02_0007",
+                        "3\t0.987\t0.024\t03_0001", "4\t0.8\t0.32\t01_0000"]
     assert out[-1] == "below held-out 1.0: 3 of 4, largest final loss among them 0.691"
     assert survey.main(["1"]) == 0
     out = capsys.readouterr().out.splitlines()
