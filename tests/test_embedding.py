@@ -367,6 +367,16 @@ def final_row(table, tok):
     return table.w[r] + table.w_ctx[r]
 
 
+def test_final_vector_is_center_plus_context():
+    corpus = small_corpus()
+    v = build_vocab(corpus)
+    cooc = count_cooccurrence(corpus, v, window=3)
+    table, _ = train_glove(cooc, v, k=4, epochs=3, seed=1)
+    rows = table.vectors(table.tokens)
+    for r, tok in enumerate(table.tokens):
+        assert np.array_equal(rows[r], table.w[r] + table.w_ctx[r])
+
+
 def test_vectors_are_final_vectors_with_zero_rows_for_oov():
     """The one read of final rows: the feature matrices, the text export
     and cosine_similarity all go through ``vectors``."""
