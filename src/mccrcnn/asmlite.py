@@ -28,12 +28,14 @@ column followed by a mnemonic "0".
 Every line goes through one loop, ``_parse_lines``: ``parse_asm_file``
 runs it over a listing and ``parse_line`` over a list of one line.
 Operand text repeats within a listing, so the loop splits each distinct
-operand text once per call and gives equal texts one shared tuple; the
-memo is dropped when the call returns, so no input grows it past its
-own listing.  On the seed-1 synthetic corpus (300 listings, 46,657
-lines, ``parse_asm_bytes``, minimum of 10 interleaved runs, 2 vCPUs)
-parsing takes 2.1 µs/line, against 3.3 µs/line for the per-line
-loop it replaced on the same host.
+operand text once per call and gives equal texts one shared tuple.  It
+also lower-cases each mnemonic spelling once per call, and equal
+mnemonics share one ``str``, in the records and in the opcode tokens
+extracted from them.  Both memos are dropped when the call returns, so
+no input grows them past its own listing.  On the seed-1 synthetic
+corpus (300 listings, 46,657 lines, ``parse_asm_bytes``, minimum of 10
+interleaved runs, 2 vCPUs) parsing takes 2.1 µs/line, against 3.3
+µs/line for the per-line loop it replaced on the same host.
 """
 
 from __future__ import annotations
@@ -117,7 +119,10 @@ def _parse_lines(lines: Iterable[str]) -> tuple[ParsedLine, ...]:
 
     Operand text repeats within a listing, so the split of each distinct
     operand text (``_INSN``'s last group) is memoised for this call only;
-    records with equal operand text share one tuple.  Records are built
+    records with equal operand text share one tuple.  ``names`` maps each
+    mnemonic spelling, and each lower-case mnemonic, to the one lower-case
+    string this call uses for it, so equal mnemonics share one ``str``
+    (``MOV`` and ``mov`` included).  Records are built
     by ``tuple.__new__`` from positional tuples, which skips the call to
     ``ParsedLine.__new__`` and its argument binding.
     """
@@ -128,6 +133,7 @@ def _parse_lines(lines: Iterable[str]) -> tuple[ParsedLine, ...]:
     label_kind, unparsed = LineKind.LABEL, LineKind.UNPARSED
     directives = DATA_DIRECTIVES
     memo: dict[str, tuple[str, ...]] = {}
+    names: dict[str, str] = {}
     out = []
     append = out.append
     for line in lines:
@@ -156,8 +162,11 @@ def _parse_lines(lines: Iterable[str]) -> tuple[ParsedLine, ...]:
         if insn is None:
             append(new(ParsedLine, (unparsed, section, address, None, (), None)))
             continue
-        mnemonic, rest = insn.groups()
-        mnemonic = mnemonic.lower()
+        spelling, rest = insn.groups()
+        mnemonic = names.get(spelling)
+        if mnemonic is None:
+            lower = spelling.lower()
+            mnemonic = names[spelling] = names.setdefault(lower, lower)
         operands = memo.get(rest)
         if operands is None:
             operands = memo[rest] = tuple(split_operands(" ".join(rest.split())))

@@ -54,8 +54,9 @@ def _cmd_gen(cfg: ExperimentConfig, args) -> int:
 
 def _cmd_ingest(cfg: ExperimentConfig, args) -> int:
     files, labels = ingest_corpus(cfg.corpus, cfg.labels)
+    # parses every listing, one at a time, so a bad file still fails here
     counts = Counter(labels[f.sample_id] for f in files)
-    print(f"samples={len(files)} classes={max(labels.values())}")
+    print(f"samples={counts.total()} classes={max(labels.values())}")
     for cls in sorted(counts):
         print(f"class {cls}: {counts[cls]}")
     return 0

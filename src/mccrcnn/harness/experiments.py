@@ -90,26 +90,37 @@ def derive_seed(root: int, stage: int, fold: int = 0) -> int:
     return int(np.random.SeedSequence([root, stage, fold]).generate_state(1)[0])
 
 
+def _streams(asm):
+    """(sample id, (opcode seq, api seq)) of one listing; None for a listing without code."""
+    op_seq = extract_opcode_sequence(asm)
+    if not op_seq.tokens:
+        return asm.sample_id, None
+    return asm.sample_id, (op_seq, extract_key_api_sequence(build_relation_graph(asm), asm))
+
+
 def prepare_dataset(cfg: ExperimentConfig) -> LabeledDataset:
     """Ingest and extract the labelled corpus, one record per sample.
 
     ingest_corpus decides which files and labels meet, and their order
-    (by sample id).  A listing without code-section instructions is
-    dropped and logged; an empty API sequence is kept (its feature rows
-    are all zero).  Records are (sample_id, (opcode seq, api seq),
-    label), and ``l`` is the largest label among them.  Raises NoCode
-    when no labelled listing has code.
+    (by sample id).  Listings are parsed one at a time: each one's two
+    streams are extracted and its parse records dropped before the next
+    file is read, so one listing's records are alive at a time.  A read
+    or parse error (OSError, EmptyFile) is raised when its file is
+    reached.  A listing without code-section instructions is dropped
+    and logged; an empty API sequence is kept (its feature rows are all
+    zero).  Records are (sample_id, (opcode seq, api seq), label), and
+    ``l`` is the largest label among them.  Raises NoCode when no
+    labelled listing has code.
     """
     asm_files, labels = ingest_corpus(cfg.corpus, cfg.labels)
     records = []
-    for asm in asm_files:
-        op_seq = extract_opcode_sequence(asm)
-        if not op_seq.tokens:
-            log.warning("sample %s has no code instructions, dropped", asm.sample_id)
+    # map passes each AsmFile on and keeps no reference to it; a for loop
+    # over asm_files would keep the last one alive through the next parse
+    for sid, payload in map(_streams, asm_files):
+        if payload is None:
+            log.warning("sample %s has no code instructions, dropped", sid)
             continue
-        graph = build_relation_graph(asm)
-        api_seq = extract_key_api_sequence(graph, asm)
-        records.append((asm.sample_id, (op_seq, api_seq), labels[asm.sample_id]))
+        records.append((sid, payload, labels[sid]))
     if not records:
         raise NoCode(f"no labelled listing under {cfg.corpus} has code-section instructions")
     return LabeledDataset(records=tuple(records), l=max(y for _s, _p, y in records))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import logging
+from collections.abc import Iterator
 from pathlib import Path
 
 from ..asmlite import AsmFile, parse_asm_bytes
@@ -58,28 +59,33 @@ def read_labels(path) -> dict[str, int]:
     return labels
 
 
-def ingest_corpus(corpus_dir, labels_path) -> tuple[list[AsmFile], dict[str, int]]:
-    """Load every labelled .asm file under corpus_dir, in sample id order.
+def ingest_corpus(corpus_dir, labels_path) -> tuple[Iterator[AsmFile], dict[str, int]]:
+    """Match the .asm files under corpus_dir to the label table.
 
-    The sample id is the file stem.  Files without a label and labels
-    without a file are dropped and logged.
+    The sample id is the file stem.  Files meet labels here, from paths
+    and the table alone: files without a label and labels without a file
+    are dropped and logged, and NoAsmFiles or MissingLabels is raised
+    before anything is read.  Returns (listings, kept labels).  The
+    listings come in sample id order, and each file is read and parsed
+    only when the iterator reaches it, so a caller that drops each
+    AsmFile before taking the next holds one listing's records at a
+    time.  Read and parse errors (OSError, EmptyFile) are therefore
+    raised during the iteration.
     """
     root = Path(corpus_dir)
     paths = sorted(root.glob("*.asm"), key=lambda p: p.stem)
     if not paths:
         raise NoAsmFiles(f"no .asm files under {root}")
     labels = read_labels(labels_path)
-    parsed: list[AsmFile] = []
-    kept: dict[str, int] = {}
+    matched: list[Path] = []
     for path in paths:
-        sid = path.stem
-        if sid not in labels:
+        if path.stem in labels:
+            matched.append(path)
+        else:
             log.warning("file %s has no label, dropped", path.name)
-            continue
-        parsed.append(parse_asm_bytes(path.read_bytes(), sid))
-        kept[sid] = labels[sid]
+    kept = {path.stem: labels[path.stem] for path in matched}
     for sid in sorted(set(labels) - set(kept)):
         log.warning("label for %r has no .asm file, dropped", sid)
-    if not parsed:
+    if not matched:
         raise NoAsmFiles(f"no .asm file under {root} matches the label table")
-    return parsed, kept
+    return (parse_asm_bytes(path.read_bytes(), path.stem) for path in matched), kept

@@ -85,9 +85,9 @@ MAX_LEN = 100_000
 
 #: upper bounds on the corpus shape, which keep sample ids at their fixed
 #: widths (two-digit family, four-digit index).  Every family draws an
-#: opcode chain (26 x 26 cumulative probabilities by default), and every
-#: sample's text stays in memory until the corpus is written: 4.6 KB a
-#: sample on average at the default lengths, so ~4.6 GB at both bounds
+#: opcode chain (26 x 26 cumulative probabilities by default); each
+#: listing is written as soon as it is drawn, so only the manifest (one
+#: small entry per sample) grows with the corpus
 MAX_FAMILIES = 99
 MAX_SAMPLES_PER_FAMILY = 9_999
 
@@ -307,14 +307,8 @@ def _render_sample(rng, ops_stream_main, ops_stream_sub, motif):
     return text, main_apis + [sub_api]
 
 
-def generate_synthetic_corpus(spec: SyntheticCorpusSpec, out_dir) -> dict:
-    """Write <id>.asm files, labels.csv, and manifest.json under out_dir.
-
-    Returns the manifest dict.  Raises ValueError on a bad spec and
-    IoFailure when files cannot be written.
-    """
-    _validate_spec(spec)
-    out = Path(out_dir)
+def _draw_samples(spec: SyntheticCorpusSpec):
+    """Yield (manifest entry, listing text) per sample, in id order."""
     rng = np.random.default_rng(spec.seed)
     ops = spec.opcode_alphabet
     apis = spec.api_alphabet
@@ -336,8 +330,6 @@ def generate_synthetic_corpus(spec: SyntheticCorpusSpec, out_dir) -> dict:
             motif = tuple(apis[i] for i in motif_idx)
             profiles.append((_chain(rng, n_ops), motif))
 
-    samples = []
-    files: dict[str, str] = {}
     for family in range(1, spec.families + 1):
         for i in range(spec.samples_per_family):
             if spec.fusion_mode:
@@ -355,25 +347,37 @@ def generate_synthetic_corpus(spec: SyntheticCorpusSpec, out_dir) -> dict:
             sub_ops = _markov(rng, chain, alphabet, sub_len)
             sid = f"{family:02d}_{i:04d}"
             text, api_seq = _render_sample(rng, main_ops, sub_ops, motif)
-            files[sid] = text
-            samples.append({
+            yield {
                 "id": sid,
                 "file": f"{sid}.asm",
                 "family": family,
                 "opcode_style": op_style,
                 "api_style": api_style,
                 "api_sequence": api_seq,
-            })
+            }, text
 
-    manifest = {
-        "spec": asdict(spec),
-        "samples": samples,
-    }
+
+def generate_synthetic_corpus(spec: SyntheticCorpusSpec, out_dir) -> dict:
+    """Write <id>.asm files, labels.csv, and manifest.json under out_dir.
+
+    Each listing is written as soon as it is drawn, so one listing's
+    text is in memory at a time.  Returns the manifest dict.  Raises
+    ValueError on a bad spec and IoFailure when a file or the directory
+    cannot be written.
+    """
+    _validate_spec(spec)
+    out = Path(out_dir)
+    samples = []
     try:
         out.mkdir(parents=True, exist_ok=True)
-        for sid, text in files.items():
-            with open(out / f"{sid}.asm", "w", encoding="utf-8", newline="\n") as fh:
+        for entry, text in _draw_samples(spec):
+            with open(out / entry["file"], "w", encoding="utf-8", newline="\n") as fh:
                 fh.write(text)
+            samples.append(entry)
+        manifest = {
+            "spec": asdict(spec),
+            "samples": samples,
+        }
         with open(out / "labels.csv", "w", encoding="utf-8", newline="\n") as fh:
             fh.write("Id,Class\n")
             for entry in samples:

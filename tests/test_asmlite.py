@@ -15,6 +15,7 @@ from mccrcnn.asmlite import (
     parse_asm_file,
     parse_line,
 )
+from mccrcnn.extraction import extract_opcode_sequence
 from mccrcnn.harness.synth import SyntheticCorpusSpec, generate_synthetic_corpus
 
 KAGGLE_STYLE = "\n".join([
@@ -499,3 +500,23 @@ def test_listing_parse_depends_on_that_listing_only(corpus_lines):
     assert common - {()}  # equal operand texts occur in both listings
     shared = {id(ln.operands) for ln in after if ln.operands}
     assert shared.isdisjoint(id(ln.operands) for ln in asm_a.lines)
+
+
+def test_equal_mnemonics_in_a_listing_share_one_string(corpus_lines):
+    """Within one listing every mnemonic is one str, whatever its spelling,
+    and the opcode tokens extracted from the records are those same strings;
+    the records still equal the reference, and the next listing gets its
+    own strings: the mnemonic memo lives for one call."""
+    lines = corpus_lines[:3000] + [".text:00402000 MOV eax, 1", ".text:00402004 Mov ebx, 2"]
+    asm = parse_asm_file("\n".join(lines), "a")
+    assert asm.lines == tuple(reference_parse_line(line) for line in lines)
+    first: dict[str, str] = {}
+    for ln in asm.lines:
+        if ln.mnemonic is not None:
+            assert first.setdefault(ln.mnemonic, ln.mnemonic) is ln.mnemonic, ln
+    assert asm.lines[-1].mnemonic is asm.lines[-2].mnemonic is first["mov"]
+    tokens = extract_opcode_sequence(asm).tokens
+    assert len(tokens) > len(first) and all(first[tok] is tok for tok in tokens)
+    again = parse_asm_file("\n".join(lines), "b")
+    assert all(ln.mnemonic is not first[ln.mnemonic]
+               for ln in again.lines if ln.mnemonic is not None)

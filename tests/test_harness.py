@@ -5,6 +5,7 @@ import json
 import logging
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -64,11 +65,13 @@ from mccrcnn.harness.persist import (
     save_embedding,
     save_model,
 )
+from mccrcnn.harness import synth
 from mccrcnn.harness.synth import (
     DEFAULT_APIS,
     MAX_FAMILIES,
     MAX_LEN,
     MAX_SAMPLES_PER_FAMILY,
+    IoFailure,
     SyntheticCorpusSpec,
     _validate_spec,
     generate_synthetic_corpus,
@@ -239,6 +242,38 @@ def test_synth_validation_errors(tmp_path):
     _validate_spec(small_spec(min_len=MAX_LEN, max_len=MAX_LEN))  # the ceiling itself holds
 
 
+def test_synth_writes_each_listing_as_it_is_drawn(tmp_path, monkeypatch):
+    """When a listing is drawn, every earlier one is already on disk."""
+    render = synth._render_sample
+    on_disk = []
+
+    def counting_render(*args):
+        on_disk.append(len(list(tmp_path.glob("*.asm"))))
+        return render(*args)
+
+    monkeypatch.setattr(synth, "_render_sample", counting_render)
+    generate_synthetic_corpus(small_spec(), tmp_path)
+    assert on_disk == list(range(8))
+
+
+def test_synth_write_failures_are_io_failures(tmp_path):
+    """A listing is written as soon as it is drawn; a write that fails part
+    way through the corpus, or a directory that cannot be made, raises
+    IoFailure."""
+    (tmp_path / "a").mkdir()
+    (tmp_path / "a" / "01_0003.asm").mkdir()  # blocks the fourth listing
+    with pytest.raises(IoFailure, match="cannot write corpus under"):
+        generate_synthetic_corpus(small_spec(), tmp_path / "a")
+    written = sorted(p.name for p in (tmp_path / "a").iterdir() if p.is_file())
+    assert written == ["01_0000.asm", "01_0001.asm", "01_0002.asm"]
+    generate_synthetic_corpus(small_spec(), tmp_path / "b")
+    for name in written:
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+    (tmp_path / "file").write_text("not a directory")
+    with pytest.raises(IoFailure, match="cannot write corpus under"):
+        generate_synthetic_corpus(small_spec(), tmp_path / "file")
+
+
 def test_synth_files_parse_and_match_labels(tmp_path):
     manifest = generate_synthetic_corpus(small_spec(), tmp_path)
     assert len(manifest["samples"]) == 8
@@ -338,9 +373,53 @@ def test_ingest_drops_unmatched_with_warnings(tmp_path, caplog):
     )
     with caplog.at_level(logging.WARNING):
         asms, labels = ingest_corpus(tmp_path, labels_path)
+    asms = list(asms)
     assert "99_0000" in caplog.text and "ghost" in caplog.text
     assert len(asms) == 8 and "ghost" not in labels
     assert [a.sample_id for a in asms] == sorted(a.sample_id for a in asms)
+
+
+class ParseCounter:
+    """Stands in for ingest's parse_asm_bytes and keeps a weakref to each
+    AsmFile it returns, and the ids of those still alive as each parse starts."""
+
+    def __init__(self, monkeypatch):
+        self.made: list[weakref.ref] = []
+        self.alive_at_parse: list[list[str]] = []
+        monkeypatch.setattr("mccrcnn.harness.ingest.parse_asm_bytes", self)
+
+    def __call__(self, data, sample_id):
+        alive = [ref() for ref in self.made]
+        self.alive_at_parse.append([asm.sample_id for asm in alive if asm is not None])
+        del alive
+        asm = parse_asm_bytes(data, sample_id)
+        self.made.append(weakref.ref(asm))
+        return asm
+
+
+def test_ingest_parses_each_file_when_the_iterator_reaches_it(tmp_path, monkeypatch):
+    generate_synthetic_corpus(small_spec(), tmp_path)
+    parses = ParseCounter(monkeypatch)
+    asms, labels = ingest_corpus(tmp_path, tmp_path / "labels.csv")
+    assert parses.made == [] and len(labels) == 8
+    ids = []
+    for n in range(1, 9):
+        ids.append(next(asms).sample_id)
+        assert len(parses.made) == n
+    with pytest.raises(StopIteration):
+        next(asms)
+    assert ids == sorted(labels) and len(parses.made) == 8
+
+
+def test_prepare_dataset_holds_one_listing_at_a_time(tmp_path, monkeypatch):
+    generate_synthetic_corpus(small_spec(), tmp_path)
+    parses = ParseCounter(monkeypatch)
+    dataset = prepare_dataset(ExperimentConfig(seed=1, corpus=tmp_path,
+                                               labels=tmp_path / "labels.csv"))
+    assert len(parses.made) == len(dataset) == 8
+    # every earlier AsmFile is dead by the time the next one is parsed
+    assert parses.alive_at_parse == [[]] * 8
+    assert all(ref() is None for ref in parses.made)
 
 
 def test_ingest_errors(tmp_path, caplog):
@@ -730,8 +809,11 @@ def test_cli_pipeline_end_to_end(tmp_path, capsys):
     corpus = tmp_path / "corpus"
     assert (corpus / "labels.csv").exists()
     assert len(list(corpus.glob("*.asm"))) == 12
+    capsys.readouterr()
 
     assert main(["ingest", str(cfg)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "samples=12 classes=2", "class 1: 6", "class 2: 6"]
     assert main(["extract", str(cfg)]) == 0
     out = tmp_path / "out"
     assert (out / "opcode_sequences.tsv").exists()
@@ -752,6 +834,24 @@ def test_cli_pipeline_end_to_end(tmp_path, capsys):
     assert report.startswith("metric,value")
     assert "micro_accuracy" in report
     capsys.readouterr()
+
+
+def test_cli_empty_listing_mid_corpus_exit_3(tmp_path, capsys, monkeypatch):
+    """Listings are parsed as the verb reaches them, so an empty one after
+    three good ones fails mid-iteration: exit 3, one error line, no output."""
+    cfg = write_cfg(tmp_path)
+    assert main(["gen", str(cfg)]) == 0
+    (tmp_path / "corpus" / "01_0003.asm").write_bytes(b"")
+    capsys.readouterr()
+    for verb in ("ingest", "extract"):
+        parses = ParseCounter(monkeypatch)
+        assert main([verb, str(cfg)]) == 3, verb
+        captured = capsys.readouterr()
+        errors = [line for line in captured.err.splitlines() if "error:" in line]
+        assert errors == ["error: 01_0003: no lines to parse"], captured.err
+        assert "Traceback" not in captured.err and captured.out == "", captured
+        assert len(parses.alive_at_parse) == 4 and len(parses.made) == 3, verb
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("layer", ["opcode", "api"])
