@@ -77,7 +77,7 @@ def _zeros(shape: tuple[int, ...], dtype) -> np.ndarray:
                             f"seq_len {shape[0]} is too large") from exc
 
 
-def sequence_to_matrix(seq: TokenSequence, table: EmbeddingTable, t: int = 512) -> np.ndarray:
+def sequence_to_matrix(seq: TokenSequence, table: EmbeddingTable, t: int) -> np.ndarray:
     """Embed a sequence into a (t, k) float64 matrix (truncate head / zero pad)."""
     if t < 1:
         raise ValueError("t must be >= 1")

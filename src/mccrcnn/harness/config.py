@@ -6,6 +6,12 @@ has a code default except the seed, which must come from the file or the
 command line so no run ever depends on wall-clock entropy.  Unknown
 sections or keys raise ConfigError (exit code 2), and relative paths
 resolve against the config file's directory.
+
+Values no run varies are not settable here; each has one home, the
+library default: GloVe's weighting (x_max 100, alpha 3/4), AdaGrad step
+0.05 and min_count 1 in ``embedding``, the classifier's step 0.05 in
+``neural.TrainConfig``, and the n-gram limit 700 in
+``features.select_ngram_features``.
 """
 
 from __future__ import annotations
@@ -48,8 +54,8 @@ MAX_CONV_CHANNELS = 512
 #: every step: (16, 48, 15 x 512) float64, 47 MB at batch 16, seq_len 48
 MAX_KERNEL_WIDTH = 15
 #: n-gram selection runs one np.unique pass over the corpus positions per
-#: token of a gram and keeps limit n-tuples: 700 x 64 token references
-#: at the default limit
+#: token of a gram and keeps the 700 most frequent n-tuples: 700 x 64
+#: token references at the bound
 MAX_NGRAM_N = 64
 
 
@@ -67,10 +73,6 @@ class EmbeddingSettings:
     k: int = 24
     window: int = 8
     epochs: int = 30
-    learning_rate: float = 0.05
-    x_max: float = 100.0
-    alpha: float = 0.75
-    min_count: int = 1
 
 
 @dataclass
@@ -85,14 +87,12 @@ class ModelSettings:
 
 @dataclass
 class TrainSettings:
-    learning_rate: float = 0.05
     epochs: int = 12
     batch_size: int = 16
 
 
 @dataclass
 class NgramSettings:
-    limit: int = 700
     sweep: tuple[int, ...] = (1, 2, 3, 4)
 
 
@@ -184,17 +184,12 @@ def load_config(path, seed_override: int | None = None,
 
 
 def _validate(cfg: ExperimentConfig) -> None:
-    # every bound is written as the condition that holds, so NaN fails it
     checks = [
         (cfg.folds >= 2, "folds must be >= 2"),
         (1 <= cfg.embedding.k <= MAX_EMBED_K, f"embedding k must be in 1..{MAX_EMBED_K}"),
         (1 <= cfg.embedding.window <= MAX_WINDOW,
          f"embedding window must be in 1..{MAX_WINDOW}"),
         (cfg.embedding.epochs >= 1, "embedding epochs must be >= 1"),
-        (cfg.embedding.learning_rate > 0, "embedding learning_rate must be > 0"),
-        (cfg.embedding.x_max > 0, "embedding x_max must be > 0"),
-        (cfg.embedding.alpha >= 0, "embedding alpha must be >= 0"),
-        (cfg.embedding.min_count >= 1, "embedding min_count must be >= 1"),
         (cfg.model.seq_len >= 1, "model seq_len must be >= 1"),
         (1 <= cfg.model.hidden <= MAX_HIDDEN, f"model hidden must be in 1..{MAX_HIDDEN}"),
         (1 <= cfg.model.conv_channels <= MAX_CONV_CHANNELS,
@@ -203,12 +198,12 @@ def _validate(cfg: ExperimentConfig) -> None:
          f"model kernel_width must be odd and in 1..{MAX_KERNEL_WIDTH}"),
         (cfg.model.arch in ARCHS, "unknown model arch"),
         (cfg.model.features in LAYERS, "unknown feature layer"),
-        (cfg.train.learning_rate > 0, "train learning_rate must be > 0"),
         (cfg.train.epochs >= 1, "train epochs must be >= 1"),
         (cfg.train.batch_size >= 1, "train batch_size must be >= 1"),
-        (cfg.ngram.limit >= 1, "ngram limit must be >= 1"),
         (all(1 <= n <= MAX_NGRAM_N for n in cfg.ngram.sweep) and cfg.ngram.sweep,
          f"ngram sweep must list integers in 1..{MAX_NGRAM_N}"),
+        # a repeated n repeats its variants' fold rows, so no mean is written
+        (len(set(cfg.ngram.sweep)) == len(cfg.ngram.sweep), "ngram sweep must not repeat an n"),
     ]
     for ok, message in checks:
         if not ok:

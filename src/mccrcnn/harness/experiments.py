@@ -128,13 +128,9 @@ def prepare_dataset(cfg: ExperimentConfig) -> LabeledDataset:
 
 def fit_embedding(sequences, settings, seed: int) -> EmbeddingTable:
     """Vocabulary, co-occurrence and GloVe training on one fold's split."""
-    vocab = build_vocab(sequences, min_count=settings.min_count)
+    vocab = build_vocab(sequences)
     cooc = count_cooccurrence(sequences, vocab, window=settings.window)
-    table, _losses = train_glove(
-        cooc, vocab, k=settings.k, epochs=settings.epochs,
-        learning_rate=settings.learning_rate, x_max=settings.x_max,
-        alpha=settings.alpha, seed=seed,
-    )
+    table, _losses = train_glove(cooc, vocab, k=settings.k, epochs=settings.epochs, seed=seed)
     return table
 
 
@@ -226,10 +222,8 @@ class _Report:
 
 
 def train_cfg_for(cfg: ExperimentConfig, fold: int) -> TrainConfig:
-    ts = cfg.train
     return TrainConfig(
-        learning_rate=ts.learning_rate, epochs=ts.epochs,
-        hidden=cfg.model.hidden, batch_size=ts.batch_size,
+        epochs=cfg.train.epochs, hidden=cfg.model.hidden, batch_size=cfg.train.batch_size,
         seed=derive_seed(cfg.seed, STAGE_MODEL, fold),
     )
 
@@ -265,7 +259,7 @@ def _nn_predictions(arch, to_matrix, cfg, fold, train_split, test_split):
 def _suite_a(cfg, fold, train_split, test_split):
     op_train = [p[0] for p in train_split.payloads()]
     for n in cfg.ngram.sweep:
-        fs = select_ngram_features(op_train, n, cfg.ngram.limit)
+        fs = select_ngram_features(op_train, n)
         dim = len(fs.grams)
 
         def onehot_of(payload, fs=fs, dim=dim):
@@ -297,7 +291,7 @@ def _suite_b2(cfg, fold, train_split, test_split):
     op_train = [p[0] for p in train_split.payloads()]
     ytr = np.array(train_split.labels())
     for n in cfg.ngram.sweep:
-        fs = select_ngram_features(op_train, n, cfg.ngram.limit)
+        fs = select_ngram_features(op_train, n)
         xtr = np.array([ngram_vector(p[0], fs) for p in train_split.payloads()], np.float64)
         xte = np.array([ngram_vector(p[0], fs) for p in test_split.payloads()], np.float64)
         std = Standardizer.fit(xtr)

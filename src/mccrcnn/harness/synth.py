@@ -8,6 +8,8 @@ API of the family motif), forward/backward conditional jumps, occasional
 align/comment/blank lines, and a small .data section.  Labels, byte
 columns and addresses look like IDA output.
 
+Mnemonics come from the fixed DEFAULT_OPCODES and imports from the fixed
+DEFAULT_APIS; a spec sets the corpus shape and seed, not the alphabets.
 Family signal lives in two layers: the opcode Markov transitions and the
 ordered API motif.  In fusion mode (exactly two families) the generator
 instead draws two opcode styles (disjoint halves of the opcode alphabet,
@@ -45,7 +47,6 @@ from pathlib import Path
 
 import numpy as np
 
-from ..asmlite import DATA_DIRECTIVES
 from ..errors import PipelineError
 
 
@@ -53,6 +54,11 @@ class IoFailure(PipelineError):
     """Corpus files could not be written."""
 
 
+#: the generator's two alphabets, fixed.  The mnemonics are distinct, and
+#: none is a jump or one the generator emits itself (data directives,
+#: extrn, call, ret, retn, proc), so every opcode token comes from a
+#: family's chain; fusion mode splits them into halves of 13.  The 16 API
+#: names hold the two disjoint 4-name motifs fusion mode draws.
 DEFAULT_OPCODES = (
     "adc", "add", "and", "cmp", "dec", "imul", "inc", "lea", "mov", "mul",
     "neg", "nop", "not", "or", "pop", "push", "rol", "ror", "sar", "sbb",
@@ -65,10 +71,6 @@ DEFAULT_APIS = (
     "ReadFile", "RegCloseKey", "RegOpenKeyExA", "RegSetValueExA",
     "Sleep", "VirtualAlloc", "VirtualProtect", "WriteFile",
 )
-
-#: mnemonics the generator itself emits structurally; alphabets must avoid
-#: them so the opcode stream stays attributable to one source
-RESERVED_TOKENS = frozenset(DATA_DIRECTIVES) | {"extrn", "call", "ret", "retn", "proc"}
 
 _OPERAND_POOL = (
     "eax", "ebx", "ecx", "edx", "esi", "edi",
@@ -85,7 +87,7 @@ MAX_LEN = 100_000
 
 #: upper bounds on the corpus shape, which keep sample ids at their fixed
 #: widths (two-digit family, four-digit index).  Every family draws an
-#: opcode chain (26 x 26 cumulative probabilities by default); each
+#: opcode chain (26 x 26 cumulative probabilities); each
 #: listing is written as soon as it is drawn, so only the manifest (one
 #: small entry per sample) grows with the corpus
 MAX_FAMILIES = 99
@@ -109,8 +111,6 @@ class SyntheticCorpusSpec:
     samples_per_family: int = 40
     seed: int = 0
     fusion_mode: bool = False
-    opcode_alphabet: tuple[str, ...] = DEFAULT_OPCODES
-    api_alphabet: tuple[str, ...] = DEFAULT_APIS
     min_len: int = 90
     max_len: int = 140
 
@@ -126,17 +126,6 @@ def _validate_spec(spec: SyntheticCorpusSpec) -> None:
         raise ValueError("need 30 <= min_len <= max_len")
     if spec.max_len > MAX_LEN:
         raise ValueError(f"max_len must be <= {MAX_LEN} instructions per sample")
-    ops = spec.opcode_alphabet
-    need_ops = 12 if spec.fusion_mode else 6
-    if len(set(ops)) != len(ops) or len(ops) < need_ops:
-        raise ValueError(f"opcode alphabet needs >= {need_ops} distinct tokens")
-    bad = [t for t in ops if t in RESERVED_TOKENS or t.startswith("j")]
-    if bad:
-        raise ValueError(f"opcode alphabet collides with reserved tokens: {bad}")
-    apis = spec.api_alphabet
-    need = _MOTIF_LEN * (2 if spec.fusion_mode else 1)
-    if len(set(apis)) != len(apis) or len(apis) < need:
-        raise ValueError(f"api alphabet needs >= {need} distinct names")
 
 
 def _transition(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -310,8 +299,7 @@ def _render_sample(rng, ops_stream_main, ops_stream_sub, motif):
 def _draw_samples(spec: SyntheticCorpusSpec):
     """Yield (manifest entry, listing text) per sample, in id order."""
     rng = np.random.default_rng(spec.seed)
-    ops = spec.opcode_alphabet
-    apis = spec.api_alphabet
+    ops, apis = DEFAULT_OPCODES, DEFAULT_APIS
     n_ops = len(ops)
 
     if spec.fusion_mode:

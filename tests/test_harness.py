@@ -1,6 +1,7 @@
 """Config parsing, synthetic corpora, ingest, checkpoints, and the CLI."""
 
 import csv
+import dataclasses
 import json
 import logging
 import subprocess
@@ -10,7 +11,7 @@ import weakref
 import numpy as np
 import pytest
 
-from mccrcnn.asmlite import parse_asm_bytes
+from mccrcnn.asmlite import DATA_DIRECTIVES, parse_asm_bytes
 from mccrcnn.baselines import Standardizer, knn_predict, train_logistic, train_nb, train_svm
 from mccrcnn.embedding import EmbeddingTable
 from mccrcnn.errors import ConfigError
@@ -33,6 +34,7 @@ from mccrcnn.harness.config import (
     ExperimentConfig,
     ModelSettings,
     NgramSettings,
+    SyntheticSettings,
     TrainSettings,
     config_echo,
     load_config,
@@ -68,6 +70,7 @@ from mccrcnn.harness.persist import (
 from mccrcnn.harness import synth
 from mccrcnn.harness.synth import (
     DEFAULT_APIS,
+    DEFAULT_OPCODES,
     MAX_FAMILIES,
     MAX_LEN,
     MAX_SAMPLES_PER_FAMILY,
@@ -88,7 +91,6 @@ def ini_text(**overrides):
         "embedding": {"k": "6", "window": "4", "epochs": "4"},
         "model": {"seq_len": "16", "hidden": "6", "conv_channels": "6"},
         "train": {"epochs": "2", "batch_size": "4"},
-        "ngram": {"limit": "50"},
     }
     for section, kv in overrides.items():
         base.setdefault(section, {}).update(kv)
@@ -118,8 +120,8 @@ def test_config_values_and_path_resolution(tmp_path):
     assert cfg.corpus == tmp_path / "corpus"
     assert cfg.labels is None
     assert cfg.synthetic.families == 2
-    assert cfg.embedding.k == 6 and cfg.embedding.alpha == 0.75
-    assert cfg.model.arch == "mcc_rcnn"
+    assert cfg.embedding.k == 6 and cfg.embedding.window == 4
+    assert cfg.model.arch == "mcc_rcnn" and cfg.model.kernel_width == 3
     assert cfg.train.batch_size == 4
     assert cfg.ngram.sweep == (1, 2, 3, 4)
 
@@ -152,11 +154,22 @@ def test_config_requires_a_seed(tmp_path):
     ({"synthetic": {"fusion_mode": "maybe"}}, "cannot parse"),
     # the generator needs 30 <= min_len, so loading refuses 1..29 too
     ({"synthetic": {"min_len": "10"}}, "min_len"),
-    # both loaded: epochs -3 wrote untrained tables, min_count -7 is no threshold
+    # loaded, and then wrote untrained tables
     ({"embedding": {"epochs": "-3"}}, "embedding epochs"),
+    # min_count is no longer settable: the key itself is unknown now
     ({"embedding": {"min_count": "-7"}}, "min_count"),
     # loaded, and then the generator's per-token loop ran for hours
     ({"synthetic": {"max_len": "1000000000000"}}, "max_len"),
+    # loaded, and then B2 wrote every n-gram variant's fold rows twice and
+    # no mean row for any of them
+    ({"ngram": {"sweep": "1,1"}}, "repeat"),
+    # library defaults, no longer settable: x_max or alpha inf trained
+    # nothing and exited 0, learning_rate inf exited 3
+    ({"embedding": {"x_max": "inf"}}, "unknown key 'x_max'"),
+    ({"embedding": {"alpha": "inf"}}, "unknown key 'alpha'"),
+    ({"embedding": {"learning_rate": "0.05"}}, "unknown key 'learning_rate'"),
+    ({"train": {"learning_rate": "inf"}}, "unknown key 'learning_rate'"),
+    ({"ngram": {"limit": "700"}}, "unknown key 'limit'"),
 ])
 def test_config_rejects_bad_input(tmp_path, overrides, needle):
     with pytest.raises(ConfigError, match=needle):
@@ -193,12 +206,49 @@ def test_config_echo_lists_every_setting(tmp_path):
     cfg = load_config(write_cfg(tmp_path))
     lines = config_echo(cfg)
     assert "run.seed=5" in lines
-    assert "embedding.alpha=0.75" in lines
+    assert "model.kernel_width=3" in lines
     assert "ngram.sweep=1,2,3,4" in lines
     # no path: a summary must not depend on where the run lives
     assert not [ln for ln in lines if ln.split("=")[0] in ("run.out", "data.corpus", "data.labels")]
     assert len(lines) == len(set(lines))
-    assert sum(1 for ln in lines if ln.startswith("train.")) == 3
+    assert sum(1 for ln in lines if ln.startswith("train.")) == 2
+    assert len(lines) == 19  # 22 keys less the three paths
+
+
+def echo_ini(cfg):
+    """config_echo(cfg) written back as INI, one section per key prefix."""
+    sections: dict[str, list[str]] = {}
+    for line in config_echo(cfg):
+        key, value = line.split("=", 1)
+        section, name = key.split(".")
+        sections.setdefault(section, []).append(f"{name} = {value}")
+    return "".join(f"[{section}]\n" + "".join(f"{kv}\n" for kv in kvs) + "\n"
+                   for section, kvs in sections.items())
+
+
+def test_config_echo_round_trips_through_load_config(tmp_path):
+    """Every echoed value is settable, and every settable value is echoed:
+    the second config sets every key but the paths off its default."""
+    default = ExperimentConfig(seed=0)
+    off = ExperimentConfig(
+        seed=9, folds=3,
+        synthetic=SyntheticSettings(families=2, samples_per_family=7, fusion_mode=True,
+                                    min_len=31, max_len=77),
+        embedding=EmbeddingSettings(k=5, window=3, epochs=2),
+        model=ModelSettings(seq_len=20, hidden=7, conv_channels=5, kernel_width=5,
+                            arch="gcnn", features="api"),
+        train=TrainSettings(epochs=3, batch_size=5),
+        ngram=NgramSettings(sweep=(3, 1)),
+    )
+    assert off.folds != default.folds
+    for section in ("synthetic", "embedding", "model", "train", "ngram"):
+        for f in dataclasses.fields(getattr(off, section)):
+            assert (getattr(getattr(off, section), f.name)
+                    != getattr(getattr(default, section), f.name)), (section, f.name)
+    for cfg in (default, off):
+        loaded = load_config(write_cfg(tmp_path, echo_ini(cfg)))
+        assert dataclasses.replace(loaded, corpus=cfg.corpus, labels=cfg.labels,
+                                   out_dir=cfg.out_dir) == cfg
 
 
 def test_config_missing_file(tmp_path):
@@ -228,11 +278,6 @@ def test_synth_validation_errors(tmp_path):
         dict(fusion_mode=True, families=3),
         dict(min_len=10),
         dict(min_len=80, max_len=60),
-        dict(opcode_alphabet=("mov", "add", "mov", "sub", "inc", "dec")),
-        dict(opcode_alphabet=("mov", "add", "call", "sub", "inc", "dec")),
-        dict(opcode_alphabet=("mov", "add", "jz", "sub", "inc", "dec")),
-        dict(api_alphabet=("A", "B", "C")),
-        dict(fusion_mode=True, api_alphabet=DEFAULT_APIS[:6]),
         dict(max_len=MAX_LEN + 1),
         dict(max_len=10**12),
     ):
@@ -240,6 +285,18 @@ def test_synth_validation_errors(tmp_path):
             generate_synthetic_corpus(small_spec(**kw), tmp_path / "x")
     assert not (tmp_path / "x").exists()
     _validate_spec(small_spec(min_len=MAX_LEN, max_len=MAX_LEN))  # the ceiling itself holds
+
+
+def test_default_alphabets_obey_the_generator_rules():
+    """The alphabets are fixed; they keep the rules a spec's alphabets were
+    held to: distinct tokens, 6 opcodes per fusion-mode half, one 4-name
+    motif per fusion-mode style, and no opcode that is a jump or that the
+    generator emits itself, so each opcode token comes from a chain."""
+    ops, apis = DEFAULT_OPCODES, DEFAULT_APIS
+    assert len(set(ops)) == len(ops) >= 12
+    structural = DATA_DIRECTIVES | {"extrn", "call", "ret", "retn", "proc"}
+    assert [t for t in ops if t in structural or t.startswith("j")] == []
+    assert len(set(apis)) == len(apis) >= 2 * synth._MOTIF_LEN
 
 
 def test_synth_writes_each_listing_as_it_is_drawn(tmp_path, monkeypatch):
@@ -515,7 +572,7 @@ def reference_experiment_a(cfg, dataset, rep):
     for fold, train_split, test_split in _iter_folds(cfg, dataset):
         op_train = [p[0] for p in train_split.payloads()]
         for n in cfg.ngram.sweep:
-            fs = select_ngram_features(op_train, n, cfg.ngram.limit)
+            fs = select_ngram_features(op_train, n)
             dim = len(fs.grams)
 
             def onehot_of(payload, fs=fs, dim=dim):
@@ -558,7 +615,7 @@ def reference_experiment_b2(cfg, dataset, rep):
         ytr = np.array(train_split.labels())
         ytest = test_split.labels()
         for n in cfg.ngram.sweep:
-            fs = select_ngram_features(op_train, n, cfg.ngram.limit)
+            fs = select_ngram_features(op_train, n)
             xtr = np.stack([ngram_vector(p[0], fs) for p in train_split.payloads()])
             xte = np.stack([ngram_vector(p[0], fs) for p in test_split.payloads()])
             xtr_f = xtr.astype(np.float64)
@@ -608,7 +665,7 @@ def test_suite_reports_equal_frozen_suites(tmp_path, name):
         seed=5, corpus=corpus, labels=corpus / "labels.csv", out_dir=tmp_path / "out",
         folds=2, embedding=EmbeddingSettings(k=6, window=4, epochs=8),
         model=ModelSettings(seq_len=24, hidden=6, conv_channels=6),
-        train=TrainSettings(epochs=6, batch_size=4), ngram=NgramSettings(limit=50),
+        train=TrainSettings(epochs=6, batch_size=4),
     )
     csv_path = run_experiment(name, cfg)
     rep = _Report(name)
@@ -933,7 +990,9 @@ def test_cli_exit_code_matrix(tmp_path, capsys):
     write_cfg(tmp_path, ini_text(data={"labels": "latin1.csv"}), "latin1labels.ini")
     (tmp_path / "latin1.csv").write_bytes(b"Id,Class\n01_0000,1\n\xff,2\n")
     # values that passed validation and then crashed, divided by zero,
-    # diverged or trained nothing; and the deleted optimizer key
+    # diverged, trained nothing or wrote no mean; and keys deleted since,
+    # which are unknown now: optimizer, then x_max, alpha, min_count, both
+    # learning rates and the n-gram limit (fixed as library defaults)
     bad_values = {
         "epochs0": {"train": {"epochs": "0"}},
         "epochs-3": {"train": {"epochs": "-3"}},
@@ -967,6 +1026,8 @@ def test_cli_exit_code_matrix(tmp_path, capsys):
         "sweep1e12": {"ngram": {"sweep": "1000000000000"}},
         "families1e12": {"synthetic": {"families": "1000000000000"}},
         "perfamily1e12": {"synthetic": {"samples_per_family": "1000000000000"}},
+        "limit0": {"ngram": {"limit": "0"}},
+        "sweep11": {"ngram": {"sweep": "1,1"}},
     }
     for stem, overrides in bad_values.items():
         write_cfg(tmp_path, ini_text(**overrides), f"{stem}.ini")
