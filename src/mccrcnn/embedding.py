@@ -66,6 +66,10 @@ PAD_ID = 0
 #: co-occurrence chunk; the temporaries scale with this times the window
 COOC_CHUNK_TOKENS = 1024
 
+#: passes over the co-occurrence entries, the default of train_glove and
+#: of the ``[embedding] epochs`` config key
+GLOVE_EPOCHS = 30
+
 
 @dataclass(frozen=True)
 class Vocabulary:
@@ -252,7 +256,7 @@ def glove_gradients(cooc: CooccurrenceMatrix, table: EmbeddingTable,
 
 
 def train_glove(cooc: CooccurrenceMatrix, vocab: Vocabulary, k: int,
-                epochs: int = 50, learning_rate: float = 0.05,
+                epochs: int = GLOVE_EPOCHS, learning_rate: float = 0.05,
                 x_max: float = 100.0, alpha: float = 0.75,
                 seed: int = 0) -> tuple[EmbeddingTable, list[float]]:
     """Train embeddings by per-entry AdaGrad on shuffled nonzero entries.

@@ -21,6 +21,7 @@ import dataclasses
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
+from ..embedding import GLOVE_EPOCHS
 from ..errors import ConfigError
 from ..neural import ARCHS
 from .synth import SyntheticCorpusSpec, _validate_spec
@@ -72,7 +73,7 @@ class SyntheticSettings:
 class EmbeddingSettings:
     k: int = 24
     window: int = 8
-    epochs: int = 30
+    epochs: int = GLOVE_EPOCHS
 
 
 @dataclass

@@ -27,9 +27,11 @@ for the convolution, subgradient routed to the argmax for the pool) and
 validated against central finite differences by gradient_check().  The
 BPTT computes the gate-local derivatives of every step at once before
 its time loop, which then carries only dh and dc back.
-The LSTM's time loop works in one set of step buffers per call (the
-(B, 4h) gates, c and tanh c), with its gate views made once and every
-step's gate and state math done in place.
+The LSTM's time loop works in one set of gate-major step buffers per
+call (the (4h, B) gates, the (h, B) c and tanh c), so every gate view is
+a contiguous row block made once, and every step's gate and state math
+is done in place.  Its output and cache are time-major (T, ., B) arrays
+handed out as (B, T, .) views.
 Inference keeps no backward cache: predict, mcc_rcnn_forward and
 batch_loss hold only what the next layer reads.  Only
 loss_and_gradients fills the cache (every step's gates, c and tanh c,
@@ -235,40 +237,46 @@ def init_params(model_cfg: ModelConfig, input_dim: int, classes: int,
 def _lstm_forward_batch(p: LstmParams, x: np.ndarray, cache: dict | None = None):
     """Hidden state sequence of a (B, T, k) batch.
 
-    Every step works in one set of contiguous buffers allocated per call:
-    the (B, 4h) gates, with their f, i, o and candidate views made once,
-    and the (B, h) cell state, i * cand and tanh c.  Each step's hidden
-    state is written straight into its slice of the output, which is the
-    next step's h_prev.  The sigmoid rows go through the same one tanh as
-    the candidate, halved before and mapped to 0.5 (1 + tanh) after,
-    which gives the bits of _sigmoid: halving is exact and + and *
+    Every step works in one set of contiguous gate-major buffers
+    allocated per call: the (4h, B) gates, whose f, i, o, candidate and
+    sigmoid views are contiguous row blocks made once, and the (h, B)
+    cell state, i * cand and tanh c.  The recurrent product is the same
+    BLAS call as on (B, 4h) buffers, h_prev^T @ W_h written through the
+    gates' transpose.  The output and the cache are time-major, (T, ., B),
+    so each step's hidden state is written straight into one contiguous
+    block of the output, which is the next step's h_prev, and each cached
+    step is one contiguous copy.  The sigmoid rows go through the same one
+    tanh as the candidate, halved before and mapped to 0.5 (1 + tanh)
+    after, which gives the bits of _sigmoid: halving is exact and + and *
     commute.  With a ``cache`` dict, each step's gates, c and tanh c are
-    copied into it for _lstm_backward.  (Writing them through ``out=``
-    straight into the strided cache slices was slower.)
+    copied into it for _lstm_backward.  The hidden states and the cached
+    gates, c and tanh c are handed out as (B, T, .) transposed views.
     """
     b, t, k = x.shape
     h = p.hidden
-    # input projection of every step at once; the loop adds h_prev @ W_h
+    # input projection of every step at once, read per step as (4h, B);
+    # the loop adds h_prev @ W_h
     xw = x @ p.w[:, :k].T
     xw += p.b
+    xw = xw.transpose(1, 2, 0)
     w_h = np.ascontiguousarray(p.w[:, k:].T)
     # the large arrays first: allocated after the step buffers, they moved
     # where the heap is trimmed, and a training run took ~15% more page faults
     if cache is not None:
-        gates = np.empty((b, t, 4 * h))
-        cs = np.empty((b, t, h))
-        tcs = np.empty((b, t, h))
-    hs = np.empty((b, t, h))
-    h_prev = np.zeros((b, h))
-    g = np.empty((b, 4 * h))  # pre-activations, then activated f, i, o, candidate
-    sig, cand = g[:, :3 * h], g[:, 3 * h:]
-    f, i, o = g[:, :h], g[:, h:2 * h], g[:, 2 * h:3 * h]
-    c = np.zeros((b, h))
-    ic = np.empty((b, h))
-    tc = np.empty((b, h))
+        gates = np.empty((t, 4 * h, b))
+        cs = np.empty((t, h, b))
+        tcs = np.empty((t, h, b))
+    hs = np.empty((t, h, b))
+    h_prev = np.zeros((h, b))
+    g = np.empty((4 * h, b))  # pre-activations, then activated f, i, o, candidate
+    sig, cand = g[:3 * h], g[3 * h:]
+    f, i, o = g[:h], g[h:2 * h], g[2 * h:3 * h]
+    c = np.zeros((h, b))
+    ic = np.empty((h, b))
+    tc = np.empty((h, b))
     for step in range(t):
-        np.matmul(h_prev, w_h, out=g)
-        g += xw[:, step]
+        np.matmul(h_prev.T, w_h, out=g.T)
+        g += xw[step]
         sig /= 2.0
         np.tanh(g, out=g)
         sig += 1.0
@@ -277,14 +285,16 @@ def _lstm_forward_batch(p: LstmParams, x: np.ndarray, cache: dict | None = None)
         np.multiply(i, cand, out=ic)
         c += ic
         np.tanh(c, out=tc)
-        h_prev = hs[:, step]
+        h_prev = hs[step]
         np.multiply(o, tc, out=h_prev)
         if cache is not None:
-            gates[:, step] = g
-            cs[:, step] = c
-            tcs[:, step] = tc
+            gates[step] = g
+            cs[step] = c
+            tcs[step] = tc
+    hs = hs.transpose(2, 0, 1)
     if cache is not None:
-        cache.update(x=x, gates=gates, c=cs, tc=tcs, h=hs)
+        cache.update(x=x, gates=gates.transpose(2, 0, 1), c=cs.transpose(2, 0, 1),
+                     tc=tcs.transpose(2, 0, 1), h=hs)
     return hs
 
 
@@ -522,10 +532,11 @@ def predict(params: ModelParams, matrices, batch_size: int = 64) -> np.ndarray:
 
     Inference only: no backward cache is kept.  The chunk sizes are
     fixed because they can change the probabilities in the last bits.
-    With OpenBLAS 0.3.31 at one thread, chunks of 2..100 rows gave the
-    same bits as one 150-row batch (T = 48, k = 48, h = 24); only 1-row
-    chunks differed (by ~5e-16), since one row goes through gemv, not
-    gemm.  Other BLAS builds may block rows differently.
+    With OpenBLAS 0.3.31 at one or two threads and the gate-major LSTM
+    buffers, chunks of 2..100 rows gave the same bits as one 150-row
+    batch (T = 48, k = 48, h = 24); only 1-row chunks differed (by
+    ~5e-16), since one row goes through gemv, not gemm.  Other BLAS
+    builds may block rows differently.
     """
     out = np.zeros(len(matrices), dtype=np.int64)
     for lo in range(0, len(matrices), batch_size):

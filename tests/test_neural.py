@@ -256,6 +256,76 @@ def test_lstm_backward_matches_step_by_step_reference(b, t, dh_kind):
     assert rel_err(got["lstm.b"], want["lstm.b"]) <= 1e-12
 
 
+# A frozen copy of the hoisted BPTT as it was when the forward's step
+# buffers became gate-major: the gate-local factors formed for every step
+# before the loop, time-major (t, b, 4h), each step's d @ W_h on a
+# (b, 4h) block and one da^T @ z product at the end.  Any change of
+# summation order or of BLAS call (at h = 1 the loop's product is a gemv)
+# moves the last bits, so the package's backward is pinned to it exactly.
+
+def hoisted_lstm_backward(p, cache, dh_seq):
+    x = cache["x"]
+    b, t, k = x.shape
+    h = p.hidden
+    gates = cache["gates"].transpose(1, 0, 2)
+    c = cache["c"].transpose(1, 0, 2)
+    tc = cache["tc"].transpose(1, 0, 2)
+    sig = gates[:, :, :3 * h]
+    f = gates[:, :, :h]
+    i = gates[:, :, h:2 * h]
+    o = gates[:, :, 2 * h:3 * h]
+    cand = gates[:, :, 3 * h:]
+    da = np.empty((t, b, 4 * h))
+    np.subtract(1.0, sig, out=da[:, :, :3 * h])
+    da[:, :, :3 * h] *= sig
+    da[0, :, :h] = 0.0
+    da[1:, :, :h] *= c[:-1]
+    da[:, :, h:2 * h] *= cand
+    da[:, :, 2 * h:3 * h] *= tc
+    local_c = da[:, :, 3 * h:]
+    np.multiply(cand, cand, out=local_c)
+    np.subtract(1.0, local_c, out=local_c)
+    local_c *= i
+    dc_dh = np.empty((t, b, h))
+    np.multiply(tc, tc, out=dc_dh)
+    np.subtract(1.0, dc_dh, out=dc_dh)
+    dc_dh *= o
+    dh_seq = dh_seq.transpose(1, 0, 2)
+    w_h = p.w[:, k:]
+    dh_next = np.zeros((b, h))
+    dc_next = np.zeros((b, h))
+    for step in range(t - 1, -1, -1):
+        dh = dh_seq[step] + dh_next
+        dc = dc_next + dh * dc_dh[step]
+        d = da[step]
+        np.multiply(d, np.concatenate((dc, dc, dh, dc), axis=1), out=d)
+        dh_next = d @ w_h
+        dc_next = dc * f[step]
+    z = np.empty((t, b, k + h))
+    z[:, :, :k] = x.transpose(1, 0, 2)
+    z[0, :, k:] = 0.0
+    z[1:, :, k:] = cache["h"].transpose(1, 0, 2)[:-1]
+    da = da.reshape(t * b, 4 * h)
+    return {"lstm.w": da.T @ z.reshape(t * b, k + h), "lstm.b": da.sum(axis=0)}
+
+
+@pytest.mark.parametrize("b", [1, 2, 16, 22, 32])
+def test_lstm_backward_matches_frozen_hoisted_backward_bit_for_bit(b):
+    rng = np.random.default_rng(1000 + b)
+    for k in (7, 48):
+        for t in (1, 2, 48):
+            for h in (1, 6, 24):
+                p = LstmParams(w=rng.normal(scale=0.6, size=(4 * h, k + h)),
+                               b=rng.normal(scale=0.4, size=4 * h))
+                cache = {}
+                hs = _lstm_forward_batch(p, rng.normal(size=(b, t, k)), cache)
+                dh_seq = rng.normal(size=hs.shape)
+                want = hoisted_lstm_backward(p, cache, dh_seq)
+                got = _lstm_backward(p, cache, dh_seq)
+                for name in ("lstm.w", "lstm.b"):
+                    assert np.array_equal(got[name], want[name]), (k, t, h, name)
+
+
 def test_lstm_shapes():
     p = tiny_lstm()
     assert p.hidden == 1 and p.input_dim == 1
@@ -641,24 +711,25 @@ def test_inference_matches_frozen_cache_keeping_forward_bit_for_bit(arch):
         assert np.array_equal(grad, want_grads[name]), name
 
 
-@pytest.mark.parametrize("b", [1, 2, 6, 16, 22, 32, 64])
+@pytest.mark.parametrize("b", [1, 2, 6, 16, 22, 32, 64, 150])
 def test_lstm_forward_matches_frozen_reference_at_every_shape(b):
     """Batch 1 takes gemv, the rest gemm; T = 1 never reads h_prev and
-    h = 1 makes every gate view one column wide."""
+    h = 1 makes every gate view one row (or column) wide.  k = 48 is the
+    fused input width, b = 150 a full-batch predict."""
     rng = np.random.default_rng(b)
-    k = 7
-    for t in (1, 2, 48):
-        for h in (1, 6, 24):
-            p = LstmParams(w=rng.normal(scale=0.6, size=(4 * h, k + h)),
-                           b=rng.normal(scale=0.4, size=4 * h))
-            x = rng.normal(size=(b, t, k))
-            want_hs, want_cache = reference_lstm_forward(p, x)
-            assert np.array_equal(_lstm_forward_batch(p, x), want_hs), (t, h)
-            cache = {}
-            assert np.array_equal(_lstm_forward_batch(p, x, cache), want_hs), (t, h)
-            assert cache.keys() == want_cache.keys()
-            for key, want in want_cache.items():
-                assert np.array_equal(cache[key], want), (t, h, key)
+    for k in (7, 48):
+        for t in (1, 2, 48):
+            for h in (1, 6, 24):
+                p = LstmParams(w=rng.normal(scale=0.6, size=(4 * h, k + h)),
+                               b=rng.normal(scale=0.4, size=4 * h))
+                x = rng.normal(size=(b, t, k))
+                want_hs, want_cache = reference_lstm_forward(p, x)
+                assert np.array_equal(_lstm_forward_batch(p, x), want_hs), (t, h)
+                cache = {}
+                assert np.array_equal(_lstm_forward_batch(p, x, cache), want_hs), (t, h)
+                assert cache.keys() == want_cache.keys()
+                for key, want in want_cache.items():
+                    assert np.array_equal(cache[key], want), (t, h, key)
 
 
 def test_lstm_forward_writes_neither_its_input_nor_earlier_results():
