@@ -148,14 +148,12 @@ def knn_predict(train_x, train_y, queries, k_neighbors: int = 5) -> np.ndarray:
     return out
 
 
-def svm_objective(weights, biases, x, y, c_reg: float):
-    """0.5 * ||W||^2 plus C * mean one-vs-rest hinge loss."""
-    targets = np.where(
-        (np.arange(weights.shape[0]) + 1)[None, :] == y[:, None], 1.0, -1.0
-    )
-    margins = x @ weights.T + biases
-    hinge = np.maximum(0.0, 1.0 - targets * margins)
-    return float(0.5 * (weights ** 2).sum() + c_reg * hinge.sum(axis=1).mean())
+def svm_loss_and_grad(weights, biases, x, targets, c_reg: float):
+    """0.5 ||W||^2 + C mean one-vs-rest hinge and its subgradient; targets is (n, l) of ±1."""
+    slack = 1.0 - targets * (x @ weights.T + biases)
+    loss = float(0.5 * (weights ** 2).sum() + c_reg * np.maximum(0.0, slack).sum(axis=1).mean())
+    coef = np.where(slack > 0.0, -targets, 0.0) * (c_reg / len(x))  # hinge subgradient support
+    return loss, weights + coef.T @ x, coef.sum(axis=0)
 
 
 def train_svm(x, y, l=None, learning_rate: float = 0.01, epochs: int = 200,
@@ -168,14 +166,11 @@ def train_svm(x, y, l=None, learning_rate: float = 0.01, epochs: int = 200,
     x, y, classes = _check_xy(x, y, l)
     weights = np.zeros((classes, x.shape[1]))
     biases = np.zeros(classes)
-    n = len(x)
     targets = np.where((np.arange(classes) + 1)[None, :] == y[:, None], 1.0, -1.0)
     history = []
     for _ in range(epochs):
-        history.append(svm_objective(weights, biases, x, y, c_reg))
-        margins = x @ weights.T + biases
-        active = (1.0 - targets * margins) > 0.0  # hinge subgradient support
-        coef = np.where(active, -targets, 0.0) * (c_reg / n)
-        weights -= learning_rate * (weights + coef.T @ x)
-        biases -= learning_rate * coef.sum(axis=0)
+        loss, dw, db = svm_loss_and_grad(weights, biases, x, targets, c_reg)
+        history.append(loss)
+        weights -= learning_rate * dw
+        biases -= learning_rate * db
     return LinearModel(weights=weights, biases=biases), history

@@ -234,25 +234,36 @@ def glove_loss(cooc: CooccurrenceMatrix, table: EmbeddingTable,
     return float(np.sum(_weight(xs, x_max, alpha) * diff * diff))
 
 
+def _entry_gradients(pair, fx2, logx) -> np.ndarray:
+    """Gradients of f(x) (w[i]·w̃[j] + b[i] + b̃[j] − ln x)² for each entry's rows.
+
+    pair is (n, 2, k + 1), center row [w | b] then context row [w̃ | b̃]; fx2 is 2 f(x).
+    """
+    # one (1, k) @ (k, 1) per entry is the BLAS dot of w[i] @ w_ctx[j];
+    # einsum or a row sum would add the k terms in another order
+    dot = (pair[:, 0, None, :-1] @ pair[:, 1, :-1, None])[:, 0, 0]
+    coef = fx2 * (dot + pair[:, 0, -1] + pair[:, 1, -1] - logx)
+    # the center row's gradient is coef w_ctx[j], the context row's coef w[i]
+    g = coef[:, None, None] * pair[:, ::-1]
+    g[:, :, -1] = coef[:, None]
+    return g
+
+
 def glove_gradients(cooc: CooccurrenceMatrix, table: EmbeddingTable,
                     x_max: float = 100.0, alpha: float = 0.75):
-    """Analytic gradient of J with respect to all four parameter tensors.
+    """Analytic gradient of J: the sum of the entry gradients train_glove applies.
 
     Returns a dict with keys "w", "w_ctx", "b", "b_ctx" shaped like the
     corresponding table arrays.
     """
     ii, jj, xs = _entry_arrays(cooc)
-    diff = _residual(table.w, table.w_ctx, table.b, table.b_ctx, ii, jj, np.log(xs))
-    coef = 2.0 * _weight(xs, x_max, alpha) * diff
-    dw = np.zeros_like(table.w)
-    dw_ctx = np.zeros_like(table.w_ctx)
-    db = np.zeros_like(table.b)
-    db_ctx = np.zeros_like(table.b_ctx)
-    np.add.at(dw, ii, coef[:, None] * table.w_ctx[jj])
-    np.add.at(dw_ctx, jj, coef[:, None] * table.w[ii])
-    np.add.at(db, ii, coef)
-    np.add.at(db_ctx, jj, coef)
-    return {"w": dw, "w_ctx": dw_ctx, "b": db, "b_ctx": db_ctx}
+    n, k = table.w.shape
+    packed = np.column_stack([np.vstack([table.w, table.w_ctx]), np.r_[table.b, table.b_ctx]])
+    rows = np.stack([ii, jj + n], axis=1)  # as in train_glove: n + j is context row j
+    g = _entry_gradients(packed[rows], 2.0 * _weight(xs, x_max, alpha), np.log(xs))
+    grad = np.zeros_like(packed)
+    np.add.at(grad, rows, g)
+    return {"w": grad[:n, :k], "w_ctx": grad[n:, :k], "b": grad[:n, k], "b_ctx": grad[n:, k]}
 
 
 def train_glove(cooc: CooccurrenceMatrix, vocab: Vocabulary, k: int,
@@ -317,13 +328,7 @@ def train_glove(cooc: CooccurrenceMatrix, vocab: Vocabulary, k: int,
         for lo, hi in zip(bounds, bounds[1:]):
             flat = state[rid[2 * lo:2 * hi]]
             pair = flat.reshape(hi - lo, 2, 2 * (k + 1))  # [:, 0] center, [:, 1] context
-            # one (1, k) @ (k, 1) per entry is the BLAS dot of w[i] @ w_ctx[j];
-            # einsum or a row sum would add the k terms in another order
-            dot = (pair[:, 0, None, :k] @ pair[:, 1, :k, None])[:, 0, 0]
-            coef = fx2_o[lo:hi] * (dot + pair[:, 0, k] + pair[:, 1, k] - logx_o[lo:hi])
-            # the center row's gradient is coef w_ctx[j], the context row's coef w[i]
-            g = coef[:, None, None] * pair[:, ::-1, :k + 1]
-            g[:, :, k] = coef[:, None]
+            g = _entry_gradients(pair[..., :k + 1], fx2_o[lo:hi], logx_o[lo:hi])
             pair[..., :k + 1] -= learning_rate * g / np.sqrt(pair[..., k + 1:])
             pair[..., k + 1:] += g * g
             state[rid[2 * lo:2 * hi]] = flat

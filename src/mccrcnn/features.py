@@ -13,7 +13,7 @@ per-position gram-id sequence (sequence models).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 
 import numpy as np
 
@@ -144,14 +144,11 @@ def ngram_id_sequence(seq: TokenSequence, feature_set: NgramFeatureSet, t: int) 
     Position p maps to 1 + rank of the gram starting at p, or 0 when that
     gram was not selected (or p is past the end).  Truncated/padded to t.
     """
-    idx = feature_set.index()
     out = _zeros((t,), np.int64)
-    toks = seq.tokens
-    n = feature_set.n
-    for p in range(min(t, max(0, len(toks) - n + 1))):
-        j = idx.get(tuple(toks[p:p + n]))
-        if j is not None:
-            out[p] = j + 1
+    grams = islice(zip(*(seq.tokens[i:] for i in range(feature_set.n))), t)
+    # unselected grams get rank -1, so id 0
+    ids = np.fromiter(map(feature_set.index().get, grams, repeat(-1)), dtype=np.int64) + 1
+    out[:len(ids)] = ids
     return out
 
 

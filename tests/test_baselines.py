@@ -10,7 +10,7 @@ from mccrcnn.baselines import (
     Standardizer,
     knn_predict,
     logistic_loss_and_grad,
-    svm_objective,
+    svm_loss_and_grad,
     train_logistic,
     train_nb,
     train_svm,
@@ -228,12 +228,41 @@ def test_knn_k_larger_than_train_set_uses_all_rows():
 
 # --------------------------------------------------------------------- SVM
 
+def svm_targets(y, l):
+    return np.where(np.arange(1, l + 1)[None, :] == y[:, None], 1.0, -1.0)
+
+
+def test_svm_gradient_matches_finite_differences():
+    rng = np.random.default_rng(6)
+    x = rng.normal(size=(7, 3))
+    targets = svm_targets(rng.integers(1, 5, size=7), 4)
+    weights = rng.normal(size=(4, 3))
+    biases = rng.normal(size=4)
+    step = 1e-6
+    # both sides of the hinge occur, and no term lies within a step of its kink
+    slack = 1.0 - targets * (x @ weights.T + biases)
+    assert (slack > 0).any() and (slack < 0).any()
+    assert np.abs(slack).min() > 1e-3
+    _, dw, db = svm_loss_and_grad(weights, biases, x, targets, c_reg=1.5)
+    for arr, grad in ((weights, dw), (biases, db)):
+        for idx in range(arr.size):
+            orig = arr.flat[idx]
+            arr.flat[idx] = orig + step
+            up = svm_loss_and_grad(weights, biases, x, targets, c_reg=1.5)[0]
+            arr.flat[idx] = orig - step
+            down = svm_loss_and_grad(weights, biases, x, targets, c_reg=1.5)[0]
+            arr.flat[idx] = orig
+            numeric = (up - down) / (2 * step)
+            assert abs(numeric - grad.flat[idx]) <= 1e-6, idx
+
+
 def test_svm_objective_at_zero_weights():
     x, y = blobs(seed=2, per_class=5, l=3, d=2)
     weights = np.zeros((3, 2))
     biases = np.zeros(3)
     # zero margins leave every hinge term at 1, one per class per sample
-    assert svm_objective(weights, biases, x, y, c_reg=2.0) == pytest.approx(2.0 * 3)
+    loss = svm_loss_and_grad(weights, biases, x, svm_targets(y, 3), c_reg=2.0)[0]
+    assert loss == pytest.approx(2.0 * 3)
 
 
 def test_svm_history_recorded_before_each_update():
