@@ -81,6 +81,23 @@ def logistic_loss_and_grad(weights, biases, x, y_idx):
     return loss, d.T @ x, d.sum(axis=0)
 
 
+def _descend(loss_and_grad, args, shape, learning_rate: float, epochs: int, what: str):
+    """Full-batch descent on loss_and_grad(weights, biases, *args) from zero
+    weights.  Returns (model, objective before each update); raises
+    DivergedLoss when the objective is non-finite."""
+    weights = np.zeros(shape)
+    biases = np.zeros(shape[0])
+    history = []
+    for _ in range(epochs):
+        loss, dw, db = loss_and_grad(weights, biases, *args)
+        if not np.isfinite(loss):
+            raise DivergedLoss(f"{what} became non-finite")
+        history.append(loss)
+        weights -= learning_rate * dw
+        biases -= learning_rate * db
+    return LinearModel(weights=weights, biases=biases), history
+
+
 def train_logistic(x, y, l=None, learning_rate: float = 0.5, epochs: int = 200):
     """Multinomial logistic regression by full-batch gradient descent.
 
@@ -89,18 +106,8 @@ def train_logistic(x, y, l=None, learning_rate: float = 0.5, epochs: int = 200):
     loss history).
     """
     x, y, classes = _check_xy(x, y, l)
-    weights = np.zeros((classes, x.shape[1]))
-    biases = np.zeros(classes)
-    y_idx = y - 1
-    losses = []
-    for _ in range(epochs):
-        loss, dw, db = logistic_loss_and_grad(weights, biases, x, y_idx)
-        if not np.isfinite(loss):
-            raise DivergedLoss("logistic loss became non-finite")
-        losses.append(loss)
-        weights -= learning_rate * dw
-        biases -= learning_rate * db
-    return LinearModel(weights=weights, biases=biases), losses
+    return _descend(logistic_loss_and_grad, (x, y - 1), (classes, x.shape[1]),
+                    learning_rate, epochs, "logistic loss")
 
 
 def train_nb(x, y, l=None, alpha: float = 1.0) -> NaiveBayesModel:
@@ -164,13 +171,6 @@ def train_svm(x, y, l=None, learning_rate: float = 0.01, epochs: int = 200,
     zero.  Returns (model, per-epoch objective history).
     """
     x, y, classes = _check_xy(x, y, l)
-    weights = np.zeros((classes, x.shape[1]))
-    biases = np.zeros(classes)
     targets = np.where((np.arange(classes) + 1)[None, :] == y[:, None], 1.0, -1.0)
-    history = []
-    for _ in range(epochs):
-        loss, dw, db = svm_loss_and_grad(weights, biases, x, targets, c_reg)
-        history.append(loss)
-        weights -= learning_rate * dw
-        biases -= learning_rate * db
-    return LinearModel(weights=weights, biases=biases), history
+    return _descend(svm_loss_and_grad, (x, targets, c_reg), (classes, x.shape[1]),
+                    learning_rate, epochs, "SVM objective")

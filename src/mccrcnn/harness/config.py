@@ -144,7 +144,7 @@ def load_config(path, seed_override: int | None = None,
     """Parse a config file; overrides win over file values.
 
     Raises ConfigError for unreadable files, unknown sections/keys,
-    unparseable values, or a missing seed.
+    unparseable or out-of-range values, or a missing seed.
     """
     path = Path(path)
     parser = configparser.ConfigParser(interpolation=None)
@@ -158,7 +158,7 @@ def load_config(path, seed_override: int | None = None,
     except configparser.Error as exc:
         raise ConfigError(f"malformed config file {path}: {exc}") from exc
 
-    cfg = ExperimentConfig(seed=-1)
+    cfg = ExperimentConfig(seed=None)
     for section in parser.sections():
         if section in _SECTION_TARGETS:
             obj = getattr(cfg, section)
@@ -178,7 +178,7 @@ def load_config(path, seed_override: int | None = None,
         cfg.seed = seed_override
     if out_override is not None:
         cfg.out_dir = Path(out_override)
-    if cfg.seed < 0:
+    if cfg.seed is None:
         raise ConfigError("a seed is required ([run] seed=... or --seed)")
     _validate(cfg)
     return cfg
@@ -186,6 +186,7 @@ def load_config(path, seed_override: int | None = None,
 
 def _validate(cfg: ExperimentConfig) -> None:
     checks = [
+        (cfg.seed >= 0, "seed must be >= 0"),
         (cfg.folds >= 2, "folds must be >= 2"),
         (1 <= cfg.embedding.k <= MAX_EMBED_K, f"embedding k must be in 1..{MAX_EMBED_K}"),
         (1 <= cfg.embedding.window <= MAX_WINDOW,

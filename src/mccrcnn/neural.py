@@ -38,9 +38,9 @@ loss_and_gradients fills the cache (every step's gates, c and tanh c,
 copied from the step buffers, and the conv columns and gate), as do the
 public lstm_forward and gated_conv_forward, which return it.  Both paths
 run the same loop and give the same bits.
-Everything is float64 and deterministic under a seed.  Public single
-sample entry points accept (T, k) arrays; training internals batch to
-(B, T, k) for speed.
+Everything is float64 and deterministic under a seed.  A batch is one
+(B, T, k) array with a vector of B 1-based labels; mcc_rcnn_forward and
+gradient_check take a single (T, k) sample.
 """
 
 from __future__ import annotations
@@ -483,33 +483,30 @@ def mcc_rcnn_forward(params: ModelParams, x: np.ndarray) -> np.ndarray:
     return _forward_batch(params, x[None])[0]
 
 
-def _stack_batch(params: ModelParams, batch):
-    xs = []
-    ys = []
-    for x, label in batch:
-        arr = np.asarray(x, dtype=np.float64)
-        xs.append(arr)
-        if not 1 <= label <= params.l:
-            raise ValueError(f"label {label} outside 1..{params.l}")
-        ys.append(label - 1)
-    return np.stack(xs), np.array(ys, dtype=np.intp)
+def _class_index(params: ModelParams, y) -> np.ndarray:
+    """0-based indices of 1-based labels; the ValueError names one outside 1..l."""
+    y = np.asarray(y, dtype=np.intp)
+    bad = (y < 1) | (y > params.l)
+    if bad.any():
+        raise ValueError(f"label {y[bad][0]} outside 1..{params.l}")
+    return y - 1
 
 
-def batch_loss(params: ModelParams, batch) -> float:
-    """Mean cross-entropy of a list of (matrix, label) pairs."""
-    x, y = _stack_batch(params, batch)
-    return cross_entropy(_forward_batch(params, x), y)[0]
+def batch_loss(params: ModelParams, x: np.ndarray, y) -> float:
+    """Mean cross-entropy of a (B, T, k) batch x against its 1-based labels y."""
+    y_idx = _class_index(params, y)
+    return cross_entropy(_forward_batch(params, x), y_idx)[0]
 
 
-def loss_and_gradients(params: ModelParams, batch):
-    """Mean cross-entropy and gradients for every parameter tensor.
+def loss_and_gradients(params: ModelParams, x: np.ndarray, y):
+    """Mean cross-entropy of batch (x, y) and gradients for every parameter tensor.
 
     Returns (loss, grads) where grads maps the named_params() keys to
     arrays of matching shape.
     """
-    x, y = _stack_batch(params, batch)
+    y_idx = _class_index(params, y)
     cache: dict = {}
-    loss, dlogits = cross_entropy(_forward_batch(params, x, cache), y)
+    loss, dlogits = cross_entropy(_forward_batch(params, x, cache), y_idx)
     grads: dict[str, np.ndarray] = {
         "dense.w": dlogits.T @ cache["pooled"],
         "dense.b": dlogits.sum(axis=0),
@@ -528,8 +525,9 @@ def loss_and_gradients(params: ModelParams, batch):
 # ------------------------------------------------------------ training
 
 def predict(params: ModelParams, matrices, batch_size: int = 64) -> np.ndarray:
-    """Predicted labels (1-based) for a list of (T, k) matrices.
+    """Predicted labels (1-based) of an (n, T, k) array or a list of (T, k) matrices.
 
+    Each chunk is a slice, which np.asarray stacks only for a list.
     Inference only: no backward cache is kept.  The chunk sizes are
     fixed because they can change the probabilities in the last bits.
     With OpenBLAS 0.3.31 at one or two threads and the gate-major LSTM
@@ -540,10 +538,8 @@ def predict(params: ModelParams, matrices, batch_size: int = 64) -> np.ndarray:
     """
     out = np.zeros(len(matrices), dtype=np.int64)
     for lo in range(0, len(matrices), batch_size):
-        chunk = matrices[lo:lo + batch_size]
-        x = np.stack([np.asarray(m, dtype=np.float64) for m in chunk])
-        probs = _forward_batch(params, x)
-        out[lo:lo + len(chunk)] = probs.argmax(axis=1) + 1
+        chunk = np.asarray(matrices[lo:lo + batch_size], dtype=np.float64)
+        out[lo:lo + len(chunk)] = _forward_batch(params, chunk).argmax(axis=1) + 1
     return out
 
 
@@ -551,31 +547,31 @@ def train(model_cfg: ModelConfig, dataset, cfg: TrainConfig, to_matrix=None):
     """Train on a LabeledDataset with AdaGrad over seeded shuffled minibatches.
 
     ``to_matrix`` converts a record payload to its (T, k) input matrix
-    (defaults to np.asarray as float64).  Returns (params,
-    history) where history rows carry epoch, mean training loss, and
-    post-epoch training accuracy.  Raises DivergedLoss on non-finite
-    loss and EmptyTrainSet on an empty dataset.
+    (defaults to np.asarray); the set is stacked once into an (n, T, k)
+    array and a label vector.  Returns (params, history) where history
+    rows carry epoch, mean training loss, and post-epoch training
+    accuracy.  Raises DivergedLoss on non-finite loss and EmptyTrainSet
+    on an empty dataset.
     """
     if len(dataset) == 0:
         raise EmptyTrainSet("empty training dataset")
-    convert = to_matrix or (lambda p: np.asarray(p, dtype=np.float64))
-    mats = [convert(p) for p in dataset.payloads()]
-    labels = dataset.labels()
-    input_dim = mats[0].shape[1]
-    params = init_params(model_cfg, input_dim, dataset.l, cfg.hidden, cfg.seed)
+    convert = to_matrix or np.asarray
+    x = np.stack([convert(p) for p in dataset.payloads()], dtype=np.float64)
+    y = np.array(dataset.labels(), dtype=np.intp)
+    params = init_params(model_cfg, x.shape[2], dataset.l, cfg.hidden, cfg.seed)
+    _class_index(params, y)  # a bad label fails before the first step
 
     rng = np.random.default_rng(cfg.seed)
     acc_state = {name: np.zeros_like(arr) for name, arr in named_params(params).items()}
     tensors = named_params(params)
     history = []
-    n = len(mats)
+    n = len(x)
     for epoch in range(cfg.epochs):
         order = rng.permutation(n)
         total_loss = 0.0
         for lo in range(0, n, cfg.batch_size):
             sel = order[lo:lo + cfg.batch_size]
-            batch = [(mats[i], labels[i]) for i in sel]
-            loss, grads = loss_and_gradients(params, batch)
+            loss, grads = loss_and_gradients(params, x[sel], y[sel])
             if not np.isfinite(loss):
                 raise DivergedLoss(f"training loss non-finite at epoch {epoch + 1}")
             total_loss += loss * len(sel)
@@ -584,8 +580,8 @@ def train(model_cfg: ModelConfig, dataset, cfg: TrainConfig, to_matrix=None):
                 tensors[name] -= cfg.learning_rate * grad / (
                     np.sqrt(acc_state[name]) + 1e-8
                 )
-        preds = predict(params, mats, batch_size=max(cfg.batch_size, 32))
-        accuracy = float(np.mean(preds == np.array(labels)))
+        preds = predict(params, x, batch_size=max(cfg.batch_size, 32))
+        accuracy = float(np.mean(preds == y))
         history.append({
             "epoch": epoch + 1,
             "loss": total_loss / n,
@@ -609,8 +605,9 @@ def gradient_check(params: ModelParams, sample, step: float = 1e-5,
     denominator is floored at 1e-6 to keep 0/0 and finite-difference
     noise on near-zero gradients from dominating.
     """
-    batch = [sample]
-    _, analytic = loss_and_gradients(params, batch)
+    x = np.asarray(sample[0], dtype=np.float64)[None]
+    y = np.array([sample[1]])
+    _, analytic = loss_and_gradients(params, x, y)
     if grads is not None:
         analytic = grads
     tensors = named_params(params)
@@ -629,9 +626,9 @@ def gradient_check(params: ModelParams, sample, step: float = 1e-5,
         arr = tensors[name]
         orig = arr.flat[idx]
         arr.flat[idx] = orig + step
-        up = batch_loss(params, batch)
+        up = batch_loss(params, x, y)
         arr.flat[idx] = orig - step
-        down = batch_loss(params, batch)
+        down = batch_loss(params, x, y)
         arr.flat[idx] = orig
         numeric = (up - down) / (2.0 * step)
         ana = analytic[name].flat[idx]

@@ -535,7 +535,7 @@ def test_criterion_06_model_gradients_match_finite_differences():
         params = init_params(cfg, input_dim=3, classes=3, hidden=4, seed=0)
         rng = np.random.default_rng(600)
         sample = (rng.standard_normal((6, 3)), int(rng.integers(1, 4)))
-        _loss, grads = loss_and_gradients(params, [sample])
+        _loss, grads = loss_and_gradients(params, sample[0][None], [sample[1]])
         bad = {name: arr.copy() for name, arr in grads.items()}
         bad["dense.w"][0, 0] += 0.05
         err = gradient_check(params, sample, step=MODEL_FD_STEP,

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from mccrcnn.baselines import (
+    DivergedLoss,
     EmptyTrainSet,
     Standardizer,
     knn_predict,
@@ -75,6 +76,18 @@ def test_logistic_respects_explicit_class_count():
     assert model.weights.shape == (4, 2)
     with pytest.raises(ValueError):
         train_logistic(x, np.array([1, 5]), l=4)
+
+
+def diverging_points():
+    rng = np.random.default_rng(0)
+    return rng.standard_normal((30, 4)), np.repeat([1, 2, 3], 10)
+
+
+def test_logistic_diverges_with_absurd_rate():
+    x, y = diverging_points()
+    with pytest.raises(DivergedLoss, match="logistic loss became non-finite"):
+        with np.errstate(all="ignore"):
+            train_logistic(x, y, learning_rate=1e6)
 
 
 # ------------------------------------------------------------- naive Bayes
@@ -288,6 +301,15 @@ def test_svm_with_zero_penalty_stays_at_zero():
     model, history = train_svm(x, y, epochs=10, c_reg=0.0)
     assert not model.weights.any() and not model.biases.any()
     assert history == [0.0] * 10
+
+
+def test_svm_diverges_with_absurd_rate():
+    """The step overshoots until the objective overflows; this returned
+    NaN weights that predict class 1 for every row."""
+    x, y = diverging_points()
+    with pytest.raises(DivergedLoss, match="SVM objective became non-finite"):
+        with np.errstate(all="ignore"):
+            train_svm(x, y, learning_rate=5.0, epochs=600)
 
 
 # ------------------------------------------------------------ standardizer

@@ -170,6 +170,8 @@ def test_config_requires_a_seed(tmp_path):
     ({"embedding": {"learning_rate": "0.05"}}, "unknown key 'learning_rate'"),
     ({"train": {"learning_rate": "inf"}}, "unknown key 'learning_rate'"),
     ({"ngram": {"limit": "700"}}, "unknown key 'limit'"),
+    # reported as a missing seed
+    ({"run": {"seed": "-3"}}, "seed must be >= 0"),
 ])
 def test_config_rejects_bad_input(tmp_path, overrides, needle):
     with pytest.raises(ConfigError, match=needle):
@@ -1028,6 +1030,7 @@ def test_cli_exit_code_matrix(tmp_path, capsys):
         "perfamily1e12": {"synthetic": {"samples_per_family": "1000000000000"}},
         "limit0": {"ngram": {"limit": "0"}},
         "sweep11": {"ngram": {"sweep": "1,1"}},
+        "seed-3": {"run": {"seed": "-3"}},
     }
     for stem, overrides in bad_values.items():
         write_cfg(tmp_path, ini_text(**overrides), f"{stem}.ini")
@@ -1100,6 +1103,13 @@ def test_cli_exit_code_matrix(tmp_path, capsys):
         assert err.startswith("config error:" if code == 2 else "error:"), err
         assert sum("error:" in line for line in err.splitlines()) == 1, err
         assert "Traceback" not in err
+    # a negative seed, from the file or the command line, was reported as
+    # a missing one
+    for argv in (["ingest", str(tmp_path / "seed-3.ini")], ["ingest", str(cfg), "--seed", "-7"]):
+        assert main(argv) == 2, argv
+        assert capsys.readouterr().err == "config error: seed must be >= 0\n"
+    assert main(["ingest", str(tmp_path / "noseed.ini")]) == 2
+    assert "a seed is required" in capsys.readouterr().err
 
 
 def test_cli_suite_a_seq_len_too_large_exit_3(tmp_path, capsys):

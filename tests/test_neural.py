@@ -193,7 +193,7 @@ def test_stacked_lstm_matches_four_gate_reference(b, t):
     want_loss, dh_seq = head_loss_and_grad(params, want_h, labels)
     dw, db = four_gate_backward(gw, ref_cache, dh_seq)
 
-    loss, grads = loss_and_gradients(params, list(zip(x, labels)))
+    loss, grads = loss_and_gradients(params, x, labels)
     assert abs(loss - want_loss) <= 1e-12 * abs(want_loss)
     assert rel_err(grads["lstm.w"], np.vstack([dw[g] for g in "fioc"])) <= 1e-12
     assert rel_err(grads["lstm.b"], np.concatenate([db[g] for g in "fioc"])) <= 1e-12
@@ -438,7 +438,7 @@ def test_stacked_gconv_matches_two_kernel_reference(b, t, width):
     want_loss, dout = head_loss_and_grad(params, want_out, labels)
     dw, db, dv, dg, dx = two_kernel_backward(w, v, ref_cache, dout)
 
-    loss, grads = loss_and_gradients(params, list(zip(x, labels)))
+    loss, grads = loss_and_gradients(params, x, labels)
     assert abs(loss - want_loss) <= 1e-12 * abs(want_loss)
     assert rel_err(grads["conv.w"], np.concatenate((dw, dv), axis=2)) <= 1e-12
     assert rel_err(grads["conv.b"], np.concatenate((db, dg))) <= 1e-12
@@ -523,8 +523,8 @@ def test_zeroed_dense_layer_gives_uniform_probs():
     rng = np.random.default_rng(1)
     probs = mcc_rcnn_forward(params, rng.normal(size=(6, 3)))
     assert probs == pytest.approx([0.25] * 4)
-    batch = [(rng.normal(size=(6, 3)), 1 + i % 4) for i in range(8)]
-    assert batch_loss(params, batch) == pytest.approx(math.log(4))
+    x = rng.normal(size=(8, 6, 3))
+    assert batch_loss(params, x, 1 + np.arange(8) % 4) == pytest.approx(math.log(4))
 
 
 def test_arch_property_and_ablation_shapes():
@@ -701,10 +701,10 @@ def test_inference_matches_frozen_cache_keeping_forward_bit_for_bit(arch):
     assert np.array_equal(mcc_rcnn_forward(params, mats[0]), want[0])
 
     y = np.arange(16) % 3
-    batch = [(m, label + 1) for m, label in zip(mats[:16], y)]
-    want_loss, want_grads = reference_loss_and_gradients(params, np.stack(mats[:16]), y)
-    assert batch_loss(params, batch) == want_loss
-    loss, grads = loss_and_gradients(params, batch)
+    x = np.stack(mats[:16])
+    want_loss, want_grads = reference_loss_and_gradients(params, x, y)
+    assert batch_loss(params, x, y + 1) == want_loss
+    loss, grads = loss_and_gradients(params, x, y + 1)
     assert loss == want_loss
     assert grads.keys() == want_grads.keys()
     for name, grad in grads.items():
@@ -807,7 +807,7 @@ def test_gradient_check_flags_corrupted_gradients():
     params = init_params(ModelConfig(arch="mcc_rcnn"), input_dim=3,
                          classes=3, hidden=4, seed=3)
     sample = sample_for(params, 3)
-    _, grads = loss_and_gradients(params, [sample])
+    _, grads = loss_and_gradients(params, sample[0][None], [sample[1]])
     grads = {k: v.copy() for k, v in grads.items()}
     grads["dense.w"][0, 0] += 0.05
     assert gradient_check(params, sample, grads=grads) > 1e-2
@@ -876,6 +876,75 @@ def test_train_is_deterministic_under_seed():
     assert not np.array_equal(p1.dense_w, p3.dense_w)
 
 
+# A frozen copy of train from before it stacked its set once: every step
+# built a list of (matrix, label) pairs and stacked it (_stack_batch),
+# and each epoch's predict re-stacked the training matrices chunk by chunk.
+
+def frozen_stack_batch(batch):
+    xs = []
+    ys = []
+    for x, label in batch:
+        xs.append(np.asarray(x, dtype=np.float64))
+        ys.append(label)
+    return np.stack(xs), np.array(ys, dtype=np.intp)
+
+
+def frozen_predict(params, matrices, batch_size):
+    out = np.zeros(len(matrices), dtype=np.int64)
+    for lo in range(0, len(matrices), batch_size):
+        chunk = matrices[lo:lo + batch_size]
+        x = np.stack([np.asarray(m, dtype=np.float64) for m in chunk])
+        out[lo:lo + len(chunk)] = _forward_batch(params, x).argmax(axis=1) + 1
+    return out
+
+
+def frozen_train(model_cfg, dataset, cfg):
+    mats = [np.asarray(p, dtype=np.float64) for p in dataset.payloads()]
+    labels = dataset.labels()
+    params = init_params(model_cfg, mats[0].shape[1], dataset.l, cfg.hidden, cfg.seed)
+    rng = np.random.default_rng(cfg.seed)
+    acc_state = {name: np.zeros_like(arr) for name, arr in named_params(params).items()}
+    tensors = named_params(params)
+    history = []
+    n = len(mats)
+    for epoch in range(cfg.epochs):
+        order = rng.permutation(n)
+        total_loss = 0.0
+        for lo in range(0, n, cfg.batch_size):
+            sel = order[lo:lo + cfg.batch_size]
+            batch = [(mats[i], labels[i]) for i in sel]
+            loss, grads = loss_and_gradients(params, *frozen_stack_batch(batch))
+            total_loss += loss * len(sel)
+            for name, grad in grads.items():
+                acc_state[name] += grad * grad
+                tensors[name] -= cfg.learning_rate * grad / (
+                    np.sqrt(acc_state[name]) + 1e-8
+                )
+        preds = frozen_predict(params, mats, batch_size=max(cfg.batch_size, 32))
+        accuracy = float(np.mean(preds == np.array(labels)))
+        history.append({
+            "epoch": epoch + 1,
+            "loss": total_loss / n,
+            "accuracy": accuracy,
+        })
+    return params, history
+
+
+@pytest.mark.parametrize("batch_size", [1, 5, 16])
+@pytest.mark.parametrize("arch", ARCHS)
+def test_train_matches_frozen_list_batch_train_bit_for_bit(arch, batch_size):
+    """36 samples: batches of 5 and 16 leave a partial last batch, and the
+    epoch predict runs a chunk of 32 and one of 4."""
+    ds = separable_dataset(per_class=12, t=7, k=4, seed=3)
+    model_cfg = ModelConfig(arch=arch, conv_channels=3)
+    cfg = TrainConfig(learning_rate=0.05, epochs=3, hidden=4, batch_size=batch_size, seed=5)
+    params, history = train(model_cfg, ds, cfg)
+    want_params, want_history = frozen_train(model_cfg, ds, cfg)
+    assert history == want_history
+    for name, arr in named_params(params).items():
+        assert np.array_equal(arr, named_params(want_params)[name]), name
+
+
 def test_train_diverges_with_absurd_rate():
     ds = separable_dataset(per_class=4)
     with pytest.raises(DivergedLoss):
@@ -888,8 +957,8 @@ def test_train_rejects_bad_inputs():
     with pytest.raises(EmptyTrainSet):
         train(ModelConfig(), LabeledDataset(records=(), l=2), TrainConfig())
     params = init_params(ModelConfig(), input_dim=3, classes=2, hidden=3)
-    with pytest.raises(ValueError):
-        batch_loss(params, [(np.zeros((4, 3)), 5)])
+    with pytest.raises(ValueError, match="label 5 outside 1..2"):
+        batch_loss(params, np.zeros((1, 4, 3)), [5])
 
 
 @pytest.mark.parametrize("arch", ARCHS)
@@ -903,9 +972,9 @@ def test_every_forward_refuses_a_wrong_input_width(arch):
     rng = np.random.default_rng(0)
     for width in (3, 5):  # one column too narrow, one too wide
         mats = [rng.normal(size=(6, width)) for _ in range(2)]
-        batch = [(m, 1) for m in mats]
+        x, y = np.stack(mats), [1, 1]
         for call in (lambda: predict(params, mats), lambda: mcc_rcnn_forward(params, mats[0]),
-                     lambda: loss_and_gradients(params, batch), lambda: batch_loss(params, batch)):
+                     lambda: loss_and_gradients(params, x, y), lambda: batch_loss(params, x, y)):
             with pytest.raises(ShapeMismatch, match=f"input has {width} columns, "
                                                     "the model takes 4"):
                 call()
