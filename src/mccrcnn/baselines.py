@@ -15,8 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergedLoss, EmptyTrainSet
+from .errors import DivergedLoss, EmptyTrainSet, ShapeMismatch
 from .neural import cross_entropy, softmax_rows
+
+_EPS = np.finfo(np.float64).eps
+_TINY = np.finfo(np.float64).tiny
+# floats one block of the KNN screen may hold: 8 MB
+_SCREEN_ENTRIES = 1 << 20
 
 
 @dataclass
@@ -67,6 +72,8 @@ def _check_xy(x, y, l=None):
         raise ValueError("x must be a 2-d array")
     if len(x) == 0:
         raise EmptyTrainSet("no training rows")
+    if not np.isfinite(x).all():
+        raise ValueError("x must be finite")
     if len(x) != len(y):
         raise ValueError("x and y length mismatch")
     classes = int(y.max()) if l is None else l
@@ -128,25 +135,109 @@ def train_nb(x, y, l=None, alpha: float = 1.0) -> NaiveBayesModel:
     return NaiveBayesModel(log_priors=log_priors, log_likelihood=log_likelihood)
 
 
+def _knn_candidates(train_x, queries, k):
+    """For each query, the training rows that may lie among its k nearest,
+    in index order, with their exact Euclidean distances.
+
+    The caller has checked that both arrays are finite and equally wide and
+    that 1 <= k <= len(train_x).  See knn_predict for the screen and band.
+    """
+    d = train_x.shape[1]
+    with np.errstate(over="ignore"):
+        train_sq = np.einsum("ij,ij->i", train_x, train_x)
+        query_sq = np.einsum("ij,ij->i", queries, queries)
+        if not np.isfinite(4.0 * (train_sq.max() + np.max(query_sq, initial=0.0))):
+            raise ValueError("squared row norms overflow or come within a factor 4 of it")
+    band = 4 * (d + 6) * _EPS * (query_sq + train_sq.max() + 2 * _TINY)
+    rows = max(1, _SCREEN_ENTRIES // len(train_x))
+    for lo in range(0, len(queries), rows):
+        block = queries[lo:lo + rows]
+        screen = query_sq[lo:lo + rows, None] + train_sq - 2.0 * (block @ train_x.T)
+        limits = np.partition(screen, k - 1, axis=1)[:, k - 1] + band[lo:lo + rows]
+        for q, row, limit in zip(block, screen, limits):
+            cand = np.flatnonzero(row <= limit)
+            yield cand, np.sqrt(((train_x[cand] - q) ** 2).sum(axis=1))
+
+
 def knn_predict(train_x, train_y, queries, k_neighbors: int = 5) -> np.ndarray:
     """Euclidean K nearest neighbours with deterministic tie handling.
 
     Neighbour ranking ties break on training index; vote ties go to the
     class with the smallest mean distance among its voting neighbours,
-    then to the lowest class id.
+    then to the lowest class id.  Raises ShapeMismatch when the queries
+    are not as wide as the training rows, and ValueError on non-finite
+    input or on squared row norms that come within a factor 4 of
+    overflow.
+
+    The distance of a query q to row t is, as it always was,
+    ``sqrt(sum((t - q) ** 2))``, but it is taken only for the rows a
+    screen keeps.  The screen is one product per block of queries:
+    ``A = |q|^2 + |t|^2 - 2 q.t``, whose k-th smallest entry per query is
+    ``A_k``.  Every row with ``A <= A_k + band`` is kept, where, with
+    ``eps`` the float64 machine epsilon, ``u = eps / 2``,
+    ``gamma_n = n u / (1 - n u)`` and ``tiny`` the smallest normal float,
+
+        band = 4 (d + 6) eps (|q|^2 + max_t |t|^2 + 2 tiny).
+
+    Then every row whose exact distance is at most the k-th smallest
+    exact distance is kept, so the neighbours, their tie order and the
+    vote's mean distances are bit for bit those of the distances taken
+    over all rows.  The argument, with S the true squared distance and
+    N = |q|^2 + |t|^2 (Higham, Accuracy and Stability of Numerical
+    Algorithms, ch. 3: a d-term dot product or sum of squares is within
+    gamma_d of the sum of its absolute terms, in any order and with or
+    without fused multiply-adds):
+
+    1. Screen: both squared norms carry gamma_d, their sum one rounding
+       more, the product 2 q.t is within gamma_d N, and the subtraction
+       adds one rounding of a value at most 2 N, so
+       ``|A - S| <= 2 gamma_{d+2} N``.
+    2. Exact formula: each term is rounded three times (difference,
+       square) and the d-term sum adds d - 1, so the computed sum s is
+       ``S (1 + theta)`` with ``|theta| <= gamma_{d+2}``.
+    3. sqrt is correctly rounded and monotone, so sqrt(s_i) <= sqrt(s_m)
+       in floating point means ``s_i <= (1 + gamma_4) s_m``: either
+       s_i <= s_m, or both round to one value r and both lie in
+       [r^2 / (1 + u)^2, r^2 / (1 - u)^2], whose ends differ by a factor
+       below 1 + gamma_4.
+    4. Let row i have exact distance at most the k-th.  At least k rows
+       have ``A <= A_k`` and at least n - k + 1 rows have exact distance
+       at least the k-th, so some row m has both.  By 2 and 3,
+       ``S_i <= (1 + gamma_4)(1 + gamma_{d+2}) / (1 - gamma_{d+2}) S_m
+       <= (1 + gamma_{2d+8}) S_m``, and by 1 and ``S_m <= 2 N_m``,
+       ``A_i <= A_m + (4 gamma_{d+2} + 2 gamma_{2d+8}) N_max
+       <= A_k + 4 gamma_{2d+8} N_max`` with N_max = |q|^2 + max_t |t|^2,
+       where ``4 gamma_{2d+8} = 4 (d + 4) eps / (1 - (d + 4) eps)``.
+    5. The band's 4 (d + 6) eps leaves 16 u N_max beyond that for the
+       roundings of the norms, of the band and of ``A_k + band``, which
+       cost at most 2 u N_max plus terms of order d^2 u^2 N_max; that
+       holds while d stays below 10^7.  The ``2 tiny`` term covers
+       gradual underflow: at rows i and m, the screen's 3 d products
+       (q.t counting twice) and the exact formula's d squares may each
+       lose up to half the smallest subnormal, 5 d subnormals in all,
+       and the term adds 8 (d + 6) of them.
+
+    The factor-4 overflow limit keeps every sum in the screen and the
+    band finite.  Worst case: if every row ties, every row is kept and
+    the cost is that of the full distances; the result is never wrong.
+    The screen holds at most ``_SCREEN_ENTRIES`` floats at once.
     """
     train_x, train_y, _ = _check_xy(train_x, train_y)
     queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
     if k_neighbors < 1:
         raise ValueError("k_neighbors must be >= 1")
+    if queries.ndim != 2 or queries.shape[1] != train_x.shape[1]:
+        raise ShapeMismatch(f"queries of shape {queries.shape}, "
+                            f"training rows have {train_x.shape[1]} columns")
+    if not np.isfinite(queries).all():
+        raise ValueError("queries must be finite")
     k = min(k_neighbors, len(train_x))
     out = np.zeros(len(queries), dtype=np.int64)
-    for qi, q in enumerate(queries):
-        dist = np.sqrt(((train_x - q) ** 2).sum(axis=1))
+    for qi, (cand, dist) in enumerate(_knn_candidates(train_x, queries, k)):
         order = np.argsort(dist, kind="stable")[:k]
         votes: dict[int, list[float]] = {}
-        for i in order:
-            votes.setdefault(int(train_y[i]), []).append(float(dist[i]))
+        for j in order:
+            votes.setdefault(int(train_y[cand[j]]), []).append(float(dist[j]))
         best = max(votes.values(), key=len)
         tied = [c for c, ds in votes.items() if len(ds) == len(best)]
         if len(tied) > 1:

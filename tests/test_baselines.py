@@ -5,10 +5,12 @@ import math
 import numpy as np
 import pytest
 
+from mccrcnn import baselines
 from mccrcnn.baselines import (
     DivergedLoss,
     EmptyTrainSet,
     Standardizer,
+    _knn_candidates,
     knn_predict,
     logistic_loss_and_grad,
     svm_loss_and_grad,
@@ -16,6 +18,7 @@ from mccrcnn.baselines import (
     train_nb,
     train_svm,
 )
+from mccrcnn.errors import ShapeMismatch
 
 
 def blobs(seed=0, per_class=20, l=3, d=4, spread=0.4):
@@ -239,6 +242,121 @@ def test_knn_k_larger_than_train_set_uses_all_rows():
         knn_predict(train_x, train_y, np.array([[0.0]]), k_neighbors=0)
 
 
+def frozen_knn_predict(train_x, train_y, queries, k_neighbors=5):
+    """knn_predict before its screen: each query's distance to every
+    training row, a stable argsort and the vote."""
+    k = min(k_neighbors, len(train_x))
+    out = np.zeros(len(queries), dtype=np.int64)
+    for qi, q in enumerate(queries):
+        dist = np.sqrt(((train_x - q) ** 2).sum(axis=1))
+        order = np.argsort(dist, kind="stable")[:k]
+        votes: dict[int, list[float]] = {}
+        for i in order:
+            votes.setdefault(int(train_y[i]), []).append(float(dist[i]))
+        best = max(votes.values(), key=len)
+        tied = [c for c, ds in votes.items() if len(ds) == len(best)]
+        if len(tied) > 1:
+            tied.sort(key=lambda c: (float(np.mean(votes[c])), c))
+        out[qi] = tied[0]
+    return out
+
+
+def standardized_counts(rng, n, d, queries):
+    """Sparse n-gram-like counts with duplicated rows, standardized on the
+    training rows as suite B2 does."""
+    lam = rng.exponential(0.5, size=(3, d)) * (rng.random((3, d)) < 0.3)
+    y = rng.integers(1, 4, size=n + queries)
+    x = rng.poisson(lam[y - 1]).astype(np.float64)
+    dup = rng.integers(0, n, size=n // 4)
+    x[n - len(dup):n], y[n - len(dup):n] = x[dup], y[dup]
+    std = Standardizer.fit(x[:n])
+    return std.transform(x[:n]), y[:n], std.transform(x[n:])
+
+
+def knn_cases(name, rng):
+    """(train_x, train_y, queries, k) tuples for one kind of input."""
+    if name == "grid":  # duplicate rows, equal distances, vote ties, k > n
+        for _ in range(30):
+            n, d = int(rng.integers(3, 40)), int(rng.integers(1, 5))
+            x = rng.integers(0, 3, size=(n, d)).astype(np.float64)
+            y = rng.integers(1, int(rng.integers(2, 4)) + 1, size=n)
+            q = rng.integers(0, 3, size=(10, d)).astype(np.float64)
+            for k in (1, 2, 4, n + 3):
+                yield x, y, q, k
+    elif name == "one_column":
+        for _ in range(10):
+            n = int(rng.integers(2, 60))
+            x = rng.normal(size=(n, 1)).round(1)
+            yield x, rng.integers(1, 4, size=n), rng.normal(size=(20, 1)).round(1), 5
+    elif name == "counts_700":
+        for _ in range(3):
+            x, y, q = standardized_counts(rng, 150, 700, 150)
+            yield x, y, q, 5
+    elif name == "query_is_row":  # true distance 0; the screen may read < 0
+        for d in (29, 700):
+            x, y, _ = standardized_counts(rng, 120, d, 0)
+            yield x, y, x[rng.permutation(120)[:60]], 5
+    elif name == "common_offset":  # the screen's expansion cancels most
+        for d in (1, 3, 50):
+            x = 1e4 + rng.integers(0, 3, size=(40, d)) * 0.1
+            q = 1e4 + rng.integers(0, 3, size=(20, d)) * 0.1
+            for k in (1, 3, 7):
+                yield x, rng.integers(1, 4, size=40), q, k
+    elif name == "subnormal":  # squared distances below the smallest normal
+        for d in (1, 4):
+            x = rng.integers(0, 9, size=(40, d)) * 3e-162
+            q = rng.integers(0, 9, size=(20, d)) * 3e-162 + 1e-162
+            for k in (1, 3):
+                yield x, rng.integers(1, 4, size=40), q, k
+    elif name == "no_queries":
+        x, y, _ = standardized_counts(rng, 30, 12, 0)
+        yield x, y, np.zeros((0, 12)), 5
+
+
+@pytest.mark.parametrize("name", ["grid", "one_column", "counts_700", "query_is_row",
+                                  "common_offset", "subnormal", "no_queries"])
+def test_knn_screen_keeps_every_neighbour_of_the_full_distances(name):
+    """knn_predict ranks only the rows its product screen keeps; the kept
+    rows must include every row the full distances rank within the k-th,
+    with the same distance bits, so the predictions are the frozen copy's."""
+    rng = np.random.default_rng(28)
+    for train_x, train_y, queries, k in knn_cases(name, rng):
+        got = knn_predict(train_x, train_y, queries, k_neighbors=k)
+        assert got.tolist() == frozen_knn_predict(train_x, train_y, queries, k).tolist()
+        k = min(k, len(train_x))
+        for q, (cand, dist) in zip(queries, _knn_candidates(train_x, queries, k)):
+            full = np.sqrt(((train_x - q) ** 2).sum(axis=1))
+            assert (np.diff(cand) > 0).all()
+            assert dist.tobytes() == full[cand].tobytes()
+            within = np.flatnonzero(full <= np.sort(full)[k - 1])
+            assert np.isin(within, cand).all(), (name, k)
+
+
+def test_knn_screen_in_blocks_matches_frozen_copy(monkeypatch):
+    """The screen takes at most _SCREEN_ENTRIES entries at a time; blocks
+    of one query and of seven give the frozen copy's predictions."""
+    rng = np.random.default_rng(29)
+    x, y, q = standardized_counts(rng, 30, 12, 25)
+    want = frozen_knn_predict(x, y, q, 3).tolist()
+    for entries in (1, 7 * 30):
+        monkeypatch.setattr(baselines, "_SCREEN_ENTRIES", entries)
+        assert knn_predict(x, y, q, k_neighbors=3).tolist() == want
+
+def test_knn_refuses_queries_of_another_width():
+    train_x, train_y = np.zeros((4, 3)), np.array([1, 2, 1, 2])
+    with pytest.raises(ShapeMismatch, match="3 columns"):
+        knn_predict(train_x, train_y, np.zeros((2, 4)))
+
+
+def test_knn_refuses_non_finite_queries_and_overflowing_norms():
+    train_x, train_y = np.eye(3), np.array([1, 2, 3])
+    with pytest.raises(ValueError, match="queries must be finite"):
+        knn_predict(train_x, train_y, np.array([[0.0, np.nan, 0.0]]))
+    with pytest.raises(ValueError, match="overflow"):
+        knn_predict(train_x * 1e200, train_y, np.zeros((1, 3)))
+    with pytest.raises(ValueError, match="overflow"):
+        knn_predict(train_x, train_y, np.full((1, 3), 1e154))
+
 # --------------------------------------------------------------------- SVM
 
 def svm_targets(y, l):
@@ -334,3 +452,16 @@ def test_empty_train_set_raises():
         train_logistic(np.zeros((0, 3)), np.array([], dtype=np.int64))
     with pytest.raises(ValueError):
         train_svm(np.zeros((2, 1)), np.array([1]))
+
+
+@pytest.mark.parametrize("fit", [
+    lambda x, y: train_logistic(x, y),
+    lambda x, y: train_nb(x, y),
+    lambda x, y: train_svm(x, y),
+    lambda x, y: knn_predict(x, y, np.ones((1, 2))),
+], ids=["logistic", "nb", "svm", "knn"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_training_rows_are_refused(fit, bad):
+    x = np.array([[1.0, 2.0], [bad, 0.0], [2.0, 1.0]])
+    with pytest.raises(ValueError, match="x must be finite"):
+        fit(x, np.array([1, 2, 1]))
