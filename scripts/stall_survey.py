@@ -75,7 +75,7 @@ def survey_seed(seed: int, workdir: Path, per_family: int = 100,
         experiments.model_cfg_for(cfg, "mcc_rcnn"), train_split,
         experiments.train_cfg_for(cfg, 1), to_matrix=to_matrix)
     test_split = dataset.subset(test_ids)
-    predicted = neural.predict(params, [to_matrix(p) for p in test_split.payloads()])
+    predicted = neural.predict(params, test_split.payloads(), to_matrix=to_matrix)
     right = predicted == np.asarray(test_split.labels())
     missed = [sid for sid, ok in zip(test_split.ids(), right.tolist()) if not ok]
     return float(np.mean(right)), float(history[-1]["loss"]), missed

@@ -24,6 +24,22 @@ _TINY = np.finfo(np.float64).tiny
 _SCREEN_ENTRIES = 1 << 20
 
 
+def _of_width(x, width: int, what: str = "x") -> np.ndarray:
+    """``x`` as a float64 (n, width) array; ShapeMismatch for any other shape."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != width:
+        raise ShapeMismatch(f"{what} of shape {x.shape}, training rows have {width} columns")
+    return x
+
+
+def _finite_rows(x, width: int, what: str = "x") -> np.ndarray:
+    """As _of_width, and ValueError when an entry is not finite."""
+    x = _of_width(x, width, what)
+    if not np.isfinite(x).all():
+        raise ValueError(f"{what} must be finite")
+    return x
+
+
 @dataclass
 class Standardizer:
     mean: np.ndarray
@@ -38,18 +54,22 @@ class Standardizer:
         return cls(mean=mean, scale=scale)
 
     def transform(self, x: np.ndarray) -> np.ndarray:
-        return (np.asarray(x, dtype=np.float64) - self.mean) / self.scale
+        return (_of_width(x, len(self.mean)) - self.mean) / self.scale
 
 
 @dataclass
 class LinearModel:
-    """Shared container for logistic and SVM: one weight row per class."""
+    """Shared container for logistic and SVM: one weight row per class.
+
+    ``scores`` and ``predict`` take finite (n, d) rows: ValueError for a
+    non-finite entry, ShapeMismatch for another width.
+    """
 
     weights: np.ndarray  # (l, d)
     biases: np.ndarray   # (l,)
 
     def scores(self, x: np.ndarray) -> np.ndarray:
-        return np.asarray(x, dtype=np.float64) @ self.weights.T + self.biases
+        return _finite_rows(x, self.weights.shape[1]) @ self.weights.T + self.biases
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         return self.scores(x).argmax(axis=1) + 1
@@ -57,11 +77,14 @@ class LinearModel:
 
 @dataclass
 class NaiveBayesModel:
+    """``predict`` takes finite (n, d) rows, as LinearModel's does."""
+
     log_priors: np.ndarray     # (l,)
     log_likelihood: np.ndarray  # (l, d)
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        scores = np.asarray(x, dtype=np.float64) @ self.log_likelihood.T + self.log_priors
+        x = _finite_rows(x, self.log_likelihood.shape[1])
+        scores = x @ self.log_likelihood.T + self.log_priors
         return scores.argmax(axis=1) + 1
 
 
@@ -223,14 +246,9 @@ def knn_predict(train_x, train_y, queries, k_neighbors: int = 5) -> np.ndarray:
     The screen holds at most ``_SCREEN_ENTRIES`` floats at once.
     """
     train_x, train_y, _ = _check_xy(train_x, train_y)
-    queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
     if k_neighbors < 1:
         raise ValueError("k_neighbors must be >= 1")
-    if queries.ndim != 2 or queries.shape[1] != train_x.shape[1]:
-        raise ShapeMismatch(f"queries of shape {queries.shape}, "
-                            f"training rows have {train_x.shape[1]} columns")
-    if not np.isfinite(queries).all():
-        raise ValueError("queries must be finite")
+    queries = _finite_rows(np.atleast_2d(queries), train_x.shape[1], "queries")
     k = min(k_neighbors, len(train_x))
     out = np.zeros(len(queries), dtype=np.int64)
     for qi, (cand, dist) in enumerate(_knn_candidates(train_x, queries, k)):

@@ -122,7 +122,7 @@ def _cmd_eval(cfg: ExperimentConfig, args) -> int:
     tables = [load_embedding(out / f"{stream}_glove.ckpt") if stream in LAYERS[which] else None
               for stream in STREAMS]
     to_matrix = matrix_fn(which, *tables, seq_len)
-    preds = predict(params, [to_matrix(p) for p in dataset.payloads()])
+    preds = predict(params, dataset.payloads(), to_matrix=to_matrix)
     cm = confusion(preds.tolist(), dataset.labels(), max(dataset.l, params.l))
     rows = metric_rows(cm)
     with open(out / "eval_report.csv", "w", encoding="utf-8", newline="\n") as fh:

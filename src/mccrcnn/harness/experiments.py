@@ -248,12 +248,12 @@ def _iter_folds(cfg: ExperimentConfig, dataset: LabeledDataset):
 
 
 def _nn_predictions(arch, to_matrix, cfg, fold, train_split, test_split):
-    """Train one model on the split, then build the test matrices and predict them."""
+    """Train one model on the split, then predict the test split chunk by chunk."""
     params, _history = train(
         model_cfg_for(cfg, arch), train_split, train_cfg_for(cfg, fold),
         to_matrix=to_matrix,
     )
-    return predict(params, [to_matrix(p) for p in test_split.payloads()])
+    return predict(params, test_split.payloads(), to_matrix=to_matrix)
 
 
 def _suite_a(cfg, fold, train_split, test_split):
@@ -284,6 +284,23 @@ def _suite_b1(cfg, fold, train_split, test_split):
     yield "opcode_svm", model.predict(std.transform(xte))
 
 
+def _ngram_predictions(n, op_train, ytr, train_split, test_split):
+    """The three n-gram baselines' (variant, predictions) pairs for one n.
+
+    The count and standardized arrays die on return, before the next n's
+    are built.
+    """
+    fs = select_ngram_features(op_train, n)
+    xtr = np.array([ngram_vector(p[0], fs) for p in train_split.payloads()], np.float64)
+    xte = np.array([ngram_vector(p[0], fs) for p in test_split.payloads()], np.float64)
+    std = Standardizer.fit(xtr)
+    ztr, zte = std.transform(xtr), std.transform(xte)
+    logi, _ = train_logistic(ztr, ytr, l=train_split.l)
+    return [(f"logistic_ngram{n}", logi.predict(zte)),
+            (f"nb_ngram{n}", train_nb(xtr, ytr, l=train_split.l).predict(xte)),
+            (f"knn_ngram{n}", knn_predict(ztr, ytr, zte))]
+
+
 def _suite_b2(cfg, fold, train_split, test_split):
     to_matrix = glove_matrixer("fused", train_split, cfg, fold)
     yield "fused_mccrcnn", _nn_predictions("mcc_rcnn", to_matrix, cfg, fold,
@@ -291,15 +308,7 @@ def _suite_b2(cfg, fold, train_split, test_split):
     op_train = [p[0] for p in train_split.payloads()]
     ytr = np.array(train_split.labels())
     for n in cfg.ngram.sweep:
-        fs = select_ngram_features(op_train, n)
-        xtr = np.array([ngram_vector(p[0], fs) for p in train_split.payloads()], np.float64)
-        xte = np.array([ngram_vector(p[0], fs) for p in test_split.payloads()], np.float64)
-        std = Standardizer.fit(xtr)
-        ztr, zte = std.transform(xtr), std.transform(xte)
-        logi, _ = train_logistic(ztr, ytr, l=train_split.l)
-        yield f"logistic_ngram{n}", logi.predict(zte)
-        yield f"nb_ngram{n}", train_nb(xtr, ytr, l=train_split.l).predict(xte)
-        yield f"knn_ngram{n}", knn_predict(ztr, ytr, zte)
+        yield from _ngram_predictions(n, op_train, ytr, train_split, test_split)
 
 
 def _suite_c(cfg, fold, train_split, test_split):

@@ -379,9 +379,12 @@ def _gconv_forward_batch(p: GatedConvParams, h: np.ndarray, cache: dict | None =
     b, t, c_in = h.shape
     width = p.width
     pad = (width - 1) // 2
-    hp = np.zeros((b, t + width - 1, c_in))
-    hp[:, pad:pad + t, :] = h
-    cols = np.stack([hp[:, d:d + t, :] for d in range(width)], axis=2)
+    # window d of step s is h[s + d - pad], zero outside 0..t-1
+    cols = np.zeros((b, t, width, c_in))
+    for d in range(width):
+        lo, hi = max(0, pad - d), min(t, t + pad - d)
+        if lo < hi:
+            cols[:, lo:hi, d, :] = h[:, lo + d - pad:hi + d - pad, :]
     cols = cols.reshape(b, t, width * c_in)
     c_out = p.out_channels
     z = cols @ p.w.reshape(width * c_in, -1)  # [lin | gate]
@@ -524,10 +527,15 @@ def loss_and_gradients(params: ModelParams, x: np.ndarray, y):
 
 # ------------------------------------------------------------ training
 
-def predict(params: ModelParams, matrices, batch_size: int = 64) -> np.ndarray:
+def predict(params: ModelParams, matrices, batch_size: int = 64,
+            to_matrix=None) -> np.ndarray:
     """Predicted labels (1-based) of an (n, T, k) array or a list of (T, k) matrices.
 
     Each chunk is a slice, which np.asarray stacks only for a list.
+    With ``to_matrix`` (as ``train`` takes it), ``matrices`` is a list of
+    record payloads instead: each chunk's payloads are converted and
+    stacked only when that chunk is reached, so one chunk of matrices is
+    alive at a time, not the whole set.
     Inference only: no backward cache is kept.  The chunk sizes are
     fixed because they can change the probabilities in the last bits.
     With OpenBLAS 0.3.31 at one or two threads and the gate-major LSTM
@@ -538,7 +546,10 @@ def predict(params: ModelParams, matrices, batch_size: int = 64) -> np.ndarray:
     """
     out = np.zeros(len(matrices), dtype=np.int64)
     for lo in range(0, len(matrices), batch_size):
-        chunk = np.asarray(matrices[lo:lo + batch_size], dtype=np.float64)
+        chunk = matrices[lo:lo + batch_size]  # frees the previous chunk's stack
+        if to_matrix is not None:
+            chunk = [to_matrix(p) for p in chunk]
+        chunk = np.asarray(chunk, dtype=np.float64)
         out[lo:lo + len(chunk)] = _forward_batch(params, chunk).argmax(axis=1) + 1
     return out
 

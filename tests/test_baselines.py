@@ -447,6 +447,34 @@ def test_standardizer_centers_and_scales():
     )
 
 
+def test_standardizer_refuses_rows_of_another_width():
+    s = Standardizer.fit(np.arange(12.0).reshape(4, 3))
+    for bad in (np.zeros((2, 4)), np.zeros((2, 2)), np.zeros(3)):
+        with pytest.raises(ShapeMismatch, match="3 columns"):
+            s.transform(bad)
+
+
+@pytest.mark.parametrize("fit", [
+    lambda x, y: train_logistic(x, y)[0],
+    lambda x, y: train_svm(x, y)[0],
+    lambda x, y: train_nb(x, y),
+], ids=["logistic", "svm", "nb"])
+def test_fitted_models_refuse_non_finite_and_wrong_width_rows(fit):
+    """A NaN row used to get class 1 silently, and a row of another width
+    numpy's bare matmul error."""
+    x = np.array([[1.0, 2.0], [0.0, 3.0], [2.0, 0.0], [3.0, 1.0]])
+    model = fit(x, np.array([1, 1, 2, 2]))
+    calls = [model.predict] + ([model.scores] if hasattr(model, "scores") else [])
+    for call in calls:
+        assert call(x).shape[0] == 4
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="x must be finite"):
+                call(np.array([[0.0, 1.0], [bad, 0.0]]))
+        for wrong in (np.zeros((1, 3)), np.zeros((1, 1)), np.zeros(2)):
+            with pytest.raises(ShapeMismatch, match="2 columns"):
+                call(wrong)
+
+
 def test_empty_train_set_raises():
     with pytest.raises(EmptyTrainSet):
         train_logistic(np.zeros((0, 3)), np.array([], dtype=np.int64))

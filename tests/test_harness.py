@@ -681,6 +681,37 @@ def test_suite_reports_equal_frozen_suites(tmp_path, name):
     assert len(variants) == {"A": 5, "B1": 4, "B2": 13, "C": 3}[name]
 
 
+def test_b2_holds_one_ngram_size_at_a_time(tmp_path, monkeypatch):
+    """Each n's count matrix, which Standardizer.fit receives, is dead by
+    the time the next n's features are selected."""
+    corpus = tmp_path / "corpus"
+    generate_synthetic_corpus(small_spec(), corpus)
+    counts: list[weakref.ref] = []
+    alive_at_select = []
+    fit = Standardizer.fit
+
+    def recording_fit(x):
+        counts.append(weakref.ref(x))
+        return fit(x)
+
+    select = select_ngram_features
+
+    def recording_select(sequences, n):
+        alive_at_select.append([ref() is not None for ref in counts].count(True))
+        return select(sequences, n)
+
+    monkeypatch.setattr(Standardizer, "fit", recording_fit)
+    monkeypatch.setattr("mccrcnn.harness.experiments.select_ngram_features", recording_select)
+    cfg = ExperimentConfig(seed=1, corpus=corpus, labels=corpus / "labels.csv",
+                           out_dir=tmp_path / "out", folds=2,
+                           embedding=EmbeddingSettings(k=6, window=4, epochs=4),
+                           model=ModelSettings(seq_len=16, hidden=6, conv_channels=6),
+                           train=TrainSettings(epochs=2, batch_size=4))
+    run_experiment("B2", cfg)
+    assert len(counts) == 2 * len(cfg.ngram.sweep) == 8
+    assert alive_at_select == [0] * 8
+
+
 @pytest.mark.parametrize("seed", [1, 2])
 def test_b2_fused_beats_ngram_baselines_on_fusion_mode_corpus(tmp_path, seed):
     """The paper's headline, on a corpus where it can fail.

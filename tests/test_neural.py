@@ -2,10 +2,12 @@
 
 import math
 import warnings
+import weakref
 
 import numpy as np
 import pytest
 
+from mccrcnn import neural
 from mccrcnn.errors import DivergedLoss, PipelineError, ShapeMismatch
 from mccrcnn.features import LabeledDataset
 from mccrcnn.neural import (
@@ -32,6 +34,7 @@ from mccrcnn.neural import (
 from mccrcnn.neural import (
     _forward_batch,
     _gconv_backward,
+    _gconv_forward_batch,
     _lstm_backward,
     _lstm_forward_batch,
     _sigmoid,
@@ -444,6 +447,29 @@ def test_stacked_gconv_matches_two_kernel_reference(b, t, width):
     assert rel_err(grads["conv.b"], np.concatenate((db, dg))) <= 1e-12
     _, got_dx = _gconv_backward(params.conv, cache, dout)
     assert rel_err(got_dx, dx) <= 1e-12
+
+
+@pytest.mark.parametrize("b", [1, 16, 64])
+def test_gconv_forward_matches_padded_copy_reference_bit_for_bit(b):
+    """The shifted windows written into one zeroed array hold the padded
+    copy's stacked views, value for value and in the same layout, so the
+    product over them keeps its bits.  At width 5, t = 1 and 2 leave some
+    windows wholly in the padding."""
+    rng = np.random.default_rng(b)
+    c_in, c = 6, 4
+    for width in (1, 3, 5):
+        p = GatedConvParams(w=rng.normal(scale=0.5, size=(width, c_in, 2 * c)),
+                            b=rng.normal(scale=0.5, size=2 * c))
+        for t in (1, 2, 7):
+            h = rng.normal(size=(b, t, c_in))
+            want, want_cache = reference_gconv_forward(p, h)
+            assert np.array_equal(_gconv_forward_batch(p, h), want), (width, t)
+            cache = {}
+            assert np.array_equal(_gconv_forward_batch(p, h, cache), want), (width, t)
+            assert cache.keys() == want_cache.keys()
+            for key, value in want_cache.items():
+                assert np.array_equal(cache[key], value), (width, t, key)
+            assert cache["cols"].flags.c_contiguous
 
 
 # ------------------------------------------------------------------- pool
@@ -992,3 +1018,63 @@ def test_predict_is_one_based_and_batch_invariant():
     assert np.array_equal(big, small)
     assert set(big.tolist()) <= {1, 2, 3}
     assert big.min() >= 1
+
+
+def spread_matrices(n, seed=7):
+    """(20, 12) matrices whose per-sample column offset spreads busy_params'
+    predictions over all classes."""
+    rng = np.random.default_rng(seed)
+    return [rng.normal(loc=rng.normal(scale=2.0, size=12), size=(20, 12)) for _ in range(n)]
+
+
+def recorded_forward(monkeypatch, record):
+    """Route predict's forward through ``record(x, probs)``."""
+    forward = neural._forward_batch
+
+    def recording(params, x):
+        probs = forward(params, x)
+        record(x, probs)
+        return probs
+
+    monkeypatch.setattr(neural, "_forward_batch", recording)
+
+
+@pytest.mark.parametrize("batch_size", [4, 32, 64])
+def test_predict_of_payloads_matches_the_list_form_bit_for_bit(monkeypatch, batch_size):
+    """150 samples leave a partial last chunk at every size."""
+    params = busy_params("mcc_rcnn")
+    mats = spread_matrices(150)
+    probs = []
+    recorded_forward(monkeypatch, lambda _x, out: probs.append(out))
+    want = predict(params, mats, batch_size=batch_size)
+    want_probs, probs[:] = list(probs), []
+    payloads = [("sample", i) for i in range(150)]
+    got = predict(params, payloads, batch_size=batch_size, to_matrix=lambda p: mats[p[1]])
+    assert np.array_equal(got, want) and len(set(want.tolist())) > 1
+    assert len(probs) == len(want_probs) == -(-150 // batch_size)
+    for got_chunk, want_chunk in zip(probs, want_probs):
+        assert np.array_equal(got_chunk, want_chunk)
+
+
+def test_predict_converts_one_chunk_at_a_time(monkeypatch):
+    """No earlier chunk's matrix, nor its stacked batch, is alive when
+    predict converts a payload of the next chunk."""
+    params = busy_params("mcc_rcnn")
+    mats = spread_matrices(150)
+    made: list[tuple[int, weakref.ref]] = []
+    stacks: list[weakref.ref] = []
+    alive_at_convert = []
+
+    def to_matrix(i):
+        alive = [j for j, ref in made if ref() is not None and j // 32 != i // 32]
+        alive += ["stack" for ref in stacks if ref() is not None]
+        alive_at_convert.append(alive)
+        matrix = mats[i].copy()
+        made.append((i, weakref.ref(matrix)))
+        return matrix
+
+    recorded_forward(monkeypatch, lambda x, _out: stacks.append(weakref.ref(x)))
+    got = predict(params, list(range(150)), batch_size=32, to_matrix=to_matrix)
+    assert len(stacks) == 5 and [i for i, _ref in made] == list(range(150))
+    assert alive_at_convert == [[]] * 150
+    assert np.array_equal(got, predict(params, mats, batch_size=32))

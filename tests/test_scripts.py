@@ -3,9 +3,12 @@
 import importlib.util
 import json
 import math
+import subprocess
 from pathlib import Path
 
 import pytest
+
+from mccrcnn.harness.config import load_config
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -159,3 +162,86 @@ def test_bench_pairs_rejects_bad_arguments_before_any_process(argv, monkeypatch,
     with pytest.raises(SystemExit) as exc:
         pairs_mod.main(["HEAD~1", "HEAD", *argv])
     assert exc.value.code == 2 and "error:" in capsys.readouterr().err
+
+
+def fake_export(rev, dest):
+    """Stands in for the git archive export: the tree holds its revision's name."""
+    dest.mkdir(parents=True)
+    (dest / "REV").write_text(rev)
+    return f"commit-{rev}"
+
+
+def fake_produce(tree, work):
+    """Two files per revision; revision "flip" changes one bit of the
+    report, and "extra" writes one more file."""
+    rev = (tree / "REV").read_text()
+    out = work / "files" / "out" / "cv_fused_seed1"
+    out.mkdir(parents=True)
+    (out / "report_B2.csv").write_bytes(b"1,x,0.4\n" if rev == "flip" else b"1,x,0.5\n")
+    (out / "summary_B2.txt").write_text("summary\n")
+    if rev == "extra":
+        (work / "files" / "out" / "model.ckpt").write_text("v3\n")
+
+
+REPORT, SUMMARY = "out/cv_fused_seed1/report_B2.csv", "out/cv_fused_seed1/summary_B2.txt"
+
+
+@pytest.mark.parametrize("rev_b, code, lines", [
+    ("HEAD", 0, [f"same: {REPORT}", f"same: {SUMMARY}", "2 of 2 files same, 0 differ"]),
+    ("flip", 1, [f"differs: {REPORT}", f"same: {SUMMARY}", "1 of 2 files same, 1 differ"]),
+    ("extra", 1, [f"same: {REPORT}", f"same: {SUMMARY}", "only in B: out/model.ckpt",
+                  "2 of 3 files same, 1 differ"]),
+])
+def test_same_bits_names_each_differing_file(monkeypatch, capsys, rev_b, code, lines):
+    """main with the export and the runs replaced by fakes."""
+    same = load(ROOT / "scripts" / "same_bits.py")
+    monkeypatch.setattr(same.subprocess, "run", None)  # any process start fails
+    monkeypatch.setattr(same, "export", fake_export)
+    monkeypatch.setattr(same, "produce", fake_produce)
+    assert same.main(["HEAD", rev_b]) == code
+    out = capsys.readouterr().out.splitlines()
+    assert out == ["A = HEAD (commit-HEAD)", f"B = {rev_b} (commit-{rev_b})", *lines]
+
+
+def test_same_bits_runs_each_job_with_the_exported_package(monkeypatch, tmp_path):
+    """produce with a fake process runner: every job's config loads, and
+    each verb runs from the export's src/ at one BLAS thread."""
+    same = load(ROOT / "scripts" / "same_bits.py")
+    runs = []
+
+    def fake_run(cmd, cwd, env, **_kw):
+        runs.append((cmd[1:3], cmd[3:-1], Path(cmd[-1]).stem, cwd,
+                     env["PYTHONPATH"], env["OPENBLAS_NUM_THREADS"]))
+        return subprocess.CompletedProcess(cmd, 0, "", "")
+
+    monkeypatch.setattr(same.subprocess, "run", fake_run)
+    tree, work = tmp_path / "tree", tmp_path / "work"
+    same.produce(tree, work)
+    assert all(r[0] == ["-m", "mccrcnn.harness.cli"] for r in runs)
+    assert {r[3:] for r in runs} == {(work, str(tree / "src"), "1")}
+    assert [(r[2], " ".join(r[1])) for r in runs] == [
+        (name, " ".join(verb)) for name, _ini, verbs in same.JOBS for verb in verbs]
+
+    cfgs = {name: load_config(work / f"{name}.ini") for name, _ini, _verbs in same.JOBS}
+    for name, cfg in cfgs.items():
+        assert cfg.corpus == work / "files" / "corpus" / name
+        assert cfg.out_dir == work / "files" / "out" / name and cfg.folds == 2
+
+    def shape(name):
+        s = cfgs[name].synthetic
+        return cfgs[name].seed, s.families, s.samples_per_family, s.fusion_mode
+
+    assert [shape(f"cv_fused_seed{s}") for s in (1, 2, 3)] == [(s, 3, 100, False)
+                                                            for s in (1, 2, 3)]
+    assert [shape(f"suites_seed{s}") for s in (1, 2)] == [(1, 3, 20, False), (2, 3, 20, False)]
+    assert shape("fusion_seed7") == (7, 2, 30, True)
+    tiny = cfgs["cli_tiny"]
+    assert shape("cli_tiny") == (5, 2, 6, False)
+    assert (tiny.embedding.k, tiny.model.seq_len, tiny.train.epochs) == (6, 16, 2)
+
+    def failing_run(cmd, **_kw):
+        return subprocess.CompletedProcess(cmd, 3, "", "error: diverged")
+
+    monkeypatch.setattr(same.subprocess, "run", failing_run)
+    with pytest.raises(SystemExit, match="gen cv_fused_seed1 .* exited 3:\nerror: diverged"):
+        same.produce(tree, tmp_path / "work2")
