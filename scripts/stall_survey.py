@@ -73,7 +73,7 @@ def survey_seed(seed: int, workdir: Path, per_family: int = 100,
     to_matrix = experiments.matrix_fn("fused", *tables, cfg.model.seq_len)
     params, history = neural.train(
         experiments.model_cfg_for(cfg, "mcc_rcnn"), train_split,
-        experiments.train_cfg_for(cfg, 1), to_matrix=to_matrix)
+        experiments.train_cfg_for(cfg, 1), to_matrix=to_matrix, epoch_accuracy=False)
     test_split = dataset.subset(test_ids)
     predicted = neural.predict(params, test_split.payloads(), to_matrix=to_matrix)
     right = predicted == np.asarray(test_split.labels())

@@ -251,7 +251,7 @@ def _nn_predictions(arch, to_matrix, cfg, fold, train_split, test_split):
     """Train one model on the split, then predict the test split chunk by chunk."""
     params, _history = train(
         model_cfg_for(cfg, arch), train_split, train_cfg_for(cfg, fold),
-        to_matrix=to_matrix,
+        to_matrix=to_matrix, epoch_accuracy=False,
     )
     return predict(params, test_split.payloads(), to_matrix=to_matrix)
 

@@ -65,8 +65,9 @@ class EvenKernelWidth(PipelineError):
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     # the tanh identity cannot overflow for any finite x; one allocation,
-    # and the same bits as 0.5 * (1 + tanh(x / 2)) since + and * commute
-    s = x / 2.0
+    # and the same bits as 0.5 * (1 + tanh(x / 2)): scaling by a power of
+    # two is exact, so x * 0.5 == x / 2, and + and * commute
+    s = x * 0.5
     np.tanh(s, out=s)
     s += 1.0
     s *= 0.5
@@ -247,9 +248,9 @@ def _lstm_forward_batch(p: LstmParams, x: np.ndarray, cache: dict | None = None)
     block of the output, which is the next step's h_prev, and each cached
     step is one contiguous copy.  The sigmoid rows go through the same one
     tanh as the candidate, halved before and mapped to 0.5 (1 + tanh)
-    after, which gives the bits of _sigmoid: halving is exact and + and *
-    commute.  With a ``cache`` dict, each step's gates, c and tanh c are
-    copied into it for _lstm_backward.  The hidden states and the cached
+    after, which gives the bits of _sigmoid: halving (a multiply by 0.5)
+    is exact and + and * commute.  With a ``cache`` dict, each step's
+    gates, c and tanh c are copied into it for _lstm_backward.  The hidden states and the cached
     gates, c and tanh c are handed out as (B, T, .) transposed views.
     """
     b, t, k = x.shape
@@ -277,7 +278,7 @@ def _lstm_forward_batch(p: LstmParams, x: np.ndarray, cache: dict | None = None)
     for step in range(t):
         np.matmul(h_prev.T, w_h, out=g.T)
         g += xw[step]
-        sig /= 2.0
+        sig *= 0.5
         np.tanh(g, out=g)
         sig += 1.0
         sig *= 0.5
@@ -554,15 +555,20 @@ def predict(params: ModelParams, matrices, batch_size: int = 64,
     return out
 
 
-def train(model_cfg: ModelConfig, dataset, cfg: TrainConfig, to_matrix=None):
+def train(model_cfg: ModelConfig, dataset, cfg: TrainConfig, to_matrix=None, *,
+          epoch_accuracy: bool = True):
     """Train on a LabeledDataset with AdaGrad over seeded shuffled minibatches.
 
     ``to_matrix`` converts a record payload to its (T, k) input matrix
     (defaults to np.asarray); the set is stacked once into an (n, T, k)
     array and a label vector.  Returns (params, history) where history
     rows carry epoch, mean training loss, and post-epoch training
-    accuracy.  Raises DivergedLoss on non-finite loss and EmptyTrainSet
-    on an empty dataset.
+    accuracy: after each epoch, ``predict`` runs over the whole training
+    set.  With ``epoch_accuracy=False`` that pass is skipped and the rows
+    carry only epoch and loss; the CV suites pass it, since they discard
+    the history.  ``predict`` draws no random numbers and leaves the
+    parameters alone, so both settings train the same bits.  Raises
+    DivergedLoss on non-finite loss and EmptyTrainSet on an empty dataset.
     """
     if len(dataset) == 0:
         raise EmptyTrainSet("empty training dataset")
@@ -591,14 +597,15 @@ def train(model_cfg: ModelConfig, dataset, cfg: TrainConfig, to_matrix=None):
                 tensors[name] -= cfg.learning_rate * grad / (
                     np.sqrt(acc_state[name]) + 1e-8
                 )
-        preds = predict(params, x, batch_size=max(cfg.batch_size, 32))
-        accuracy = float(np.mean(preds == y))
-        history.append({
-            "epoch": epoch + 1,
-            "loss": total_loss / n,
-            "accuracy": accuracy,
-        })
-        log.debug("epoch %d loss %.5f acc %.4f", epoch + 1, total_loss / n, accuracy)
+        row = {"epoch": epoch + 1, "loss": total_loss / n}
+        if epoch_accuracy:
+            preds = predict(params, x, batch_size=max(cfg.batch_size, 32))
+            row["accuracy"] = float(np.mean(preds == y))
+            log.debug("epoch %d loss %.5f acc %.4f", row["epoch"], row["loss"],
+                      row["accuracy"])
+        else:
+            log.debug("epoch %d loss %.5f", row["epoch"], row["loss"])
+        history.append(row)
     return params, history
 
 

@@ -11,6 +11,7 @@ import weakref
 import numpy as np
 import pytest
 
+from mccrcnn import neural
 from mccrcnn.asmlite import DATA_DIRECTIVES, parse_asm_bytes
 from mccrcnn.baselines import Standardizer, knn_predict, train_logistic, train_nb, train_svm
 from mccrcnn.embedding import EmbeddingTable
@@ -67,7 +68,7 @@ from mccrcnn.harness.persist import (
     save_embedding,
     save_model,
 )
-from mccrcnn.harness import synth
+from mccrcnn.harness import experiments, synth
 from mccrcnn.harness.synth import (
     DEFAULT_APIS,
     DEFAULT_OPCODES,
@@ -710,6 +711,29 @@ def test_b2_holds_one_ngram_size_at_a_time(tmp_path, monkeypatch):
     run_experiment("B2", cfg)
     assert len(counts) == 2 * len(cfg.ngram.sweep) == 8
     assert alive_at_select == [0] * 8
+
+
+def test_suite_training_runs_no_epoch_predict(tmp_path, monkeypatch):
+    """The suites discard train's history, so train predicts nothing: the
+    only predict calls are the test-split ones, one per fold."""
+    corpus = tmp_path / "corpus"
+    generate_synthetic_corpus(small_spec(families=3, samples_per_family=6), corpus)
+    callers = []
+    real_predict = neural.predict
+
+    def recording_predict(*args, **kwargs):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return real_predict(*args, **kwargs)
+
+    monkeypatch.setattr(neural, "predict", recording_predict)
+    monkeypatch.setattr(experiments, "predict", recording_predict)
+    cfg = ExperimentConfig(seed=1, corpus=corpus, labels=corpus / "labels.csv",
+                           out_dir=tmp_path / "out", folds=2,
+                           embedding=EmbeddingSettings(k=6, window=4, epochs=4),
+                           model=ModelSettings(seq_len=16, hidden=6, conv_channels=6),
+                           train=TrainSettings(epochs=2, batch_size=4))
+    run_experiment("B2", cfg)
+    assert callers == ["_nn_predictions"] * cfg.folds
 
 
 @pytest.mark.parametrize("seed", [1, 2])

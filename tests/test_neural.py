@@ -100,6 +100,16 @@ def test_sigmoid_matches_logistic_and_saturates_quietly():
     assert ((far >= 0.0) & (far <= 1.0)).all()
 
 
+def test_sigmoid_matches_the_halved_tanh_identity_bit_for_bit():
+    """x * 0.5 is exact like x / 2, subnormals and signed zeros included."""
+    smallest = np.finfo(np.float64).smallest_subnormal
+    normal = np.finfo(np.float64).smallest_normal
+    edges = np.array([-1e4, 1e4, 0.0, -0.0, smallest, -smallest, 3 * smallest,
+                      -3 * smallest, normal / 3, -normal / 3, normal, -normal])
+    x = np.concatenate([edges, np.random.default_rng(0).normal(scale=4.0, size=10_000)])
+    assert np.array_equal(_sigmoid(x), 0.5 * (1.0 + np.tanh(x / 2.0)))
+
+
 # A frozen copy of the four-gate LSTM (separate f, i, o, c weight and bias
 # arrays, one matmul per gate per step) that the stacked layout replaced.
 
@@ -969,6 +979,27 @@ def test_train_matches_frozen_list_batch_train_bit_for_bit(arch, batch_size):
     assert history == want_history
     for name, arr in named_params(params).items():
         assert np.array_equal(arr, named_params(want_params)[name]), name
+
+
+@pytest.mark.parametrize("batch_size", [1, 5, 16])
+@pytest.mark.parametrize("arch", ARCHS)
+def test_train_without_epoch_accuracy_trains_the_same_bits(arch, batch_size, monkeypatch):
+    """The post-epoch predict only reads the parameters, so skipping it
+    drops the accuracy column and changes no trained bit and no loss."""
+    ds = separable_dataset(per_class=12, t=7, k=4, seed=3)
+    model_cfg = ModelConfig(arch=arch, conv_channels=3)
+    cfg = TrainConfig(learning_rate=0.05, epochs=3, hidden=4, batch_size=batch_size, seed=5)
+    params, history = train(model_cfg, ds, cfg)
+
+    def no_predict(*_args, **_kwargs):
+        raise AssertionError("predict called with epoch_accuracy=False")
+
+    monkeypatch.setattr(neural, "predict", no_predict)
+    lean_params, lean_history = train(model_cfg, ds, cfg, epoch_accuracy=False)
+    assert [set(row) for row in lean_history] == [{"epoch", "loss"}] * cfg.epochs
+    assert lean_history == [{"epoch": r["epoch"], "loss": r["loss"]} for r in history]
+    for name, arr in named_params(lean_params).items():
+        assert np.array_equal(arr, named_params(params)[name]), name
 
 
 def test_train_diverges_with_absurd_rate():
