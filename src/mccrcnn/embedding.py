@@ -55,6 +55,10 @@ class EmptyVocabulary(PipelineError):
     """No token survived the frequency threshold."""
 
 
+class EmptyCooccurrence(PipelineError):
+    """No two tokens co-occur, so GloVe has nothing to fit."""
+
+
 class ZeroVector(PipelineError):
     """Cosine similarity is undefined for an all-zero embedding."""
 
@@ -142,7 +146,7 @@ def build_vocab(corpus, min_count: int = 1) -> Vocabulary:
         counts.update(seq.tokens)
     kept = {tok: c for tok, c in counts.items() if c >= min_count}
     if not kept:
-        raise EmptyVocabulary(f"no token reached min_count={min_count}")
+        raise EmptyVocabulary(f"no token reaches a count of {min_count}")
     ordered = sorted(kept, key=lambda tok: (-kept[tok], tok))
     token_to_id = {tok: i + 1 for i, tok in enumerate(ordered)}
     return Vocabulary(token_to_id=token_to_id, counts=kept, min_count=min_count)
@@ -281,10 +285,12 @@ def train_glove(cooc: CooccurrenceMatrix, vocab: Vocabulary, k: int,
 
     Returns the table, copied out of the packed state, and the loss
     history: element 0 is J at initialization, element e is J after epoch
-    e.  Raises DivergedLoss if J ever becomes non-finite.
+    e.  Raises EmptyCooccurrence when the matrix has no entry and
+    DivergedLoss if J ever becomes non-finite.
     """
     if not cooc.entries:
-        raise ValueError("co-occurrence matrix has no entries")
+        raise EmptyCooccurrence(f"no two tokens lie within {cooc.window} positions of "
+                                "each other, so GloVe has nothing to fit")
     if cooc.vocab_size != len(vocab):
         raise ValueError("vocabulary size does not match co-occurrence matrix")
     if k < 1 or epochs < 0:

@@ -10,35 +10,34 @@ Two extractors feed the classifier:
 
 * ``build_relation_graph`` reads the listing once: one loop over its
   lines collects the code-section instructions, the labels and the
-  ``extrn`` imports, and one loop over the code classifies each
-  instruction once, as an API site, a call edge or a jump edge.
-
-* ``extract_key_api_sequence`` performs a depth-first traversal of that
-  graph starting at the program entry and emits imported API names in
-  first-visit order.  It follows the graph's edges through one successor
-  map and never re-reads a mnemonic to branch on it.  Traversal rules:
+  ``extrn`` imports, and one loop over the code decides each
+  instruction's successors once, in the order the walk pushes them:
 
   - plain instructions fall through to the next instruction in file order
-  - conditional jumps explore the fall-through subtree first, then the
-    jump target
-  - unconditional jumps follow only the target
-  - calls to local code descend into the callee first, then resume at the
-    return address; calls to imported APIs emit the name and fall through
-  - ret/retn/retf/iret end a path (the caller's resume edge models the
-    return)
-  - a visited-address set bounds the walk, so loops terminate and each
-    call site emits its API name at most once
+  - conditional jumps push (target, fall-through), so the fall-through
+    subtree is explored first
+  - unconditional jumps push only the target
+  - calls to local code push (return address, callee), so the walk
+    descends into the callee first; calls to imported APIs record the
+    name and fall through, and so do unresolved calls
+  - an unresolved jmp and a return push nothing and end a path (the
+    caller's return address models the return)
+
+* ``extract_key_api_sequence`` performs a depth-first traversal of that
+  successor map starting at the program entry and emits imported API
+  names in first-visit order.  A visited-address set bounds the walk,
+  so loops terminate and each call site emits its API name at most once.
 
 Jump and call targets resolve through label definitions, through the
 IDA naming convention (``loc_``/``sub_``/``locret_`` plus a hex address),
 or through literal hex operands ("0x401000", "401000h").  Indirect
-targets (registers, memory) stay unresolved and contribute no edge.
+targets (registers, memory) stay unresolved and push no target.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from .asmlite import AsmFile, LineKind, ParsedLine
@@ -48,11 +47,6 @@ from .errors import PipelineError
 class SequenceKind(Enum):
     OPCODE = "opcode"
     API = "api"
-
-
-class JumpKind(Enum):
-    UNCONDITIONAL = "unconditional"
-    CONDITIONAL = "conditional"
 
 
 class NoCode(PipelineError):
@@ -81,20 +75,16 @@ class TokenSequence:
 class RelationGraph:
     """Control-flow relations of one sample.
 
-    ``api_sites`` are (call address, API name) pairs; ``jump_edges`` are
-    (source, target, kind) triples; ``call_edges`` are (call site, callee
-    entry, return address) triples where the return address is the next
-    instruction after the call, or None when the call is the last
-    instruction.  ``code`` holds the code-section instructions the graph
-    was built from, in file order with the first occurrence per address;
-    the API walk takes fall-through order from it.
+    ``api_calls`` maps each imported-API call site to the API name.
+    ``successors`` maps every code-section instruction address, in file
+    order with the first occurrence per address, to the addresses the
+    API walk pushes after visiting it, in push order; None stands for the
+    fall-through or return address of the last instruction.
     """
 
     entry_address: int
-    api_sites: tuple[tuple[int, str], ...]
-    jump_edges: tuple[tuple[int, int, JumpKind], ...]
-    call_edges: tuple[tuple[int, int, int | None], ...]
-    code: tuple[ParsedLine, ...] = field(repr=False)
+    api_calls: dict[int, str]
+    successors: dict[int, tuple[int | None, ...]]
 
 
 def extract_opcode_sequence(asm: AsmFile) -> TokenSequence:
@@ -140,9 +130,9 @@ def _resolve_target(operand: str, labels: dict[str, int]) -> int | None:
 
 
 def build_relation_graph(asm: AsmFile) -> RelationGraph:
-    """Derive entry point, API sites, and jump/call edges in one pass.
+    """Derive entry point, API call sites and successors in one pass.
 
-    Edges are recorded only when the target resolves to a parsed
+    A jump or call target counts only when it resolves to a parsed
     code-section instruction; API targets stay external by nature.
     Raises NoCode when the sample has no code-section instruction.
     """
@@ -168,35 +158,28 @@ def build_relation_graph(asm: AsmFile) -> RelationGraph:
 
     frozen_imports = frozenset(imports)
     entry = label_addr.get("start", label_addr.get("_start", min(seen)))
-    api_sites: list[tuple[int, str]] = []
-    jump_edges: list[tuple[int, int, JumpKind]] = []
-    call_edges: list[tuple[int, int, int | None]] = []
-    # i indexes the instruction after this one: a call's return address
+    api_calls: dict[int, str] = {}
+    # push order; the walk's stack is LIFO, so the last one pushed runs first
+    successors: dict[int, tuple[int | None, ...]] = {}
+    # i indexes the instruction after this one: the fall-through and return address
     for i, (_kind, _section, address, mnemonic, operands, _label) in enumerate(code, 1):
-        if not operands:
-            continue
-        if mnemonic == "call":
-            api = _api_name(operands[0], frozen_imports)
-            if api is not None:
-                api_sites.append((address, api))
-                continue
-            target = _resolve_target(operands[0], label_addr)
-            if target in seen:
-                ret = code[i].address if i < len(code) else None
-                call_edges.append((address, target, ret))
-        elif mnemonic.startswith("j"):
-            target = _resolve_target(operands[0], label_addr)
-            if target in seen:
-                jump_edges.append((address, target, JumpKind.UNCONDITIONAL
-                                   if mnemonic == "jmp" else JumpKind.CONDITIONAL))
+        nxt = code[i].address if i < len(code) else None
+        api = _api_name(operands[0], frozen_imports) if mnemonic == "call" and operands else None
+        if api is not None:
+            api_calls[address] = api
+        target = (_resolve_target(operands[0], label_addr)
+                  if api is None and operands and (mnemonic == "call" or mnemonic.startswith("j"))
+                  else None)
+        if target not in seen:  # fall through, unless a jmp or a return ends the path
+            successors[address] = () if mnemonic == "jmp" or mnemonic in RET_MNEMONICS else (nxt,)
+        elif mnemonic == "call":
+            successors[address] = (nxt, target)  # descend into the callee first
+        elif mnemonic == "jmp":
+            successors[address] = (target,)
+        else:  # conditional: explore the fall-through subtree first
+            successors[address] = (target, nxt)
 
-    return RelationGraph(
-        entry_address=entry,
-        api_sites=tuple(api_sites),
-        jump_edges=tuple(jump_edges),
-        call_edges=tuple(call_edges),
-        code=tuple(code),
-    )
+    return RelationGraph(entry_address=entry, api_calls=api_calls, successors=successors)
 
 
 def extract_key_api_sequence(graph: RelationGraph, asm: AsmFile) -> TokenSequence:
@@ -206,21 +189,7 @@ def extract_key_api_sequence(graph: RelationGraph, asm: AsmFile) -> TokenSequenc
     successor exploration order is fixed, so repeated runs give identical
     output.
     """
-    addrs = [ln.address for ln in graph.code]
-    # successors in push order; the stack is LIFO, so the last one runs first.
-    # Default: fall through, except a jmp without an edge and a return, which
-    # end the path.  An unresolved call falls through: assume it returns.
-    succ: dict[int, tuple[int | None, ...]] = {
-        addr: () if ln.mnemonic == "jmp" or ln.mnemonic in RET_MNEMONICS else (nxt,)
-        for ln, addr, nxt in zip(graph.code, addrs, [*addrs[1:], None])
-    }
-    for src, dst, kind in graph.jump_edges:
-        # LIFO: fall-through subtree explored before the jump target
-        succ[src] = (dst,) if kind is JumpKind.UNCONDITIONAL else (dst, *succ[src])
-    for site, target, ret in graph.call_edges:
-        succ[site] = (ret, target)  # LIFO: descend into the callee first
-    api_at = dict(graph.api_sites)
-
+    succ = graph.successors
     entry: int | None = graph.entry_address
     if entry not in succ:
         entry = min((a for a in succ if a >= graph.entry_address), default=None)
@@ -233,8 +202,8 @@ def extract_key_api_sequence(graph: RelationGraph, asm: AsmFile) -> TokenSequenc
         if addr in visited:
             continue
         visited.add(addr)
-        if addr in api_at:
-            out.append(api_at[addr])
+        if addr in graph.api_calls:
+            out.append(graph.api_calls[addr])
         for nxt in succ[addr]:
             if nxt is not None and nxt not in visited:
                 stack.append(nxt)

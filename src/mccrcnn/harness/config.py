@@ -58,6 +58,10 @@ MAX_KERNEL_WIDTH = 15
 #: token of a gram and keeps the 700 most frequent n-tuples: 700 x 64
 #: token references at the bound
 MAX_NGRAM_N = 64
+#: the class ids of a label table and a model checkpoint: eval and the
+#: suites tally an l x l int64 confusion table, 8 MB at the bound, which
+#: is far above the generator's 99 families
+MAX_CLASSES = 1000
 
 
 @dataclass

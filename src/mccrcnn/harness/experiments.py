@@ -45,7 +45,14 @@ from pathlib import Path
 import numpy as np
 
 from ..baselines import Standardizer, knn_predict, train_logistic, train_nb, train_svm
-from ..embedding import EmbeddingTable, build_vocab, count_cooccurrence, train_glove
+from ..embedding import (
+    EmbeddingTable,
+    EmptyCooccurrence,
+    EmptyVocabulary,
+    build_vocab,
+    count_cooccurrence,
+    train_glove,
+)
 from ..extraction import (
     NoCode,
     build_relation_graph,
@@ -136,13 +143,20 @@ def fit_embedding(sequences, settings, seed: int) -> EmbeddingTable:
 
 def fit_tables(which: str, train_split: LabeledDataset,
                cfg: ExperimentConfig, fold: int):
-    """(opcode table, api table) fit on the split; None for streams not in the layer."""
+    """(opcode table, api table) fit on the split; None for streams not in the layer.
+
+    Nothing to fit raises EmptyVocabulary or EmptyCooccurrence naming the stream and fold > 0.
+    """
     tables = [None] * len(STREAMS)
     for i, stream in enumerate(STREAMS):
         if stream in LAYERS[which]:
             seqs = [p[i] for p in train_split.payloads()]
             seed = derive_seed(cfg.seed, _STAGE_EMBED[stream], fold)
-            tables[i] = fit_embedding(seqs, cfg.embedding, seed)
+            try:
+                tables[i] = fit_embedding(seqs, cfg.embedding, seed)
+            except (EmptyVocabulary, EmptyCooccurrence) as exc:
+                where = f"{stream} stream, fold {fold}" if fold else f"{stream} stream"
+                raise type(exc)(f"{where}: {exc}") from exc
     return tuple(tables)
 
 

@@ -8,6 +8,7 @@ from pathlib import Path
 
 from ..asmlite import AsmFile, parse_asm_bytes
 from ..errors import PipelineError
+from .config import MAX_CLASSES
 
 log = logging.getLogger(__name__)
 
@@ -24,8 +25,9 @@ def read_labels(path) -> dict[str, int]:
     """Parse a two-column Id,Class table.
 
     A first line whose second field is not an integer is treated as a
-    header.  Fields may be double-quoted.  Classes must be integers >= 1.
-    A leading UTF-8 byte order mark is not part of the first id.
+    header.  Fields may be double-quoted.  Classes must be integers in
+    1..MAX_CLASSES.  A leading UTF-8 byte order mark is not part of the
+    first id.
     """
     p = Path(path)
     try:
@@ -49,8 +51,8 @@ def read_labels(path) -> dict[str, int]:
             if lineno == 1:
                 continue
             raise MissingLabels(f"{p}:{lineno}: class {cls!r} is not an integer")
-        if value < 1:
-            raise MissingLabels(f"{p}:{lineno}: class must be >= 1, got {value}")
+        if not 1 <= value <= MAX_CLASSES:
+            raise MissingLabels(f"{p}:{lineno}: class must be in 1..{MAX_CLASSES}, got {value}")
         if sid in labels:
             raise MissingLabels(f"{p}:{lineno}: duplicate id {sid!r}")
         labels[sid] = value

@@ -30,6 +30,7 @@ import numpy as np
 from ..embedding import EmbeddingTable
 from ..errors import PipelineError
 from ..neural import GatedConvParams, LstmParams, ModelParams, named_params
+from .config import MAX_CLASSES
 
 _EMB_MAGIC = "GLOVEEMB"
 _EMB_VERSION = "v1"
@@ -192,6 +193,8 @@ def load_model(path) -> tuple[ModelParams, int]:
         raise CorruptFile(f"{path}: malformed header") from exc
     if len(head) != 8 or k < 1 or l < 1 or seq_len < 1 or (h == 0 and c == 0):
         raise CorruptFile(f"{path}: malformed header")
+    if l > MAX_CLASSES:
+        raise CorruptFile(f"{path}: header claims {l} classes, more than {MAX_CLASSES}")
     reader = _BlockReader(path, lines, 1)
     lstm = None
     if h > 0:

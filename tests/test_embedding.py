@@ -11,6 +11,7 @@ from mccrcnn.embedding import (
     PAD_ID,
     CooccurrenceMatrix,
     EmbeddingTable,
+    EmptyCooccurrence,
     EmptyVocabulary,
     Vocabulary,
     ZeroVector,
@@ -334,7 +335,7 @@ def test_train_glove_validates_inputs():
     corpus = small_corpus()
     v = build_vocab(corpus)
     cooc = count_cooccurrence(corpus, v, window=3)
-    with pytest.raises(ValueError):
+    with pytest.raises(EmptyCooccurrence):
         train_glove(CooccurrenceMatrix(entries={}, window=1, vocab_size=len(v)), v, k=4)
     bad = CooccurrenceMatrix(entries=cooc.entries, window=3, vocab_size=len(v) + 1)
     with pytest.raises(ValueError):

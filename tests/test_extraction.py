@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+from enum import Enum
 
 import pytest
 
@@ -9,7 +10,6 @@ from mccrcnn.asmlite import LineKind, parse_asm_bytes, parse_asm_file
 from mccrcnn.extraction import (
     CODE_SECTIONS,
     RET_MNEMONICS,
-    JumpKind,
     NoCode,
     RelationGraph,
     SequenceKind,
@@ -43,8 +43,14 @@ IMPORTS = (
 
 # ------------------------------------------------------ frozen references
 # The two-pass graph builder and the mnemonic-driven walk that the one-pass
-# builder and the edge-driven walk replaced, kept as oracles with their logic
-# unchanged; the builder returns the RelationGraph fields as a dict.
+# builder and the successor-driven walk replaced, kept as oracles with their
+# logic unchanged; the builder returns its edge lists and code as a dict,
+# which reference_fields maps to the RelationGraph fields.
+
+class JumpKind(Enum):
+    UNCONDITIONAL = "unconditional"
+    CONDITIONAL = "conditional"
+
 
 def _code_instructions(asm):
     """Code-section instructions in file order, first occurrence per address."""
@@ -171,6 +177,32 @@ def reference_api_tokens(graph):
     return tuple(out)
 
 
+def reference_fields(graph):
+    """The RelationGraph fields of a reference graph: each instruction's
+    successors are the ones ``reference_api_tokens`` pushes after it."""
+    code = graph["code"]
+    api_at = dict(graph["api_sites"])
+    jump_at = {src: dst for src, dst, _kind in graph["jump_edges"]}
+    call_at = {site: (ret, target) for site, target, ret in graph["call_edges"]}
+    successors = {}
+    for ln, nxt in zip(code, [*(ln.address for ln in code[1:]), None]):
+        addr, m = ln.address, ln.mnemonic
+        if addr in api_at or (m == "call" and addr not in call_at):
+            successors[addr] = (nxt,)
+        elif m == "call":
+            successors[addr] = call_at[addr]
+        elif m == "jmp":
+            successors[addr] = (jump_at[addr],) if addr in jump_at else ()
+        elif _is_conditional_jump(m):
+            successors[addr] = (jump_at[addr], nxt) if addr in jump_at else (nxt,)
+        elif m in RET_MNEMONICS:
+            successors[addr] = ()
+        else:
+            successors[addr] = (nxt,)
+    return {"entry_address": graph["entry_address"], "api_calls": api_at,
+            "successors": successors}
+
+
 # ------------------------------------------------------------ opcode scan
 
 def test_opcode_sequence_file_order_code_sections_only():
@@ -222,8 +254,9 @@ def test_graph_bounds_entry_and_api_sites():
     )
     g = build_relation_graph(asm)
     assert g.entry_address == 0x401000
-    assert g.api_sites == ((0x401000, "Alpha"), (0x401007, "Beta"))
-    assert g.jump_edges == ((0x401005, 0x40100A, JumpKind.CONDITIONAL),)
+    assert g.api_calls == {0x401000: "Alpha", 0x401007: "Beta"}
+    assert g.successors == {0x401000: (0x401005,), 0x401005: (0x40100A, 0x401007),
+                            0x401007: (0x40100A,), 0x40100A: ()}
 
 
 def test_graph_call_edge_records_return_address():
@@ -234,7 +267,7 @@ def test_graph_call_edge_records_return_address():
         ".text:00401007 retn",
     )
     g = build_relation_graph(asm)
-    assert g.call_edges == ((0x401000, 0x401007, 0x401005),)
+    assert g.successors[0x401000] == (0x401005, 0x401007)  # (return address, callee)
 
 
 def test_graph_call_as_last_instruction_has_no_return():
@@ -244,7 +277,7 @@ def test_graph_call_as_last_instruction_has_no_return():
     )
     g = build_relation_graph(asm)
     # sub_401000 resolves through the naming convention to 0x401000
-    assert g.call_edges == ((0x401001, 0x401000, None),)
+    assert g.successors == {0x401000: (0x401001,), 0x401001: (None, 0x401000)}
 
 
 def test_graph_default_entry_is_code_begin():
@@ -272,8 +305,9 @@ def test_graph_unresolvable_targets_make_no_edges():
         ".text:00401006 retn",
     )
     g = build_relation_graph(asm)
-    assert g.jump_edges == ()
-    assert g.call_edges == ()
+    # the jmp ends its path, the call and the jnz fall through
+    assert g.successors == {0x401000: (), 0x401002: (0x401004,), 0x401004: (0x401006,),
+                            0x401006: ()}
 
 
 def test_graph_nocode_raises():
@@ -291,17 +325,18 @@ def test_graph_code_is_first_code_instruction_per_address(tmp_path):
         "CODE:00401000 nop",
         ".text:00401005 pop ebp",  # duplicate address: the first one counts
         ".text:00401010 retn",
+        ".text:00401010 nop",  # the retn came first, so the path still ends here
     )
     graph = build_relation_graph(asm)
-    assert [(ln.address, ln.mnemonic) for ln in graph.code] == [
-        (0x401005, "push"), (0x401000, "nop"), (0x401010, "retn")]
-    assert graph.code == _code_instructions(asm)
-    assert "code=" not in repr(graph)
+    assert graph.successors == {0x401005: (0x401000,), 0x401000: (0x401010,), 0x401010: ()}
+    assert list(graph.successors) == [0x401005, 0x401000, 0x401010]
+    assert list(graph.successors) == [ln.address for ln in _code_instructions(asm)]
     generate_synthetic_corpus(
         SyntheticCorpusSpec(families=3, samples_per_family=3, seed=5), tmp_path)
     for path in sorted(tmp_path.glob("*.asm")):
         asm = parse_asm_bytes(path.read_bytes(), path.stem)
-        assert build_relation_graph(asm).code == _code_instructions(asm), path
+        assert list(build_relation_graph(asm).successors) == [
+            ln.address for ln in _code_instructions(asm)], path
 
 
 def test_graph_hex_literal_targets():
@@ -311,8 +346,8 @@ def test_graph_hex_literal_targets():
         ".text:0040100A retn",
     )
     g = build_relation_graph(asm)
-    assert g.jump_edges == ((0x401000, 0x401005, JumpKind.UNCONDITIONAL),)
-    assert g.call_edges == ((0x401005, 0x401000, 0x40100A),)
+    assert g.successors == {0x401000: (0x401005,), 0x401005: (0x40100A, 0x401000),
+                            0x40100A: ()}
 
 
 # --------------------------------------------------- API walk, hand traced
@@ -522,13 +557,12 @@ def test_walk_terminates_on_random_graphs():
     for trial in range(400):
         asm = random_program(rng)
         graph = build_relation_graph(asm)
-        assert graph.code == _code_instructions(asm), trial
-        code = {ln.address for ln in asm.lines if ln.section == ".text" and ln.mnemonic}
-        assert all(dst in code for _src, dst, _kind in graph.jump_edges), trial
-        assert all(dst in code for _site, dst, _ret in graph.call_edges), trial
+        assert list(graph.successors) == [ln.address for ln in _code_instructions(asm)], trial
+        assert all(dst in graph.successors
+                   for succ in graph.successors.values() for dst in succ if dst is not None), trial
         out = extract_key_api_sequence(graph, asm).tokens
         # each call site is visited at most once, so emits at most once
-        sites = [name for _addr, name in graph.api_sites]
+        sites = list(graph.api_calls.values())
         assert len(out) <= len(sites), trial
         assert all(out.count(name) <= sites.count(name) for name in set(out)), trial
         assert extract_key_api_sequence(build_relation_graph(asm), asm).tokens == out
@@ -551,7 +585,8 @@ def assert_matches_reference(asm, where):
     want = reference_relation_graph(asm)
     graph = build_relation_graph(asm)
     got = {f.name: getattr(graph, f.name) for f in dataclasses.fields(RelationGraph)}
-    assert got == want, where
+    assert got == reference_fields(want), where
+    assert list(graph.successors) == [ln.address for ln in want["code"]], where
     assert extract_key_api_sequence(graph, asm).tokens == reference_api_tokens(want), where
 
 
@@ -582,9 +617,8 @@ def test_extrn_in_code_section_is_both_code_and_import():
         ".text:00401009 retn",
     )
     g = build_relation_graph(asm)
-    assert [ln.mnemonic for ln in g.code] == ["extrn", "call", "retn"]
-    assert g.api_sites == ((0x401004, "Alpha"),)
-    assert g.call_edges == ()
+    assert g.successors == {0x401000: (0x401004,), 0x401004: (0x401009,), 0x401009: ()}
+    assert g.api_calls == {0x401004: "Alpha"}
     assert list(extract_key_api_sequence(g, asm).tokens) == ["Alpha"]
 
 

@@ -25,6 +25,7 @@ from mccrcnn.features import (
     select_ngram_features,
 )
 from mccrcnn.harness.config import (
+    MAX_CLASSES,
     MAX_CONV_CHANNELS,
     MAX_EMBED_K,
     MAX_HIDDEN,
@@ -415,6 +416,7 @@ def test_read_labels_ignores_byte_order_mark(tmp_path, caplog):
     "s1,2\ns1,3\n",
     "Id,Class\ns1,zero\n",
     "Id,Class\ns1,0\n",
+    f"Id,Class\ns1,{MAX_CLASSES + 1}\n",
     "justonefield\n",
 ])
 def test_read_labels_rejects(tmp_path, text):
@@ -1120,6 +1122,32 @@ def test_cli_exit_code_matrix(tmp_path, capsys):
                                                        hidden=4, seed=1), seq_len=seq_len)
         long_models.append((tmp_path / "long.ckpt").read_bytes())
     write_cfg(tmp_path, ini_text(model={"seq_len": str(10**16)}), "longseq.ini")
+    # a class id past the bound: 10**12 asked numpy for a 43.7 TiB dense
+    # layer, and 1001 classes for an 8 MB confusion table in eval
+    labels = (tmp_path / "corpus" / "labels.csv").read_text(encoding="utf-8").split("\n")
+    labels[1] = f"{labels[1].split(',')[0]},{MAX_CLASSES + 1}"
+    (tmp_path / "bigclass.csv").write_text("\n".join(labels), encoding="utf-8")
+    write_cfg(tmp_path, ini_text(data={"labels": "bigclass.csv"}), "bigclass.ini")
+    save_model(tmp_path / "many.ckpt", init_params(ModelConfig(), input_dim=12,
+                                                   classes=MAX_CLASSES + 1, hidden=4, seed=1),
+               seq_len=16)
+    many_classes = (tmp_path / "many.ckpt").read_bytes()
+    # each listing calls one import, or none: GloVe had no api pair to
+    # fit (a ValueError traceback), or no api token ("min_count=1", a key
+    # nobody can set)
+    for name, call in (("oneimport", ".text:00401003 call ds:Sleep"), ("noimport", "")):
+        corpus = tmp_path / name
+        corpus.mkdir()
+        rows = ["Id,Class"]
+        for i in range(12):
+            (corpus / f"s{i:02d}.asm").write_text("\n".join([
+                ".idata:0040F000 extrn Sleep:dword", ".text:00401000 start:",
+                ".text:00401000 push ebp", ".text:00401001 mov ebp, esp", call,
+                f".text:00401009 {'xor' if i % 2 else 'add'} eax, eax",
+                ".text:0040100B pop ebp", ".text:0040100C retn"]), encoding="utf-8")
+            rows.append(f"s{i:02d},{1 + i % 2}")
+        (corpus / "labels.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+        write_cfg(tmp_path, ini_text(data={"corpus": name}), f"{name}.ini")
 
     def with_value(data, block, value):
         lines = data.decode().split("\n")[:-2]  # without the checksum line
@@ -1147,8 +1175,10 @@ def test_cli_exit_code_matrix(tmp_path, capsys):
         ("eval", "cfg.ini", {"model.ckpt": fused,
                              "opcode_glove.ckpt": with_value(emb, "w", "1e999")}, 3),
     ] + [("eval", "cfg.ini", {"model.ckpt": data, "opcode_glove.ckpt": emb}, 3)
-         for data in long_models] + [
+         for data in long_models + [many_classes]] + [
         ("train", "longseq.ini", {}, 3),
+        ("train", "bigclass.ini", {}, 3),
+        ("embed", "oneimport.ini", {}, 3),
     ] + [("train", f"{stem}.ini", {}, 2) for stem in bad_values]
     for verb, name, files, code in cases:
         for file_name, data in files.items():
@@ -1156,6 +1186,16 @@ def test_cli_exit_code_matrix(tmp_path, capsys):
         assert main([verb, str(tmp_path / name)]) == code, (verb, name)
         err = capsys.readouterr().err
         assert err.startswith("config error:" if code == 2 else "error:"), err
+        assert sum("error:" in line for line in err.splitlines()) == 1, err
+        assert "Traceback" not in err
+    # the one error line names the stream, and the fold inside a suite
+    for argv, needle in ((["train", "noimport.ini"], "error: api stream: no token"),
+                         (["train", "oneimport.ini"], "error: api stream: no two tokens"),
+                         (["experiment", "B2", "oneimport.ini"],
+                          "error: api stream, fold 1: no two tokens")):
+        assert main(argv[:-1] + [str(tmp_path / argv[-1])]) == 3, argv
+        err = capsys.readouterr().err
+        assert err.startswith(needle) and "min_count" not in err, err
         assert sum("error:" in line for line in err.splitlines()) == 1, err
         assert "Traceback" not in err
     # a negative seed, from the file or the command line, was reported as
