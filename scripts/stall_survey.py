@@ -1,9 +1,12 @@
 """Survey the fused model's training stall over many seeds.
 
-On some seeds the fused ``mcc_rcnn`` fit ends its epochs with two of
-three families merged, or with all three in one (ROADMAP item 1).  For
-each seed this rebuilds the set-up of the benchmark's ``scan`` workload
-through the package API:
+While the final embedding rows were not centered, the fused ``mcc_rcnn``
+fit ended its epochs on some seeds with two of three families merged,
+or with all three in one: 4 of the 42 default seeds, at held-out 0.333
+to 0.8 (ROADMAP item 1).  ``EmbeddingTable.vectors`` now centers them,
+and this survey checks that the plateau stays gone.  For each seed it
+rebuilds the set-up of the benchmark's ``scan`` workload through the
+package API:
 
 * a 3 x 100 synthetic corpus generated from the seed
 * the first stratified half of ``kfold_split(k=2)``, seeded as the
@@ -15,12 +18,12 @@ and prints one tab-separated row per seed: the seed, the held-out
 accuracy on the other half, the final training loss and the ids of the
 held-out samples the fit got wrong (comma-joined, ``-`` for none).  The
 last line counts the seeds below held-out 1.0 and gives the largest
-final loss among them: a plateau ends near 0.32..0.69, while a model
+final loss among them: a plateau ended near 0.32..0.69, while a model
 that fitted its training half and still missed held-out samples ends
-far lower (at most 0.064 in a survey with centered vectors, ROADMAP
-item 1).  Rows
-depend only on the code and the seed, so two versions of the code can
-be compared with ``diff``; the wall time goes to stderr.
+far lower (with centered vectors, 4 of the 42 default seeds read
+0.967..0.987 held-out, with final loss at most 0.064).  Rows depend
+only on the code and the seed, so two versions of the code can be
+compared with ``diff``; the wall time goes to stderr.
 
 Usage::
 

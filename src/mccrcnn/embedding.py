@@ -9,7 +9,8 @@ with per-parameter AdaGrad updates (accumulators start at 1.0, so the
 first step uses the raw learning rate) over seeded shuffled passes of the
 nonzero co-occurrence entries.  Everything is float64 and fully
 deterministic under a seed.  The final embedding of a token is the sum of
-its center and context vectors.
+its center and context vectors, centered over the vocabulary
+(``EmbeddingTable.vectors``).
 
 The updates are sequential in the shuffled order, but they are applied
 one dependency level at a time.  Entry (i, j) touches only center row i
@@ -126,12 +127,16 @@ class EmbeddingTable:
         return token in self._row
 
     def vectors(self, tokens) -> np.ndarray:
-        """Final embeddings (center plus context vector) of ``tokens`` as a
-        (len(tokens), k) array, in order; a token not in the table reads a
-        zero row."""
-        final = np.vstack([self.w + self.w_ctx, np.zeros((1, self.k))])
-        oov = len(final) - 1
-        return final[[self._row.get(tok, oov) for tok in tokens]]
+        """Final embeddings of ``tokens`` as a (len(tokens), k) array, in
+        order: center plus context vector less the mean of those sums over
+        the table's tokens, which removes the offset GloVe gives them all
+        (Mu & Viswanath 2018).  A token not in the table, and the token of
+        a one-token table, reads a zero row."""
+        n = len(self.tokens)
+        final = np.zeros((n + 1, self.k))  # row n is the OOV row
+        np.add(self.w, self.w_ctx, out=final[:n])
+        final[:n] -= final[:n].sum(axis=0) / n
+        return final[[self._row.get(tok, n) for tok in tokens]]
 
 
 def build_vocab(corpus, min_count: int = 1) -> Vocabulary:
@@ -363,8 +368,9 @@ def cosine_similarity(table: EmbeddingTable, token_a: str, token_b: str) -> floa
 def write_text_embeddings(path, table: EmbeddingTable) -> None:
     """Classic text export: header `|V| k`, then one `token v1..vk` row each.
 
-    Rows hold the final (center + context) vectors printed with repr(),
-    so every float parses back to the same bits.
+    Rows hold the final vectors (center + context, centered over the
+    vocabulary) printed with repr(), so every float parses back to the
+    same bits.
     """
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"{len(table.tokens)} {table.k}\n")

@@ -35,8 +35,9 @@ STREAMS = LAYERS["fused"]
 # Upper bounds on sizes, so that an absurd value is a config error, not a
 # numpy MemoryError, an OOM kill or a run that never ends.  Each is far
 # above the defaults (k, hidden and conv_channels 24, window 8, kernel
-# width 3, n-grams 1..4) and every configuration the tests and the bench
-# use.  Sizes that multiply with seq_len are not bounded here.
+# width 3, n-grams 1..4, 12 training and 30 GloVe epochs) and every
+# configuration the tests and the bench use.  Sizes that multiply with
+# seq_len are not bounded here.
 
 #: GloVe keeps 2 (k + 1) float64 per token and side: 16 KB per vocabulary
 #: token at the bound, and a fused matrix row holds 2k floats
@@ -62,6 +63,9 @@ MAX_NGRAM_N = 64
 #: suites tally an l x l int64 confusion table, 8 MB at the bound, which
 #: is far above the generator's 99 families
 MAX_CLASSES = 1000
+#: training and GloVe each make one pass over the split per epoch, so
+#: 10**12 epochs never return; 10 000 is 333 times GloVe's default
+MAX_EPOCHS = 10_000
 
 
 @dataclass
@@ -195,7 +199,7 @@ def _validate(cfg: ExperimentConfig) -> None:
         (1 <= cfg.embedding.k <= MAX_EMBED_K, f"embedding k must be in 1..{MAX_EMBED_K}"),
         (1 <= cfg.embedding.window <= MAX_WINDOW,
          f"embedding window must be in 1..{MAX_WINDOW}"),
-        (cfg.embedding.epochs >= 1, "embedding epochs must be >= 1"),
+        (1 <= cfg.embedding.epochs <= MAX_EPOCHS, f"embedding epochs must be in 1..{MAX_EPOCHS}"),
         (cfg.model.seq_len >= 1, "model seq_len must be >= 1"),
         (1 <= cfg.model.hidden <= MAX_HIDDEN, f"model hidden must be in 1..{MAX_HIDDEN}"),
         (1 <= cfg.model.conv_channels <= MAX_CONV_CHANNELS,
@@ -204,7 +208,7 @@ def _validate(cfg: ExperimentConfig) -> None:
          f"model kernel_width must be odd and in 1..{MAX_KERNEL_WIDTH}"),
         (cfg.model.arch in ARCHS, "unknown model arch"),
         (cfg.model.features in LAYERS, "unknown feature layer"),
-        (cfg.train.epochs >= 1, "train epochs must be >= 1"),
+        (1 <= cfg.train.epochs <= MAX_EPOCHS, f"train epochs must be in 1..{MAX_EPOCHS}"),
         (cfg.train.batch_size >= 1, "train batch_size must be >= 1"),
         (all(1 <= n <= MAX_NGRAM_N for n in cfg.ngram.sweep) and cfg.ngram.sweep,
          f"ngram sweep must list integers in 1..{MAX_NGRAM_N}"),

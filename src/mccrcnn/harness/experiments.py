@@ -187,21 +187,21 @@ def metric_rows(cm) -> list[tuple[str, float]]:
 
 
 class _Report:
-    """Ordered experiment rows with deterministic text rendering."""
+    """Ordered experiment rows of numbers, rendered with repr()."""
 
     def __init__(self, experiment: str):
         self.experiment = experiment
-        self.rows: list[tuple[str, str, str]] = []
+        self.rows: list[tuple[str, str, float | int]] = []
 
     def add(self, fold, metric: str, value) -> None:
-        self.rows.append((str(fold), metric, repr(value)))
+        self.rows.append((str(fold), metric, value))
 
     def fold_values(self) -> dict[str, list[float]]:
         """metric -> values from numeric-fold rows, in insertion order."""
         out: dict[str, list[float]] = {}
         for fold, metric, value in self.rows:
             if fold.isdigit():
-                out.setdefault(metric, []).append(float(value))
+                out.setdefault(metric, []).append(value)
         return out
 
     def finish(self, folds: int) -> None:
@@ -214,7 +214,7 @@ class _Report:
     def csv_text(self) -> str:
         lines = ["experiment,fold,metric,value"]
         lines.extend(
-            f"{self.experiment},{fold},{metric},{value}"
+            f"{self.experiment},{fold},{metric},{value!r}"
             for fold, metric, value in self.rows
         )
         return "\n".join(lines) + "\n"

@@ -1,6 +1,9 @@
 """Evaluation metrics and stratified cross-validation splits.
 
-``ovr_accuracy`` is the averaged one-vs-rest accuracy
+A confusion table is a plain (l, l) int64 array, as ``confusion``
+returns it: l is ``len(cm)`` and N is ``cm.sum()``.  ``per_class`` and
+the metrics below are array arithmetic on it.  ``ovr_accuracy`` is the
+averaged one-vs-rest accuracy
 
     (1 / l) * sum over classes i of (TP_i + TN_i) / N
 
@@ -10,8 +13,6 @@ l.  Per-class precision, recall and F1 define 0/0 as 0.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,70 +31,58 @@ class TooFewSamples(PipelineError):
     """Fewer samples than folds."""
 
 
-@dataclass(frozen=True)
-class ConfusionMatrix:
-    """counts[t][p] = samples of true class t+1 predicted as class p+1."""
-
-    counts: np.ndarray  # (l, l) int64
-    l: int
-
-    @property
-    def n(self) -> int:
-        return int(self.counts.sum())
-
-    def per_class(self):
-        """(tp, fp, fn, tn) arrays; tp + fp + fn + tn = N for every class."""
-        tp = np.diag(self.counts).astype(np.int64)
-        fn = self.counts.sum(axis=1) - tp
-        fp = self.counts.sum(axis=0) - tp
-        tn = self.n - tp - fn - fp
-        return tp, fp, fn, tn
-
-
-def confusion(predictions, labels, l: int) -> ConfusionMatrix:
-    """Tally a confusion matrix from parallel prediction/label lists."""
+def confusion(predictions, labels, l: int) -> np.ndarray:
+    """The (l, l) int64 confusion table of parallel prediction/label lists:
+    entry [t - 1, p - 1] counts samples of true class t predicted as p."""
     predictions = list(predictions)
     labels = list(labels)
     if len(predictions) != len(labels):
         raise LengthMismatch(f"{len(predictions)} predictions vs {len(labels)} labels")
-    counts = np.zeros((l, l), dtype=np.int64)
+    cm = np.zeros((l, l), dtype=np.int64)
     for pred, true in zip(predictions, labels):
         if not (1 <= true <= l) or not (1 <= pred <= l):
             raise LabelOutOfRange(f"(pred={pred}, true={true}) outside 1..{l}")
-        counts[true - 1, pred - 1] += 1
-    return ConfusionMatrix(counts=counts, l=l)
+        cm[true - 1, pred - 1] += 1
+    return cm
 
 
-def ovr_accuracy(cm: ConfusionMatrix) -> float:
+def per_class(cm: np.ndarray):
+    """(tp, fp, fn, tn) arrays; tp + fp + fn + tn = N for every class."""
+    tp = np.diag(cm).astype(np.int64)
+    fn = cm.sum(axis=1) - tp
+    fp = cm.sum(axis=0) - tp
+    tn = cm.sum() - tp - fn - fp
+    return tp, fp, fn, tn
+
+
+def _ratio(num, den) -> np.ndarray:
+    """num / den element-wise, 0 where den is 0."""
+    return np.divide(num, den, out=np.zeros(len(num)), where=den != 0)
+
+
+def ovr_accuracy(cm: np.ndarray) -> float:
     """Averaged one-vs-rest accuracy (see module docstring)."""
-    tp, _fp, _fn, tn = cm.per_class()
-    n = cm.n
+    tp, _fp, _fn, tn = per_class(cm)
+    n = cm.sum()
     if n == 0:
         raise ValueError("empty confusion matrix")
     return float(np.mean((tp + tn) / n))
 
 
-def micro_accuracy(cm: ConfusionMatrix) -> float:
+def micro_accuracy(cm: np.ndarray) -> float:
     """Plain accuracy: trace / N."""
-    n = cm.n
+    n = cm.sum()
     if n == 0:
         raise ValueError("empty confusion matrix")
-    return float(np.trace(cm.counts) / n)
+    return float(np.trace(cm) / n)
 
 
-def standard_metrics(cm: ConfusionMatrix) -> dict:
+def standard_metrics(cm: np.ndarray) -> dict:
     """Micro accuracy plus per-class precision/recall/F1 and macro F1."""
-    tp, fp, fn, _tn = cm.per_class()
-    precision = np.zeros(cm.l)
-    recall = np.zeros(cm.l)
-    f1 = np.zeros(cm.l)
-    for i in range(cm.l):
-        denom = tp[i] + fp[i]
-        precision[i] = tp[i] / denom if denom else 0.0
-        denom = tp[i] + fn[i]
-        recall[i] = tp[i] / denom if denom else 0.0
-        denom = precision[i] + recall[i]
-        f1[i] = 2 * precision[i] * recall[i] / denom if denom else 0.0
+    tp, fp, fn, _tn = per_class(cm)
+    precision = _ratio(tp, tp + fp)
+    recall = _ratio(tp, tp + fn)
+    f1 = _ratio(2 * precision * recall, precision + recall)
     return {
         "micro_accuracy": micro_accuracy(cm),
         "precision": precision,

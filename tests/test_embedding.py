@@ -361,11 +361,13 @@ def test_trained_arrays_are_separate_and_own_their_data():
 
 
 def final_row(table, tok):
-    """The contract of a final row: w[r] + w_ctx[r], or zeros for OOV."""
+    """The contract of a final row: w[r] + w_ctx[r] less the mean of
+    w + w_ctx over the table's tokens, or zeros for OOV."""
     if tok not in table:
         return np.zeros(table.k)
     r = table.tokens.index(tok)
-    return table.w[r] + table.w_ctx[r]
+    final = table.w + table.w_ctx
+    return final[r] - final.mean(axis=0)
 
 
 def test_final_vector_is_center_plus_context():
@@ -374,8 +376,12 @@ def test_final_vector_is_center_plus_context():
     cooc = count_cooccurrence(corpus, v, window=3)
     table, _ = train_glove(cooc, v, k=4, epochs=3, seed=1)
     rows = table.vectors(table.tokens)
+    final = table.w + table.w_ctx
     for r, tok in enumerate(table.tokens):
-        assert np.array_equal(rows[r], table.w[r] + table.w_ctx[r])
+        assert np.array_equal(rows[r], final[r] - final.mean(axis=0))
+    # the shared offset is gone: the rows sum to zero over the vocabulary
+    assert np.allclose(rows.sum(axis=0), 0.0, atol=1e-12)
+    assert not np.allclose(final.sum(axis=0), 0.0, atol=1e-3)
 
 
 def test_vectors_are_final_vectors_with_zero_rows_for_oov():

@@ -52,8 +52,9 @@ def test_matrix_truncates_long_sequences_at_the_head():
 
 
 def test_matrix_unknown_tokens_become_zero_rows():
-    t = table_for(["mov"])
-    m = sequence_to_matrix(seq(["mov", "mystery", "mov"]), t, t=3)
+    # two tokens: the rows of a one-token table center to zero
+    t = table_for(["mov", "push"])
+    m = sequence_to_matrix(seq(["mov", "mystery", "push"]), t, t=3)
     assert m[0].any() and m[2].any()
     assert not m[1].any()
 

@@ -1083,6 +1083,9 @@ def test_cli_exit_code_matrix(tmp_path, capsys):
         "channels1e12": {"model": {"conv_channels": "1000000000000"}},
         "width1e12": {"model": {"kernel_width": "1000000000001"}},
         "sweep1e12": {"ngram": {"sweep": "1000000000000"}},
+        # loaded, and then train, embed and experiment never returned
+        "epochs1e12": {"train": {"epochs": "1000000000000"}},
+        "embepochs1e12": {"embedding": {"epochs": "1000000000000"}},
         "families1e12": {"synthetic": {"families": "1000000000000"}},
         "perfamily1e12": {"synthetic": {"samples_per_family": "1000000000000"}},
         "limit0": {"ngram": {"limit": "0"}},

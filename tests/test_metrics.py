@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from mccrcnn.metrics import (
-    ConfusionMatrix,
     LabelOutOfRange,
     LengthMismatch,
     TooFewSamples,
@@ -12,6 +11,7 @@ from mccrcnn.metrics import (
     kfold_split,
     micro_accuracy,
     ovr_accuracy,
+    per_class,
     standard_metrics,
 )
 
@@ -20,12 +20,12 @@ HAND = np.array([[3, 1, 0], [0, 4, 1], [1, 0, 0]], dtype=np.int64)
 
 
 def hand_cm():
-    return ConfusionMatrix(counts=HAND.copy(), l=3)
+    return HAND.copy()
 
 
 def test_hand_example_values():
     cm = hand_cm()
-    assert cm.n == 10
+    assert cm.sum() == 10
     # per class (tp, fp, fn, tn): c1 (3,1,1,5) c2 (4,1,1,4) c3 (0,1,1,8)
     assert ovr_accuracy(cm) == pytest.approx((8 + 8 + 8) / 30)  # 0.8
     assert micro_accuracy(cm) == pytest.approx(0.7)
@@ -33,7 +33,7 @@ def test_hand_example_values():
 
 def test_per_class_quadrants_sum_to_n():
     cm = hand_cm()
-    tp, fp, fn, tn = cm.per_class()
+    tp, fp, fn, tn = per_class(cm)
     assert np.array_equal(tp, [3, 4, 0])
     assert np.array_equal(fp, [1, 1, 1])
     assert np.array_equal(fn, [1, 1, 1])
@@ -63,9 +63,8 @@ def test_ovr_matches_brute_force_on_random_matrices():
         counts = rng.integers(0, 9, size=(l, l)).astype(np.int64)
         if counts.sum() == 0:
             counts[0, 0] = 1
-        cm = ConfusionMatrix(counts=counts, l=l)
-        assert ovr_accuracy(cm) == pytest.approx(brute_force_ovr(counts), abs=1e-12), trial
-        assert ovr_accuracy(cm) >= micro_accuracy(cm) - 1e-12, trial
+        assert ovr_accuracy(counts) == pytest.approx(brute_force_ovr(counts), abs=1e-12), trial
+        assert ovr_accuracy(counts) >= micro_accuracy(counts) - 1e-12, trial
 
 
 def test_ovr_identity_against_micro():
@@ -75,10 +74,9 @@ def test_ovr_identity_against_micro():
         l = int(rng.integers(2, 8))
         counts = rng.integers(0, 12, size=(l, l)).astype(np.int64)
         counts[0, 0] += 1
-        cm = ConfusionMatrix(counts=counts, l=l)
-        micro = micro_accuracy(cm)
+        micro = micro_accuracy(counts)
         expected = micro + (l - 2) / l * (1.0 - micro)
-        assert ovr_accuracy(cm) == pytest.approx(expected, abs=1e-12)
+        assert ovr_accuracy(counts) == pytest.approx(expected, abs=1e-12)
 
 
 def test_two_class_ovr_equals_micro():
@@ -86,22 +84,33 @@ def test_two_class_ovr_equals_micro():
     for _ in range(20):
         counts = rng.integers(0, 20, size=(2, 2)).astype(np.int64)
         counts[1, 1] += 1
-        cm = ConfusionMatrix(counts=counts, l=2)
-        assert ovr_accuracy(cm) == pytest.approx(micro_accuracy(cm), abs=1e-12)
+        assert ovr_accuracy(counts) == pytest.approx(micro_accuracy(counts), abs=1e-12)
 
 
 def test_confusion_tally_and_errors():
     cm = confusion([1, 2, 2, 1], [1, 2, 1, 3], l=3)
-    assert cm.counts[0, 0] == 1 and cm.counts[1, 1] == 1
-    assert cm.counts[0, 1] == 1 and cm.counts[2, 0] == 1
+    assert cm[0, 0] == 1 and cm[1, 1] == 1
+    assert cm[0, 1] == 1 and cm[2, 0] == 1
+    assert cm.sum() == 4
     with pytest.raises(LengthMismatch):
         confusion([1, 2], [1], l=2)
     with pytest.raises(LabelOutOfRange):
         confusion([1, 3], [1, 2], l=2)
     with pytest.raises(LabelOutOfRange):
         confusion([1, 0], [1, 2], l=2)
-    with pytest.raises(ValueError):
-        ovr_accuracy(ConfusionMatrix(counts=np.zeros((2, 2), dtype=np.int64), l=2))
+    empty = np.zeros((2, 2), dtype=np.int64)
+    for metric in (ovr_accuracy, micro_accuracy, standard_metrics):
+        with pytest.raises(ValueError, match="empty confusion matrix"):
+            metric(empty)
+
+
+def test_confusion_returns_a_contiguous_int64_table():
+    for l in (1, 3, 6):
+        cm = confusion([1] * 5, [1] * 5, l=l)
+        assert type(cm) is np.ndarray and cm.shape == (l, l) and cm.dtype == np.int64
+        assert cm.flags.c_contiguous
+        assert len(cm) == l and cm[0, 0] == 5 and cm.sum() == 5
+    assert confusion([], [], l=2).shape == (2, 2)
 
 
 def test_standard_metrics_hand_values():
@@ -120,6 +129,52 @@ def test_zero_denominators_score_zero():
     assert m["precision"][1] == 0.0
     assert m["recall"][1] == 0.0
     assert m["f1"][1] == 0.0
+
+
+def loop_standard_metrics(counts):
+    """Frozen per-class loop over a confusion table: what standard_metrics
+    must equal bit for bit."""
+    l = len(counts)
+    tp = np.diag(counts).astype(np.int64)
+    fn = counts.sum(axis=1) - tp
+    fp = counts.sum(axis=0) - tp
+    precision = np.zeros(l)
+    recall = np.zeros(l)
+    f1 = np.zeros(l)
+    for i in range(l):
+        denom = tp[i] + fp[i]
+        precision[i] = tp[i] / denom if denom else 0.0
+        denom = tp[i] + fn[i]
+        recall[i] = tp[i] / denom if denom else 0.0
+        denom = precision[i] + recall[i]
+        f1[i] = 2 * precision[i] * recall[i] / denom if denom else 0.0
+    micro = float(np.trace(counts) / int(counts.sum()))
+    return {"micro_accuracy": micro, "precision": precision, "recall": recall,
+            "f1": f1, "macro_f1": float(f1.mean())}
+
+
+def test_standard_metrics_equal_the_per_class_loop_bit_for_bit():
+    """Random tables of l = 1..6, in which some classes are never predicted
+    (a zero column) and some never occur in the labels (a zero row)."""
+    rng = np.random.default_rng(32)
+    seen_unpredicted = seen_absent = 0
+    for trial in range(600):
+        l = 1 + trial % 6
+        counts = rng.integers(0, 9, size=(l, l)).astype(np.int64)
+        counts[:, rng.random(l) < 0.3] = 0  # never predicted
+        counts[rng.random(l) < 0.3, :] = 0  # absent from the labels
+        if counts.sum() == 0:
+            counts[l - 1, 0] = 1
+        seen_unpredicted += int((counts.sum(axis=0) == 0).any())
+        seen_absent += int((counts.sum(axis=1) == 0).any())
+        got, want = standard_metrics(counts), loop_standard_metrics(counts)
+        assert got.keys() == want.keys()
+        for key in ("precision", "recall", "f1"):
+            assert got[key].dtype == np.float64, (trial, key)
+            assert got[key].tobytes() == want[key].tobytes(), (trial, key, counts)
+        for key in ("micro_accuracy", "macro_f1"):
+            assert type(got[key]) is float and repr(got[key]) == repr(want[key]), (trial, key)
+    assert seen_unpredicted > 100 and seen_absent > 100
 
 
 # ------------------------------------------------------------------ splits
