@@ -6,7 +6,8 @@ cross-entropy), multinomial naive Bayes with Laplace smoothing, K nearest
 neighbours with explicit tie-breaking, and a one-vs-rest linear SVM
 trained by subgradient descent on hinge loss plus L2.  Logistic, SVM and
 KNN expect standardized inputs (fit the Standardizer on training folds
-only); naive Bayes consumes raw non-negative counts.
+only); naive Bayes consumes raw non-negative counts.  Their settings are
+the fixed constants below.
 """
 
 from __future__ import annotations
@@ -22,6 +23,18 @@ _EPS = np.finfo(np.float64).eps
 _TINY = np.finfo(np.float64).tiny
 # floats one block of the KNN screen may hold: 8 MB
 _SCREEN_ENTRIES = 1 << 20
+
+#: logistic regression: gradient-descent step and epochs
+LOGISTIC_STEP = 0.5
+LOGISTIC_EPOCHS = 200
+#: naive Bayes: Laplace smoothing
+NB_ALPHA = 1.0
+#: KNN: neighbours that vote
+KNN_NEIGHBORS = 5
+#: linear SVM: subgradient step, epochs and the hinge weight C
+SVM_STEP = 0.01
+SVM_EPOCHS = 200
+SVM_C = 1.0
 
 
 def _of_width(x, width: int, what: str = "x") -> np.ndarray:
@@ -128,7 +141,7 @@ def _descend(loss_and_grad, args, shape, learning_rate: float, epochs: int, what
     return LinearModel(weights=weights, biases=biases), history
 
 
-def train_logistic(x, y, l=None, learning_rate: float = 0.5, epochs: int = 200):
+def train_logistic(x, y, l=None):
     """Multinomial logistic regression by full-batch gradient descent.
 
     Weights start at zero (the untrained model predicts the uniform
@@ -137,10 +150,10 @@ def train_logistic(x, y, l=None, learning_rate: float = 0.5, epochs: int = 200):
     """
     x, y, classes = _check_xy(x, y, l)
     return _descend(logistic_loss_and_grad, (x, y - 1), (classes, x.shape[1]),
-                    learning_rate, epochs, "logistic loss")
+                    LOGISTIC_STEP, LOGISTIC_EPOCHS, "logistic loss")
 
 
-def train_nb(x, y, l=None, alpha: float = 1.0) -> NaiveBayesModel:
+def train_nb(x, y, l=None) -> NaiveBayesModel:
     """Multinomial naive Bayes with Laplace smoothing on raw counts."""
     x, y, classes = _check_xy(x, y, l)
     if (x < 0).any():
@@ -154,7 +167,7 @@ def train_nb(x, y, l=None, alpha: float = 1.0) -> NaiveBayesModel:
         # empty classes keep a -inf prior and never win argmax
         log_priors[c] = np.log(len(rows) / n) if len(rows) else -np.inf
         totals = rows.sum(axis=0) if len(rows) else np.zeros(d)
-        log_likelihood[c] = np.log((totals + alpha) / (totals.sum() + alpha * d))
+        log_likelihood[c] = np.log((totals + NB_ALPHA) / (totals.sum() + NB_ALPHA * d))
     return NaiveBayesModel(log_priors=log_priors, log_likelihood=log_likelihood)
 
 
@@ -182,8 +195,8 @@ def _knn_candidates(train_x, queries, k):
             yield cand, np.sqrt(((train_x[cand] - q) ** 2).sum(axis=1))
 
 
-def knn_predict(train_x, train_y, queries, k_neighbors: int = 5) -> np.ndarray:
-    """Euclidean K nearest neighbours with deterministic tie handling.
+def knn_predict(train_x, train_y, queries) -> np.ndarray:
+    """Euclidean KNN_NEIGHBORS nearest neighbours with deterministic tie handling.
 
     Neighbour ranking ties break on training index; vote ties go to the
     class with the smallest mean distance among its voting neighbours,
@@ -246,10 +259,8 @@ def knn_predict(train_x, train_y, queries, k_neighbors: int = 5) -> np.ndarray:
     The screen holds at most ``_SCREEN_ENTRIES`` floats at once.
     """
     train_x, train_y, _ = _check_xy(train_x, train_y)
-    if k_neighbors < 1:
-        raise ValueError("k_neighbors must be >= 1")
     queries = _finite_rows(np.atleast_2d(queries), train_x.shape[1], "queries")
-    k = min(k_neighbors, len(train_x))
+    k = min(KNN_NEIGHBORS, len(train_x))
     out = np.zeros(len(queries), dtype=np.int64)
     for qi, (cand, dist) in enumerate(_knn_candidates(train_x, queries, k)):
         order = np.argsort(dist, kind="stable")[:k]
@@ -264,22 +275,21 @@ def knn_predict(train_x, train_y, queries, k_neighbors: int = 5) -> np.ndarray:
     return out
 
 
-def svm_loss_and_grad(weights, biases, x, targets, c_reg: float):
-    """0.5 ||W||^2 + C mean one-vs-rest hinge and its subgradient; targets is (n, l) of ±1."""
+def svm_loss_and_grad(weights, biases, x, targets):
+    """0.5 ||W||^2 + SVM_C mean one-vs-rest hinge and its subgradient; targets is (n, l) of ±1."""
     slack = 1.0 - targets * (x @ weights.T + biases)
-    loss = float(0.5 * (weights ** 2).sum() + c_reg * np.maximum(0.0, slack).sum(axis=1).mean())
-    coef = np.where(slack > 0.0, -targets, 0.0) * (c_reg / len(x))  # hinge subgradient support
+    loss = float(0.5 * (weights ** 2).sum() + SVM_C * np.maximum(0.0, slack).sum(axis=1).mean())
+    coef = np.where(slack > 0.0, -targets, 0.0) * (SVM_C / len(x))  # hinge subgradient support
     return loss, weights + coef.T @ x, coef.sum(axis=0)
 
 
-def train_svm(x, y, l=None, learning_rate: float = 0.01, epochs: int = 200,
-              c_reg: float = 1.0):
+def train_svm(x, y, l=None):
     """One-vs-rest linear SVM by full-batch subgradient descent.
 
-    With c_reg = 0 only the L2 term remains and the weights shrink toward
+    With SVM_C = 0 only the L2 term remains and the weights shrink toward
     zero.  Returns (model, per-epoch objective history).
     """
     x, y, classes = _check_xy(x, y, l)
     targets = np.where((np.arange(classes) + 1)[None, :] == y[:, None], 1.0, -1.0)
-    return _descend(svm_loss_and_grad, (x, targets, c_reg), (classes, x.shape[1]),
-                    learning_rate, epochs, "SVM objective")
+    return _descend(svm_loss_and_grad, (x, targets), (classes, x.shape[1]),
+                    SVM_STEP, SVM_EPOCHS, "SVM objective")

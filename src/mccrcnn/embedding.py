@@ -5,12 +5,13 @@ The trainer minimizes the weighted least-squares objective
     J = sum over nonzero X[i][j] of f(X[i][j]) * (w[i] . wt[j] + b[i] + bt[j] - ln X[i][j])^2
     f(x) = (x / x_max)^alpha  for x < x_max, else 1
 
-with per-parameter AdaGrad updates (accumulators start at 1.0, so the
-first step uses the raw learning rate) over seeded shuffled passes of the
-nonzero co-occurrence entries.  Everything is float64 and fully
-deterministic under a seed.  The final embedding of a token is the sum of
-its center and context vectors, centered over the vocabulary
-(``EmbeddingTable.vectors``).
+at GloVe's own weighting, x_max = GLOVE_X_MAX and alpha = GLOVE_ALPHA,
+with per-parameter AdaGrad updates of step GLOVE_STEP (accumulators start
+at 1.0, so the first step uses the raw step) over seeded shuffled passes
+of the nonzero co-occurrence entries (Pennington, Socher & Manning 2014).
+Everything is float64 and fully deterministic under a seed.  The final
+embedding of a token is the sum of its center and context vectors,
+centered over the vocabulary (``EmbeddingTable.vectors``).
 
 The updates are sequential in the shuffled order, but they are applied
 one dependency level at a time.  Entry (i, j) touches only center row i
@@ -53,7 +54,7 @@ log = logging.getLogger(__name__)
 
 
 class EmptyVocabulary(PipelineError):
-    """No token survived the frequency threshold."""
+    """The corpus holds no token."""
 
 
 class EmptyCooccurrence(PipelineError):
@@ -74,6 +75,11 @@ COOC_CHUNK_TOKENS = 1024
 #: passes over the co-occurrence entries, the default of train_glove and
 #: of the ``[embedding] epochs`` config key
 GLOVE_EPOCHS = 30
+#: the weighting f(x) = min(1, (x / GLOVE_X_MAX) ** GLOVE_ALPHA) and the
+#: AdaGrad step of train_glove, as in the GloVe paper
+GLOVE_X_MAX = 100.0
+GLOVE_ALPHA = 0.75
+GLOVE_STEP = 0.05
 
 
 @dataclass(frozen=True)
@@ -81,8 +87,6 @@ class Vocabulary:
     """Token ids assigned from 1 by descending frequency, ties lexicographic."""
 
     token_to_id: dict[str, int]
-    counts: dict[str, int]
-    min_count: int
 
     def __len__(self) -> int:
         return len(self.token_to_id)
@@ -139,25 +143,22 @@ class EmbeddingTable:
         return final[[self._row.get(tok, n) for tok in tokens]]
 
 
-def build_vocab(corpus, min_count: int = 1) -> Vocabulary:
-    """Count tokens across all sequences and assign ids.
+def build_vocab(corpus) -> Vocabulary:
+    """Count tokens across all sequences and assign ids; every token is kept.
 
     ``corpus`` is an iterable of TokenSequence (or anything with a
-    ``tokens`` attribute).  Raises EmptyVocabulary when nothing survives
-    min_count.
+    ``tokens`` attribute).  Raises EmptyVocabulary when it holds no token.
     """
     counts: Counter[str] = Counter()
     for seq in corpus:
         counts.update(seq.tokens)
-    kept = {tok: c for tok, c in counts.items() if c >= min_count}
-    if not kept:
-        raise EmptyVocabulary(f"no token reaches a count of {min_count}")
-    ordered = sorted(kept, key=lambda tok: (-kept[tok], tok))
-    token_to_id = {tok: i + 1 for i, tok in enumerate(ordered)}
-    return Vocabulary(token_to_id=token_to_id, counts=kept, min_count=min_count)
+    if not counts:
+        raise EmptyVocabulary("no token in any sequence")
+    ordered = sorted(counts, key=lambda tok: (-counts[tok], tok))
+    return Vocabulary(token_to_id={tok: i + 1 for i, tok in enumerate(ordered)})
 
 
-def count_cooccurrence(corpus, vocab: Vocabulary, window: int = 8) -> CooccurrenceMatrix:
+def count_cooccurrence(corpus, vocab: Vocabulary, window: int) -> CooccurrenceMatrix:
     """Windowed co-occurrence counts with 1/distance weighting.
 
     Out-of-vocabulary tokens occupy positions (distances are measured in
@@ -218,8 +219,8 @@ def _add_pairs(keys, sums, ids, window, base):
     return keys, sums
 
 
-def _weight(x: np.ndarray, x_max: float, alpha: float) -> np.ndarray:
-    return np.where(x < x_max, (x / x_max) ** alpha, 1.0)
+def _weight(x: np.ndarray) -> np.ndarray:
+    return np.where(x < GLOVE_X_MAX, (x / GLOVE_X_MAX) ** GLOVE_ALPHA, 1.0)
 
 
 def _entry_arrays(cooc: CooccurrenceMatrix):
@@ -235,12 +236,11 @@ def _residual(w, w_ctx, b, b_ctx, ii, jj, logx) -> np.ndarray:
     return np.einsum("nk,nk->n", w[ii], w_ctx[jj]) + b[ii] + b_ctx[jj] - logx
 
 
-def glove_loss(cooc: CooccurrenceMatrix, table: EmbeddingTable,
-               x_max: float = 100.0, alpha: float = 0.75) -> float:
+def glove_loss(cooc: CooccurrenceMatrix, table: EmbeddingTable) -> float:
     """Exact objective J for the given parameters."""
     ii, jj, xs = _entry_arrays(cooc)
     diff = _residual(table.w, table.w_ctx, table.b, table.b_ctx, ii, jj, np.log(xs))
-    return float(np.sum(_weight(xs, x_max, alpha) * diff * diff))
+    return float(np.sum(_weight(xs) * diff * diff))
 
 
 def _entry_gradients(pair, fx2, logx) -> np.ndarray:
@@ -258,8 +258,7 @@ def _entry_gradients(pair, fx2, logx) -> np.ndarray:
     return g
 
 
-def glove_gradients(cooc: CooccurrenceMatrix, table: EmbeddingTable,
-                    x_max: float = 100.0, alpha: float = 0.75):
+def glove_gradients(cooc: CooccurrenceMatrix, table: EmbeddingTable):
     """Analytic gradient of J: the sum of the entry gradients train_glove applies.
 
     Returns a dict with keys "w", "w_ctx", "b", "b_ctx" shaped like the
@@ -269,16 +268,14 @@ def glove_gradients(cooc: CooccurrenceMatrix, table: EmbeddingTable,
     n, k = table.w.shape
     packed = np.column_stack([np.vstack([table.w, table.w_ctx]), np.r_[table.b, table.b_ctx]])
     rows = np.stack([ii, jj + n], axis=1)  # as in train_glove: n + j is context row j
-    g = _entry_gradients(packed[rows], 2.0 * _weight(xs, x_max, alpha), np.log(xs))
+    g = _entry_gradients(packed[rows], 2.0 * _weight(xs), np.log(xs))
     grad = np.zeros_like(packed)
     np.add.at(grad, rows, g)
     return {"w": grad[:n, :k], "w_ctx": grad[n:, :k], "b": grad[:n, k], "b_ctx": grad[n:, k]}
 
 
 def train_glove(cooc: CooccurrenceMatrix, vocab: Vocabulary, k: int,
-                epochs: int = GLOVE_EPOCHS, learning_rate: float = 0.05,
-                x_max: float = 100.0, alpha: float = 0.75,
-                seed: int = 0) -> tuple[EmbeddingTable, list[float]]:
+                epochs: int = GLOVE_EPOCHS, seed: int = 0) -> tuple[EmbeddingTable, list[float]]:
     """Train embeddings by per-entry AdaGrad on shuffled nonzero entries.
 
     Each epoch draws a permutation and runs its entries level by level
@@ -313,7 +310,7 @@ def train_glove(cooc: CooccurrenceMatrix, vocab: Vocabulary, k: int,
 
     ii, jj, xs = _entry_arrays(cooc)
     logx = np.log(xs)
-    fx = _weight(xs, x_max, alpha)
+    fx = _weight(xs)
     rows = np.stack([ii, jj + n], axis=1)
 
     def current_loss() -> float:
@@ -340,7 +337,7 @@ def train_glove(cooc: CooccurrenceMatrix, vocab: Vocabulary, k: int,
             flat = state[rid[2 * lo:2 * hi]]
             pair = flat.reshape(hi - lo, 2, 2 * (k + 1))  # [:, 0] center, [:, 1] context
             g = _entry_gradients(pair[..., :k + 1], fx2_o[lo:hi], logx_o[lo:hi])
-            pair[..., :k + 1] -= learning_rate * g / np.sqrt(pair[..., k + 1:])
+            pair[..., :k + 1] -= GLOVE_STEP * g / np.sqrt(pair[..., k + 1:])
             pair[..., k + 1:] += g * g
             state[rid[2 * lo:2 * hi]] = flat
         j_epoch = current_loss()

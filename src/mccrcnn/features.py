@@ -5,9 +5,9 @@ lookup, truncating to the head and zero-padding at the tail; tokens
 missing from the table map to zero rows.  Fusion concatenates the opcode
 matrix and the API matrix column-wise (opcode columns first), giving
 T x 2k.  Matrices are plain numpy arrays.  The n-gram path selects the
-``limit`` most frequent contiguous n-grams of a corpus and represents a
-sequence either as a count vector (classic-ML baselines) or as a
-per-position gram-id sequence (sequence models).
+NGRAM_LIMIT (700) most frequent contiguous n-grams of a corpus and
+represents a sequence either as a count vector (classic-ML baselines) or
+as a per-position gram-id sequence (sequence models).
 """
 
 from __future__ import annotations
@@ -21,6 +21,9 @@ from .embedding import EmbeddingTable
 from .errors import PipelineError, ShapeMismatch
 from .extraction import TokenSequence
 
+#: grams kept per n by select_ngram_features
+NGRAM_LIMIT = 700
+
 
 @dataclass(frozen=True)
 class NgramFeatureSet:
@@ -28,7 +31,6 @@ class NgramFeatureSet:
 
     n: int
     grams: tuple[tuple[str, ...], ...]
-    limit: int
     _index: dict[tuple[str, ...], int] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -94,8 +96,8 @@ def fuse(opcode_m: np.ndarray, api_m: np.ndarray) -> np.ndarray:
     return np.hstack([opcode_m, api_m])
 
 
-def select_ngram_features(corpus, n: int, limit: int = 700) -> NgramFeatureSet:
-    """Pick the ``limit`` most frequent contiguous n-grams of the corpus.
+def select_ngram_features(corpus, n: int) -> NgramFeatureSet:
+    """Pick the NGRAM_LIMIT most frequent contiguous n-grams of the corpus.
 
     Ties break lexicographically on the gram tuple, so selection is
     deterministic.
@@ -107,8 +109,6 @@ def select_ngram_features(corpus, n: int, limit: int = 700) -> NgramFeatureSet:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if limit < 1:
-        raise ValueError("limit must be >= 1")
     seqs = [seq.tokens for seq in corpus]
     vocab = sorted(set(chain.from_iterable(seqs)))
     rank = {tok: r for r, tok in enumerate(vocab)}
@@ -122,10 +122,10 @@ def select_ngram_features(corpus, n: int, limit: int = 700) -> NgramFeatureSet:
         _, first, key, counts = np.unique(
             key * len(vocab) + ids[starts + m],
             return_index=True, return_inverse=True, return_counts=True)
-    top = np.argsort(-counts, kind="stable")[:limit]  # count ties stay in gram order
+    top = np.argsort(-counts, kind="stable")[:NGRAM_LIMIT]  # count ties stay in gram order
     grams = tuple(tuple(vocab[r] for r in ids[p:p + n].tolist())
                   for p in starts[first[top]].tolist())
-    return NgramFeatureSet(n=n, grams=grams, limit=limit)
+    return NgramFeatureSet(n=n, grams=grams)
 
 
 def ngram_vector(seq: TokenSequence, feature_set: NgramFeatureSet) -> np.ndarray:

@@ -7,11 +7,21 @@ command line so no run ever depends on wall-clock entropy.  Unknown
 sections or keys raise ConfigError (exit code 2), and relative paths
 resolve against the config file's directory.
 
-Values no run varies are not settable here; each has one home, the
-library default: GloVe's weighting (x_max 100, alpha 3/4), AdaGrad step
-0.05 and min_count 1 in ``embedding``, the classifier's step 0.05 in
-``neural.TrainConfig``, and the n-gram limit 700 in
-``features.select_ngram_features``.
+Values no run varies are not settable here.  Each is one named constant
+beside the code that reads it:
+
+  embedding   GLOVE_X_MAX 100, GLOVE_ALPHA 3/4 (GloVe's weighting) and
+              GLOVE_STEP 0.05 (AdaGrad); every token is kept
+  neural      LEARNING_RATE 0.05, the classifier's AdaGrad step
+  features    NGRAM_LIMIT 700 grams per n
+  baselines   LOGISTIC_STEP 0.5 and LOGISTIC_EPOCHS 200, NB_ALPHA 1,
+              KNN_NEIGHBORS 5, SVM_STEP 0.01, SVM_EPOCHS 200 and SVM_C 1
+
+A settable value's default is in the settings classes below, which read
+[embedding] epochs from ``embedding.GLOVE_EPOCHS`` and [synthetic] from
+``SyntheticCorpusSpec``.  ``kfold_split``, ``count_cooccurrence``'s
+window and ``neural.TrainConfig`` have no default of their own;
+``neural.ModelConfig`` still repeats [model]'s arch and kernel_width.
 """
 
 from __future__ import annotations
@@ -68,13 +78,18 @@ MAX_CLASSES = 1000
 MAX_EPOCHS = 10_000
 
 
+_DEFAULT_SPEC = SyntheticCorpusSpec()
+
+
 @dataclass
 class SyntheticSettings:
-    families: int = 3
-    samples_per_family: int = 40
-    fusion_mode: bool = False
-    min_len: int = 90
-    max_len: int = 140
+    """A SyntheticCorpusSpec without its seed, which is the run's."""
+
+    families: int = _DEFAULT_SPEC.families
+    samples_per_family: int = _DEFAULT_SPEC.samples_per_family
+    fusion_mode: bool = _DEFAULT_SPEC.fusion_mode
+    min_len: int = _DEFAULT_SPEC.min_len
+    max_len: int = _DEFAULT_SPEC.max_len
 
 
 @dataclass

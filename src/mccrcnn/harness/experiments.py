@@ -46,7 +46,6 @@ import numpy as np
 
 from ..baselines import Standardizer, knn_predict, train_logistic, train_nb, train_svm
 from ..embedding import (
-    EmbeddingTable,
     EmptyCooccurrence,
     EmptyVocabulary,
     build_vocab,
@@ -133,19 +132,14 @@ def prepare_dataset(cfg: ExperimentConfig) -> LabeledDataset:
     return LabeledDataset(records=tuple(records), l=max(y for _s, _p, y in records))
 
 
-def fit_embedding(sequences, settings, seed: int) -> EmbeddingTable:
-    """Vocabulary, co-occurrence and GloVe training on one fold's split."""
-    vocab = build_vocab(sequences)
-    cooc = count_cooccurrence(sequences, vocab, window=settings.window)
-    table, _losses = train_glove(cooc, vocab, k=settings.k, epochs=settings.epochs, seed=seed)
-    return table
-
-
 def fit_tables(which: str, train_split: LabeledDataset,
                cfg: ExperimentConfig, fold: int):
     """(opcode table, api table) fit on the split; None for streams not in the layer.
 
-    Nothing to fit raises EmptyVocabulary or EmptyCooccurrence naming the stream and fold > 0.
+    Each table is a vocabulary, co-occurrence counts and GloVe training
+    on its stream of the split, seeded by the run seed, the stream and
+    the fold.  Nothing to fit raises EmptyVocabulary or EmptyCooccurrence
+    naming the stream and fold > 0.
     """
     tables = [None] * len(STREAMS)
     for i, stream in enumerate(STREAMS):
@@ -153,7 +147,10 @@ def fit_tables(which: str, train_split: LabeledDataset,
             seqs = [p[i] for p in train_split.payloads()]
             seed = derive_seed(cfg.seed, _STAGE_EMBED[stream], fold)
             try:
-                tables[i] = fit_embedding(seqs, cfg.embedding, seed)
+                vocab = build_vocab(seqs)
+                cooc = count_cooccurrence(seqs, vocab, window=cfg.embedding.window)
+                tables[i], _losses = train_glove(cooc, vocab, k=cfg.embedding.k,
+                                                 epochs=cfg.embedding.epochs, seed=seed)
             except (EmptyVocabulary, EmptyCooccurrence) as exc:
                 where = f"{stream} stream, fold {fold}" if fold else f"{stream} stream"
                 raise type(exc)(f"{where}: {exc}") from exc
@@ -326,7 +323,8 @@ def _suite_b2(cfg, fold, train_split, test_split):
 
 
 def _suite_c(cfg, fold, train_split, test_split):
-    # each table is fit once: its seed depends on the layer and fold only
+    # each table is fit once and shared by the layers that read its
+    # stream: fit_tables seeds it from the stream and fold, not the layer
     tables = fit_tables("fused", train_split, cfg, fold)
     for which in LAYERS:
         to_matrix = matrix_fn(which, *tables, cfg.model.seq_len)

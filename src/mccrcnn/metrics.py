@@ -92,8 +92,8 @@ def standard_metrics(cm: np.ndarray) -> dict:
     }
 
 
-def kfold_split(ids, k: int = 10, seed: int = 0, stratify_by: dict | None = None):
-    """Deterministic stratified k-fold split.
+def kfold_split(ids, k: int, seed: int, stratify_by: dict):
+    """Deterministic stratified k-fold split; ``stratify_by`` maps each id to its label.
 
     Returns k (train_ids, test_ids) pairs of sorted lists.  Within each
     class, members are shuffled by the seed and dealt cyclically, so
@@ -108,16 +108,15 @@ def kfold_split(ids, k: int = 10, seed: int = 0, stratify_by: dict | None = None
     if len(ids) < k:
         raise TooFewSamples(f"{len(ids)} samples cannot fill {k} folds")
 
-    labels = stratify_by if stratify_by is not None else {sid: 1 for sid in ids}
-    missing = [sid for sid in ids if sid not in labels]
+    missing = [sid for sid in ids if sid not in stratify_by]
     if missing:
         raise ValueError(f"no stratification label for: {missing[:5]}")
 
     rng = np.random.default_rng(seed)
     folds: list[list[str]] = [[] for _ in range(k)]
     offset = 0
-    for label in sorted({labels[sid] for sid in ids}):
-        members = sorted(sid for sid in ids if labels[sid] == label)
+    for label in sorted({stratify_by[sid] for sid in ids}):
+        members = sorted(sid for sid in ids if stratify_by[sid] == label)
         perm = rng.permutation(len(members))
         for pos, idx in enumerate(perm):
             folds[(offset + pos) % k].append(members[idx])

@@ -57,6 +57,8 @@ log = logging.getLogger(__name__)
 #: architecture names, ablations first, and each one's (LSTM, gated conv)
 ARCHS = ("lstm", "gcnn", "mcc_rcnn")
 _LAYERS = dict(zip(ARCHS, ((True, False), (False, True), (True, True))))
+#: the AdaGrad step of train
+LEARNING_RATE = 0.05
 
 
 class EvenKernelWidth(PipelineError):
@@ -181,11 +183,10 @@ class ModelConfig:
 
 @dataclass
 class TrainConfig:
-    learning_rate: float = 0.05
-    epochs: int = 12
-    hidden: int = 24
-    batch_size: int = 16
-    seed: int = 0
+    epochs: int
+    hidden: int
+    batch_size: int
+    seed: int
 
 
 def named_params(params: ModelParams) -> dict[str, np.ndarray]:
@@ -594,7 +595,7 @@ def train(model_cfg: ModelConfig, dataset, cfg: TrainConfig, to_matrix=None, *,
             total_loss += loss * len(sel)
             for name, grad in grads.items():
                 acc_state[name] += grad * grad
-                tensors[name] -= cfg.learning_rate * grad / (
+                tensors[name] -= LEARNING_RATE * grad / (
                     np.sqrt(acc_state[name]) + 1e-8
                 )
         row = {"epoch": epoch + 1, "loss": total_loss / n}

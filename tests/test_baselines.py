@@ -21,6 +21,12 @@ from mccrcnn.baselines import (
 from mccrcnn.errors import ShapeMismatch
 
 
+def set_constants(monkeypatch, **constants):
+    """Give baseline settings the pipeline keeps fixed other values, for one test."""
+    for name, value in constants.items():
+        monkeypatch.setattr(baselines, name, value)
+
+
 def blobs(seed=0, per_class=20, l=3, d=4, spread=0.4):
     rng = np.random.default_rng(seed)
     centers = rng.normal(scale=2.0, size=(l, d))
@@ -54,28 +60,31 @@ def test_logistic_gradient_matches_finite_differences():
             assert abs(numeric - grad.flat[idx]) <= 1e-6, idx
 
 
-def test_logistic_starts_at_uniform_and_learns():
+def test_logistic_starts_at_uniform_and_learns(monkeypatch):
+    set_constants(monkeypatch, LOGISTIC_EPOCHS=150)
     x, y = blobs(seed=1)
     x = Standardizer.fit(x).transform(x)
-    model, losses = train_logistic(x, y, epochs=150)
+    model, losses = train_logistic(x, y)
     assert losses[0] == pytest.approx(math.log(3))  # zero weights, 3 classes
     assert losses[-1] < 0.2 * losses[0]
     assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
     assert (model.predict(x) == y).mean() >= 0.95
 
 
-def test_logistic_is_deterministic():
+def test_logistic_is_deterministic(monkeypatch):
+    set_constants(monkeypatch, LOGISTIC_EPOCHS=20)
     x, y = blobs(seed=5, per_class=8)
-    m1, l1 = train_logistic(x, y, epochs=20)
-    m2, l2 = train_logistic(x, y, epochs=20)
+    m1, l1 = train_logistic(x, y)
+    m2, l2 = train_logistic(x, y)
     assert l1 == l2
     assert np.array_equal(m1.weights, m2.weights)
     assert np.array_equal(m1.biases, m2.biases)
 
 
-def test_logistic_respects_explicit_class_count():
+def test_logistic_respects_explicit_class_count(monkeypatch):
+    set_constants(monkeypatch, LOGISTIC_EPOCHS=5)
     x = np.array([[0.0, 1.0], [1.0, 0.0]])
-    model, _ = train_logistic(x, np.array([1, 2]), l=4, epochs=5)
+    model, _ = train_logistic(x, np.array([1, 2]), l=4)
     assert model.weights.shape == (4, 2)
     with pytest.raises(ValueError):
         train_logistic(x, np.array([1, 5]), l=4)
@@ -86,11 +95,12 @@ def diverging_points():
     return rng.standard_normal((30, 4)), np.repeat([1, 2, 3], 10)
 
 
-def test_logistic_diverges_with_absurd_rate():
+def test_logistic_diverges_with_absurd_rate(monkeypatch):
+    set_constants(monkeypatch, LOGISTIC_STEP=1e6)
     x, y = diverging_points()
     with pytest.raises(DivergedLoss, match="logistic loss became non-finite"):
         with np.errstate(all="ignore"):
-            train_logistic(x, y, learning_rate=1e6)
+            train_logistic(x, y)
 
 
 # ------------------------------------------------------------- naive Bayes
@@ -98,7 +108,8 @@ def test_logistic_diverges_with_absurd_rate():
 def test_nb_matches_hand_computation():
     x = np.array([[2, 0, 1], [1, 1, 0], [0, 3, 0]], dtype=np.float64)
     y = np.array([1, 1, 2])
-    model = train_nb(x, y, alpha=1.0)
+    assert baselines.NB_ALPHA == 1.0
+    model = train_nb(x, y)
     assert model.log_priors == pytest.approx([math.log(2 / 3), math.log(1 / 3)])
     # class 1 totals (3, 1, 1), sum 5, d = 3: (count + 1) / (5 + 3)
     assert model.log_likelihood[0] == pytest.approx(
@@ -110,7 +121,7 @@ def test_nb_matches_hand_computation():
     )
 
 
-def test_nb_brute_force_oracle_random_counts():
+def test_nb_brute_force_oracle_random_counts(monkeypatch):
     rng = np.random.default_rng(7)
     for trial in range(20):
         n, d, l = int(rng.integers(4, 15)), int(rng.integers(2, 6)), int(rng.integers(2, 4))
@@ -118,7 +129,8 @@ def test_nb_brute_force_oracle_random_counts():
         y = rng.integers(1, l + 1, size=n)
         y[:l] = np.arange(1, l + 1)  # every class occupied
         alpha = float(rng.uniform(0.5, 2.0))
-        model = train_nb(x, y, l=l, alpha=alpha)
+        set_constants(monkeypatch, NB_ALPHA=alpha)
+        model = train_nb(x, y, l=l)
         for c in range(l):
             rows = [x[i] for i in range(n) if y[i] == c + 1]
             assert model.log_priors[c] == pytest.approx(math.log(len(rows) / n))
@@ -167,7 +179,7 @@ def knn_oracle(train_x, train_y, q, k):
     return tied[0]
 
 
-def test_knn_matches_brute_force_oracle():
+def test_knn_matches_brute_force_oracle(monkeypatch):
     rng = np.random.default_rng(21)
     for trial in range(25):
         n = int(rng.integers(5, 30))
@@ -176,7 +188,8 @@ def test_knn_matches_brute_force_oracle():
         train_y = rng.integers(1, 4, size=n)
         queries = rng.integers(0, 4, size=(6, d)).astype(np.float64)
         k = int(rng.integers(1, 8))
-        got = knn_predict(train_x, train_y, queries, k_neighbors=k)
+        set_constants(monkeypatch, KNN_NEIGHBORS=k)
+        got = knn_predict(train_x, train_y, queries)
         want = [knn_oracle(train_x, train_y, q, min(k, n)) for q in queries]
         assert got.tolist() == want, trial
 
@@ -199,7 +212,7 @@ def reference_knn_predict(train_x, train_y, queries, k_neighbors):
     return out
 
 
-def test_knn_argsort_ranking_matches_sorted_ranking_under_ties():
+def test_knn_argsort_ranking_matches_sorted_ranking_under_ties(monkeypatch):
     # points on a small integer grid: many exactly equal distances, and
     # with two or three classes and even k, many vote ties
     rng = np.random.default_rng(5)
@@ -211,35 +224,37 @@ def test_knn_argsort_ranking_matches_sorted_ranking_under_ties():
         train_y = rng.integers(1, int(rng.integers(2, 4)) + 1, size=n)
         queries = rng.integers(0, 3, size=(12, d)).astype(np.float64)
         for k in (1, 2, 4, 6, n + 3):
-            got = knn_predict(train_x, train_y, queries, k_neighbors=k)
+            set_constants(monkeypatch, KNN_NEIGHBORS=k)
+            got = knn_predict(train_x, train_y, queries)
             assert got.tolist() == reference_knn_predict(train_x, train_y, queries, k), (trial, k)
         dist = np.sqrt(((train_x - queries[0]) ** 2).sum(axis=1))
         ties += len(dist) - len(np.unique(dist))
     assert ties > 100
 
 
-def test_knn_vote_tie_breaks_on_mean_distance_then_class():
+def test_knn_vote_tie_breaks_on_mean_distance_then_class(monkeypatch):
+    set_constants(monkeypatch, KNN_NEIGHBORS=2)
     # classes 1 and 2 each get one vote; class 2's neighbour is closer
     train_x = np.array([[0.0], [3.0]])
     train_y = np.array([1, 2])
-    assert knn_predict(train_x, train_y, np.array([[2.0]]), k_neighbors=2)[0] == 2
+    assert knn_predict(train_x, train_y, np.array([[2.0]]))[0] == 2
     # equidistant vote tie falls back to the smaller class id
-    assert knn_predict(train_x, train_y, np.array([[1.5]]), k_neighbors=2)[0] == 1
+    assert knn_predict(train_x, train_y, np.array([[1.5]]))[0] == 1
 
 
-def test_knn_rank_tie_prefers_earlier_training_row():
+def test_knn_rank_tie_prefers_earlier_training_row(monkeypatch):
+    set_constants(monkeypatch, KNN_NEIGHBORS=1)
     train_x = np.array([[1.0], [1.0], [5.0]])
     train_y = np.array([2, 1, 1])
     # both [1.0] rows are equidistant from the query; k=1 keeps index 0
-    assert knn_predict(train_x, train_y, np.array([[1.0]]), k_neighbors=1)[0] == 2
+    assert knn_predict(train_x, train_y, np.array([[1.0]]))[0] == 2
 
 
-def test_knn_k_larger_than_train_set_uses_all_rows():
+def test_knn_k_larger_than_train_set_uses_all_rows(monkeypatch):
+    set_constants(monkeypatch, KNN_NEIGHBORS=50)
     train_x = np.array([[0.0], [1.0], [2.0]])
     train_y = np.array([1, 1, 2])
-    assert knn_predict(train_x, train_y, np.array([[2.0]]), k_neighbors=50)[0] == 1
-    with pytest.raises(ValueError):
-        knn_predict(train_x, train_y, np.array([[0.0]]), k_neighbors=0)
+    assert knn_predict(train_x, train_y, np.array([[2.0]]))[0] == 1
 
 
 def frozen_knn_predict(train_x, train_y, queries, k_neighbors=5):
@@ -315,13 +330,14 @@ def knn_cases(name, rng):
 
 @pytest.mark.parametrize("name", ["grid", "one_column", "counts_700", "query_is_row",
                                   "common_offset", "subnormal", "no_queries"])
-def test_knn_screen_keeps_every_neighbour_of_the_full_distances(name):
+def test_knn_screen_keeps_every_neighbour_of_the_full_distances(name, monkeypatch):
     """knn_predict ranks only the rows its product screen keeps; the kept
     rows must include every row the full distances rank within the k-th,
     with the same distance bits, so the predictions are the frozen copy's."""
     rng = np.random.default_rng(28)
     for train_x, train_y, queries, k in knn_cases(name, rng):
-        got = knn_predict(train_x, train_y, queries, k_neighbors=k)
+        set_constants(monkeypatch, KNN_NEIGHBORS=k)
+        got = knn_predict(train_x, train_y, queries)
         assert got.tolist() == frozen_knn_predict(train_x, train_y, queries, k).tolist()
         k = min(k, len(train_x))
         for q, (cand, dist) in zip(queries, _knn_candidates(train_x, queries, k)):
@@ -338,9 +354,10 @@ def test_knn_screen_in_blocks_matches_frozen_copy(monkeypatch):
     rng = np.random.default_rng(29)
     x, y, q = standardized_counts(rng, 30, 12, 25)
     want = frozen_knn_predict(x, y, q, 3).tolist()
+    set_constants(monkeypatch, KNN_NEIGHBORS=3)
     for entries in (1, 7 * 30):
         monkeypatch.setattr(baselines, "_SCREEN_ENTRIES", entries)
-        assert knn_predict(x, y, q, k_neighbors=3).tolist() == want
+        assert knn_predict(x, y, q).tolist() == want
 
 def test_knn_refuses_queries_of_another_width():
     train_x, train_y = np.zeros((4, 3)), np.array([1, 2, 1, 2])
@@ -363,7 +380,8 @@ def svm_targets(y, l):
     return np.where(np.arange(1, l + 1)[None, :] == y[:, None], 1.0, -1.0)
 
 
-def test_svm_gradient_matches_finite_differences():
+def test_svm_gradient_matches_finite_differences(monkeypatch):
+    set_constants(monkeypatch, SVM_C=1.5)
     rng = np.random.default_rng(6)
     x = rng.normal(size=(7, 3))
     targets = svm_targets(rng.integers(1, 5, size=7), 4)
@@ -374,60 +392,66 @@ def test_svm_gradient_matches_finite_differences():
     slack = 1.0 - targets * (x @ weights.T + biases)
     assert (slack > 0).any() and (slack < 0).any()
     assert np.abs(slack).min() > 1e-3
-    _, dw, db = svm_loss_and_grad(weights, biases, x, targets, c_reg=1.5)
+    _, dw, db = svm_loss_and_grad(weights, biases, x, targets)
     for arr, grad in ((weights, dw), (biases, db)):
         for idx in range(arr.size):
             orig = arr.flat[idx]
             arr.flat[idx] = orig + step
-            up = svm_loss_and_grad(weights, biases, x, targets, c_reg=1.5)[0]
+            up = svm_loss_and_grad(weights, biases, x, targets)[0]
             arr.flat[idx] = orig - step
-            down = svm_loss_and_grad(weights, biases, x, targets, c_reg=1.5)[0]
+            down = svm_loss_and_grad(weights, biases, x, targets)[0]
             arr.flat[idx] = orig
             numeric = (up - down) / (2 * step)
             assert abs(numeric - grad.flat[idx]) <= 1e-6, idx
 
 
-def test_svm_objective_at_zero_weights():
+def test_svm_objective_at_zero_weights(monkeypatch):
+    set_constants(monkeypatch, SVM_C=2.0)
     x, y = blobs(seed=2, per_class=5, l=3, d=2)
     weights = np.zeros((3, 2))
     biases = np.zeros(3)
     # zero margins leave every hinge term at 1, one per class per sample
-    loss = svm_loss_and_grad(weights, biases, x, svm_targets(y, 3), c_reg=2.0)[0]
+    loss = svm_loss_and_grad(weights, biases, x, svm_targets(y, 3))[0]
     assert loss == pytest.approx(2.0 * 3)
 
 
-def test_svm_history_recorded_before_each_update():
+def test_svm_history_recorded_before_each_update(monkeypatch):
+    set_constants(monkeypatch, SVM_EPOCHS=40, SVM_STEP=0.05)
     x, y = blobs(seed=4, per_class=6, l=2, d=3)
     x = Standardizer.fit(x).transform(x)
-    model, history = train_svm(x, y, epochs=40, learning_rate=0.05)
+    model, history = train_svm(x, y)
     assert history[0] == pytest.approx(1.0 * 2)  # untrained objective
     assert history[-1] < history[0]
     assert (model.predict(x) == y).mean() == 1.0
 
 
-def test_svm_first_step_matches_hand_computation():
+def test_svm_first_step_matches_hand_computation(monkeypatch):
+    set_constants(monkeypatch, SVM_EPOCHS=1, SVM_STEP=0.1)
+    assert baselines.SVM_C == 1.0
     x = np.array([[1.0, 0.0], [0.0, 1.0]])
     y = np.array([1, 2])
-    model, _ = train_svm(x, y, epochs=1, learning_rate=0.1, c_reg=1.0)
+    model, _ = train_svm(x, y)
     # all hinges active at zero weights: step = lr * (c/n) * targets.T @ x
     assert np.allclose(model.weights, [[0.05, -0.05], [-0.05, 0.05]], atol=1e-12)
     assert model.biases == pytest.approx([0.0, 0.0])
 
 
-def test_svm_with_zero_penalty_stays_at_zero():
+def test_svm_with_zero_penalty_stays_at_zero(monkeypatch):
+    set_constants(monkeypatch, SVM_EPOCHS=10, SVM_C=0.0)
     x, y = blobs(seed=6, per_class=4, l=2, d=2)
-    model, history = train_svm(x, y, epochs=10, c_reg=0.0)
+    model, history = train_svm(x, y)
     assert not model.weights.any() and not model.biases.any()
     assert history == [0.0] * 10
 
 
-def test_svm_diverges_with_absurd_rate():
+def test_svm_diverges_with_absurd_rate(monkeypatch):
     """The step overshoots until the objective overflows; this returned
     NaN weights that predict class 1 for every row."""
+    set_constants(monkeypatch, SVM_STEP=5.0, SVM_EPOCHS=600)
     x, y = diverging_points()
     with pytest.raises(DivergedLoss, match="SVM objective became non-finite"):
         with np.errstate(all="ignore"):
-            train_svm(x, y, learning_rate=5.0, epochs=600)
+            train_svm(x, y)
 
 
 # ------------------------------------------------------------ standardizer

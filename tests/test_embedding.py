@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -41,6 +42,16 @@ def seqs(*token_lists):
     ]
 
 
+#: a weighting and step other than GloVe's, under which some entries of
+#: the test corpora reach x_max, so the f = 1 branch is trained through too
+OTHER_SETTINGS = {"GLOVE_X_MAX": 3.0, "GLOVE_ALPHA": 0.5, "GLOVE_STEP": 0.2}
+
+
+def set_constants(monkeypatch, constants):
+    for name, value in constants.items():
+        monkeypatch.setattr(embedding, name, value)
+
+
 def zero_table(n, k):
     return EmbeddingTable(
         tokens=tuple(f"t{i}" for i in range(n)),
@@ -58,11 +69,11 @@ def test_vocab_ids_by_frequency_then_lexicographic():
     assert PAD_ID == 0 and 0 not in v.token_to_id.values()
 
 
-def test_vocab_min_count_filter():
-    v = build_vocab(seqs(["a", "a", "b"]), min_count=2)
-    assert set(v.token_to_id) == {"a"}
-    with pytest.raises(EmptyVocabulary):
-        build_vocab(seqs(["a", "b"]), min_count=5)
+def test_vocab_keeps_every_token_and_needs_one():
+    v = build_vocab(seqs(["a", "a", "b"], ["c"]))
+    assert v.token_to_id == {"a": 1, "b": 2, "c": 3}
+    with pytest.raises(EmptyVocabulary, match="^no token"):
+        build_vocab(seqs([], []))
 
 
 # ---------------------------------------------------------- co-occurrence
@@ -84,12 +95,8 @@ def test_cooc_hand_example_window_two_adds_self_pair():
 
 
 def test_cooc_oov_tokens_keep_their_distance():
-    corpus = seqs(["a", "x", "b", "a", "x", "b"])
-    v = build_vocab(corpus, min_count=2)
-    assert "x" not in v or v.counts["x"] == 2
-    # force x out with an explicit tiny corpus instead
     corpus = seqs(["a", "x", "b"])
-    v = Vocabulary(token_to_id={"a": 1, "b": 2}, counts={"a": 1, "b": 1}, min_count=1)
+    v = Vocabulary(token_to_id={"a": 1, "b": 2})
     assert count_cooccurrence(corpus, v, window=1).entries == {}
     x2 = count_cooccurrence(corpus, v, window=2)
     assert x2.entries == {(1, 2): 0.5, (2, 1): 0.5}
@@ -167,8 +174,18 @@ def assert_same_counts(got, want):
         assert got.entries[key].hex() == value.hex(), key
 
 
+def vocab_of_common(corpus, min_count):
+    """build_vocab's ids over the tokens seen at least min_count times, so
+    the rarer ones are out of the vocabulary; None when none is."""
+    counts = Counter(tok for seq in corpus for tok in seq.tokens)
+    kept = sorted((tok for tok, c in counts.items() if c >= min_count),
+                  key=lambda tok: (-counts[tok], tok))
+    return Vocabulary(token_to_id={tok: i + 1 for i, tok in enumerate(kept)}) if kept else None
+
+
 def cooc_cases():
-    """(corpus, min_count, window): random corpora plus the edge cases."""
+    """(corpus, min_count, window): random corpora plus the edge cases;
+    tokens seen fewer than min_count times are left out of the vocabulary."""
     rng = np.random.default_rng(31)
     cases = [
         (seqs([]), 1, 3),
@@ -180,7 +197,7 @@ def cooc_cases():
     for _ in range(30):
         nv = int(rng.integers(1, 40))
         corpus = seqs(*[
-            # a skewed draw, so some tokens fall under min_count
+            # a skewed draw, so some tokens fall under min_count and are OOV
             [f"t{int(nv * rng.random() ** 2)}" for _ in range(int(rng.integers(0, 90)))]
             for _ in range(int(rng.integers(1, 8)))
         ])
@@ -194,9 +211,8 @@ def test_cooc_bit_identical_to_one_pair_loop(chunk, monkeypatch):
     if chunk is not None:
         monkeypatch.setattr(embedding, "COOC_CHUNK_TOKENS", chunk)
     for corpus, min_count, window in cooc_cases():
-        try:
-            v = build_vocab(corpus, min_count=min_count)
-        except EmptyVocabulary:
+        v = vocab_of_common(corpus, min_count)
+        if v is None:
             continue
         assert_same_counts(count_cooccurrence(corpus, v, window=window),
                            reference_count_cooccurrence(corpus, v, window=window))
@@ -220,7 +236,7 @@ def seed1_streams(tmp_path_factory):
 def test_cooc_bit_identical_on_seed1_streams(seed1_streams):
     for stream in seed1_streams:
         v = build_vocab(stream)
-        assert_same_counts(count_cooccurrence(stream, v),
+        assert_same_counts(count_cooccurrence(stream, v, window=8),
                            reference_count_cooccurrence(stream, v))
 
 
@@ -231,7 +247,7 @@ def test_cooc_temporaries_stay_bounded(seed1_streams):
     v = build_vocab(opcodes)
     tracemalloc.start()
     try:
-        cooc = count_cooccurrence(opcodes, v)
+        cooc = count_cooccurrence(opcodes, v, window=8)
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -256,6 +272,16 @@ def test_glove_loss_single_entry_weight_saturation():
 
 
 def test_glove_gradients_match_finite_differences():
+    assert_gradients_match_finite_differences()
+
+
+def test_glove_gradients_match_finite_differences_at_another_weighting(monkeypatch):
+    """Entries run to 30, so some reach x_max and weigh 1 here."""
+    set_constants(monkeypatch, OTHER_SETTINGS)
+    assert_gradients_match_finite_differences()
+
+
+def assert_gradients_match_finite_differences():
     rng = np.random.default_rng(3)
     n, k = 4, 3
     entries = {}
@@ -321,14 +347,16 @@ def test_train_glove_deterministic_under_seed():
 
 
 @pytest.mark.parametrize("epochs", [0, 1, 5])
-def test_train_glove_last_loss_is_glove_loss_of_returned_table(epochs):
+def test_train_glove_last_loss_is_glove_loss_of_returned_table(epochs, monkeypatch):
     """The trainer's J curve and glove_loss evaluate one objective, bit for bit."""
+    set_constants(monkeypatch, OTHER_SETTINGS)
     corpus = small_corpus()
     v = build_vocab(corpus)
     cooc = count_cooccurrence(corpus, v, window=3)
-    table, losses = train_glove(cooc, v, k=4, epochs=epochs, x_max=5.0, alpha=0.5, seed=3)
+    assert max(cooc.entries.values()) > OTHER_SETTINGS["GLOVE_X_MAX"]
+    table, losses = train_glove(cooc, v, k=4, epochs=epochs, seed=3)
     assert len(losses) == epochs + 1
-    assert losses[-1] == glove_loss(cooc, table, x_max=5.0, alpha=0.5)
+    assert losses[-1] == glove_loss(cooc, table)
 
 
 def test_train_glove_validates_inputs():
@@ -473,8 +501,7 @@ def exactness_cases():
         v = build_vocab(corpus)
         cases.append((count_cooccurrence(corpus, v, window=4), v))
     # a chain: every entry shares center row 1, so each level holds one entry
-    chain = Vocabulary(token_to_id={f"t{j}": j for j in range(1, 9)},
-                       counts={f"t{j}": 1 for j in range(1, 9)}, min_count=1)
+    chain = Vocabulary(token_to_id={f"t{j}": j for j in range(1, 9)})
     entries = {(1, j): 1.0 + j / 3 for j in range(1, 9)}
     cases.append((CooccurrenceMatrix(entries=entries, window=1, vocab_size=8), chain))
     return cases
@@ -488,12 +515,15 @@ def test_train_glove_bit_identical_to_one_entry_loop(k):
                             reference_train_glove(cooc, v, k=k, epochs=5, seed=seed))
 
 
-def test_train_glove_bit_identical_with_learning_settings():
+def test_train_glove_bit_identical_with_learning_settings(monkeypatch):
+    set_constants(monkeypatch, OTHER_SETTINGS)
     corpus = small_corpus()
     v = build_vocab(corpus)
     cooc = count_cooccurrence(corpus, v, window=5)
-    kw = dict(k=7, epochs=4, learning_rate=0.2, x_max=3.0, alpha=0.5, seed=4)
-    assert_same_fit(train_glove(cooc, v, **kw), reference_train_glove(cooc, v, **kw))
+    assert max(cooc.entries.values()) > OTHER_SETTINGS["GLOVE_X_MAX"]
+    assert_same_fit(train_glove(cooc, v, k=7, epochs=4, seed=4),
+                    reference_train_glove(cooc, v, k=7, epochs=4, learning_rate=0.2,
+                                          x_max=3.0, alpha=0.5, seed=4))
 
 
 def test_b2_report_unchanged_with_reference_trainer(tmp_path, monkeypatch):

@@ -5,6 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from mccrcnn import features
 from mccrcnn.embedding import EmbeddingTable
 from mccrcnn.errors import ShapeMismatch
 from mccrcnn.extraction import SequenceKind, TokenSequence
@@ -122,21 +123,20 @@ def test_labeled_dataset_subset_keeps_l():
 
 # ----------------------------------------------------------------- n-grams
 
-def test_ngram_selection_orders_by_count_then_gram():
+def test_ngram_selection_orders_by_count_then_gram(monkeypatch):
     corpus = [seq(["b", "a", "b", "a", "b"])]  # bigrams: (b,a) x2, (a,b) x2
-    fs = select_ngram_features(corpus, n=2, limit=10)
+    fs = select_ngram_features(corpus, n=2)
     assert fs.grams == (("a", "b"), ("b", "a"))
-    fs1 = select_ngram_features(corpus, n=2, limit=1)
+    monkeypatch.setattr(features, "NGRAM_LIMIT", 1)
+    fs1 = select_ngram_features(corpus, n=2)
     assert fs1.grams == (("a", "b"),)
     with pytest.raises(ValueError):
         select_ngram_features(corpus, n=0)
-    with pytest.raises(ValueError):
-        select_ngram_features(corpus, n=2, limit=0)
 
 
 def test_ngram_vector_counts_every_window_when_all_selected():
     corpus = [seq(["a", "b", "a", "b", "c"])]
-    fs = select_ngram_features(corpus, n=2, limit=100)
+    fs = select_ngram_features(corpus, n=2)
     vec = ngram_vector(corpus[0], fs)
     assert vec.dtype == np.int64
     assert vec.sum() == len(corpus[0].tokens) - 2 + 1
@@ -146,14 +146,14 @@ def test_ngram_vector_counts_every_window_when_all_selected():
 
 
 def test_ngram_vector_ignores_unselected_grams():
-    fs = select_ngram_features([seq(["a", "a", "a"])], n=1, limit=5)
+    fs = select_ngram_features([seq(["a", "a", "a"])], n=1)
     vec = ngram_vector(seq(["a", "z", "a"]), fs)
     assert vec.tolist() == [2]
 
 
 def test_ngram_id_sequence_ranks_and_pads():
     corpus = [seq(["a", "b", "a", "b", "a"])]  # (a,b) x2 beats (b,a) x2 on name
-    fs = select_ngram_features(corpus, n=2, limit=10)
+    fs = select_ngram_features(corpus, n=2)
     ids = ngram_id_sequence(seq(["a", "b", "a", "z"]), fs, t=6)
     # positions: (a,b)=rank0 -> 1, (b,a)=rank1 -> 2, (a,z) unselected -> 0,
     # position 3 has no full bigram, positions 4..5 are padding
@@ -162,20 +162,21 @@ def test_ngram_id_sequence_ranks_and_pads():
 
 
 def test_ngram_index_is_rank_of_each_gram():
-    fs = select_ngram_features([seq(["a", "b", "c", "a", "b"])], n=2, limit=10)
+    fs = select_ngram_features([seq(["a", "b", "c", "a", "b"])], n=2)
     assert fs.index() == {g: r for r, g in enumerate(fs.grams)}
     assert fs.index() is fs.index()
-    assert fs == select_ngram_features([seq(["a", "b", "c", "a", "b"])], n=2, limit=10)
+    assert fs == select_ngram_features([seq(["a", "b", "c", "a", "b"])], n=2)
 
 
-def test_ngram_vector_and_ids_match_naive_recount():
+def test_ngram_vector_and_ids_match_naive_recount(monkeypatch):
     rng = np.random.default_rng(4)
     alphabet = ["a", "b", "c", "d", "e"]
     for trial in range(30):
         corpus = [seq([alphabet[int(i)] for i in rng.integers(5, size=int(rng.integers(0, 25)))])
                   for _ in range(4)]
         n = int(rng.integers(1, 4))
-        fs = select_ngram_features(corpus, n=n, limit=int(rng.integers(1, 12)))
+        monkeypatch.setattr(features, "NGRAM_LIMIT", int(rng.integers(1, 12)))
+        fs = select_ngram_features(corpus, n=n)
         for s in corpus:
             grams = [tuple(s.tokens[p:p + n]) for p in range(len(s.tokens) - n + 1)]
             want = [sum(g == sel for g in grams) for sel in fs.grams]
@@ -195,7 +196,7 @@ def reference_select_ngram_features(corpus, n, limit=700):
         for i in range(len(toks) - n + 1):
             counts[tuple(toks[i:i + n])] += 1
     ordered = sorted(counts, key=lambda g: (-counts[g], g))
-    return NgramFeatureSet(n=n, grams=tuple(ordered[:limit]), limit=limit)
+    return NgramFeatureSet(n=n, grams=tuple(ordered[:limit]))
 
 
 def reference_ngram_vector(s, feature_set):
@@ -233,11 +234,12 @@ def ngram_corpora():
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
-def test_ngram_selection_and_vectors_match_tuple_counting(n):
+def test_ngram_selection_and_vectors_match_tuple_counting(n, monkeypatch):
     for corpus, apply_to in ngram_corpora():
         distinct = len(reference_select_ngram_features(corpus, n, limit=10**9).grams)
         for limit in sorted({1, 3, max(1, distinct - 1), max(1, distinct), distinct + 5}):
-            got = select_ngram_features(corpus, n, limit)
+            monkeypatch.setattr(features, "NGRAM_LIMIT", limit)
+            got = select_ngram_features(corpus, n)
             want = reference_select_ngram_features(corpus, n, limit)
             assert got == want and got.grams == want.grams, (n, limit)
             for s in apply_to:
@@ -248,7 +250,7 @@ def test_ngram_selection_and_vectors_match_tuple_counting(n):
 
 def test_ngram_selection_accepts_a_one_shot_iterable():
     corpus = [seq(["a", "b", "a", "c"]), seq(["c", "a", "b"])]
-    assert select_ngram_features(iter(corpus), 2, 10) == select_ngram_features(corpus, 2, 10)
+    assert select_ngram_features(iter(corpus), 2) == select_ngram_features(corpus, 2)
 
 
 def test_onehot_rows():

@@ -1210,6 +1210,68 @@ def test_cli_exit_code_matrix(tmp_path, capsys):
     assert "a seed is required" in capsys.readouterr().err
 
 
+#: what the mutation fuzz writes over one checkpoint token or one config
+#: value: non-finite, overflowing, subnormal and signed-zero floats, text,
+#: nothing, and an integer past every bound
+FUZZ_VALUES = ("nan", "inf", "-inf", "1e999", "1e-320", "-0", "abc", "", "9" * 30)
+FUZZ_CHECKPOINT_CASES = 180
+#: config values tried besides FUZZ_VALUES, some of them valid
+FUZZ_CONFIG_VALUES = FUZZ_VALUES + ("0", "1", "3", "-1", "1,1", "true")
+
+
+def assert_clean_exit(case, code, err, report=None):
+    """Exit 0 (with finite values in ``report``, if given), or 2 or 3 with
+    one error line and no traceback."""
+    assert code in (0, 2, 3), case
+    if code:
+        assert sum("error:" in line for line in err.splitlines()) == 1, (case, err)
+        assert "Traceback" not in err, case
+    elif report is not None:
+        with open(report, encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        assert rows and all(np.isfinite(float(r["value"])) for r in rows), (case, rows)
+
+
+def test_mutation_fuzz_ends_in_a_result_or_one_error_line(tmp_path, capsys):
+    """One token of a trained checkpoint, or one config value, set to a
+    hostile value: eval and ingest end in a result or in exit 2 or 3 with
+    one error line, never in a traceback.  pytest turns a RuntimeWarning
+    into an error, so a numpy overflow or invalid value fails it too."""
+    cfg = write_cfg(tmp_path)
+    write_cfg(tmp_path, ini_text(model={"features": "opcode"}), "opcode.ini")
+    assert main(["gen", str(cfg)]) == 0
+    checkpoints = []
+    for ini in (cfg, tmp_path / "opcode.ini"):
+        out = tmp_path / f"out_{ini.stem}"
+        assert main(["train", str(ini), "--out", str(out)]) == 0
+        for path in sorted(out.glob("*.ckpt")):  # model.ckpt and each <stream>_glove.ckpt
+            lines = path.read_text(encoding="utf-8").split("\n")[:-2]  # less the checksum
+            checkpoints.append((ini, out, path, lines))
+    assert len(checkpoints) == 5
+    capsys.readouterr()
+    rng = np.random.default_rng(7)
+    for case in range(FUZZ_CHECKPOINT_CASES):
+        ini, out, path, lines = checkpoints[case % len(checkpoints)]
+        row = int(rng.integers(len(lines)))
+        tokens = lines[row].split(" ")
+        col = int(rng.integers(len(tokens)))
+        tokens[col] = FUZZ_VALUES[case % len(FUZZ_VALUES)]
+        _write_checkpoint(path, lines[:row] + [" ".join(tokens)] + lines[row + 1:])
+        (out / "eval_report.csv").unlink(missing_ok=True)
+        code = main(["eval", str(ini), "--out", str(out)])
+        assert_clean_exit((path.name, row, col, tokens[col]), code, capsys.readouterr().err,
+                          out / "eval_report.csv")
+        _write_checkpoint(path, lines)
+    keys = [line.split("=")[0] for line in config_echo(load_config(cfg))]
+    assert len(keys) == 19
+    for key in keys:
+        section, name = key.split(".")
+        for value in FUZZ_CONFIG_VALUES:
+            write_cfg(tmp_path, ini_text(**{section: {name: value}}), "fuzz.ini")
+            code = main(["ingest", str(tmp_path / "fuzz.ini")])
+            assert_clean_exit((key, value), code, capsys.readouterr().err)
+
+
 def test_cli_suite_a_seq_len_too_large_exit_3(tmp_path, capsys):
     """Suite A's n-gram rows take seq_len too; 10**16 of them cannot exist."""
     cfg = write_cfg(tmp_path, ini_text(model={"seq_len": str(10**16)}))

@@ -222,10 +222,10 @@ def test_kfold_per_class_counts_balanced():
 def test_kfold_errors():
     ids, labels = toy_ids([3])
     with pytest.raises(TooFewSamples):
-        kfold_split(ids, k=4, stratify_by=labels)
+        kfold_split(ids, k=4, seed=0, stratify_by=labels)
     with pytest.raises(ValueError):
-        kfold_split(["a", "a", "b"], k=2)
+        kfold_split(["a", "a", "b"], k=2, seed=0, stratify_by={"a": 1, "b": 1})
     with pytest.raises(ValueError):
-        kfold_split(ids, k=1, stratify_by=labels)
+        kfold_split(ids, k=1, seed=0, stratify_by=labels)
     with pytest.raises(ValueError):
-        kfold_split(ids, k=2, stratify_by={"c1_000": 1})
+        kfold_split(ids, k=2, seed=0, stratify_by={"c1_000": 1})

@@ -889,7 +889,7 @@ def test_train_reaches_full_accuracy_on_separable_toy():
     ds = separable_dataset()
     params, history = train(
         ModelConfig(arch="mcc_rcnn"), ds,
-        TrainConfig(learning_rate=0.05, epochs=15, hidden=6, batch_size=8, seed=0),
+        TrainConfig(epochs=15, hidden=6, batch_size=8, seed=0),
     )
     assert history[-1]["accuracy"] == 1.0
     assert history[-1]["loss"] < history[0]["loss"]
@@ -900,15 +900,14 @@ def test_train_reaches_full_accuracy_on_separable_toy():
 
 def test_train_is_deterministic_under_seed():
     ds = separable_dataset(per_class=4)
-    cfg = TrainConfig(learning_rate=0.05, epochs=3, hidden=4, batch_size=4, seed=2)
+    cfg = TrainConfig(epochs=3, hidden=4, batch_size=4, seed=2)
     p1, h1 = train(ModelConfig(arch="lstm"), ds, cfg)
     p2, h2 = train(ModelConfig(arch="lstm"), ds, cfg)
     assert h1 == h2
     for name, arr in named_params(p1).items():
         assert np.array_equal(arr, named_params(p2)[name]), name
     p3, _ = train(ModelConfig(arch="lstm"), ds,
-                  TrainConfig(learning_rate=0.05, epochs=3, hidden=4,
-                              batch_size=4, seed=3))
+                  TrainConfig(epochs=3, hidden=4, batch_size=4, seed=3))
     assert not np.array_equal(p1.dense_w, p3.dense_w)
 
 
@@ -934,7 +933,7 @@ def frozen_predict(params, matrices, batch_size):
     return out
 
 
-def frozen_train(model_cfg, dataset, cfg):
+def frozen_train(model_cfg, dataset, cfg, learning_rate=0.05):
     mats = [np.asarray(p, dtype=np.float64) for p in dataset.payloads()]
     labels = dataset.labels()
     params = init_params(model_cfg, mats[0].shape[1], dataset.l, cfg.hidden, cfg.seed)
@@ -953,7 +952,7 @@ def frozen_train(model_cfg, dataset, cfg):
             total_loss += loss * len(sel)
             for name, grad in grads.items():
                 acc_state[name] += grad * grad
-                tensors[name] -= cfg.learning_rate * grad / (
+                tensors[name] -= learning_rate * grad / (
                     np.sqrt(acc_state[name]) + 1e-8
                 )
         preds = frozen_predict(params, mats, batch_size=max(cfg.batch_size, 32))
@@ -973,7 +972,7 @@ def test_train_matches_frozen_list_batch_train_bit_for_bit(arch, batch_size):
     epoch predict runs a chunk of 32 and one of 4."""
     ds = separable_dataset(per_class=12, t=7, k=4, seed=3)
     model_cfg = ModelConfig(arch=arch, conv_channels=3)
-    cfg = TrainConfig(learning_rate=0.05, epochs=3, hidden=4, batch_size=batch_size, seed=5)
+    cfg = TrainConfig(epochs=3, hidden=4, batch_size=batch_size, seed=5)
     params, history = train(model_cfg, ds, cfg)
     want_params, want_history = frozen_train(model_cfg, ds, cfg)
     assert history == want_history
@@ -988,7 +987,7 @@ def test_train_without_epoch_accuracy_trains_the_same_bits(arch, batch_size, mon
     drops the accuracy column and changes no trained bit and no loss."""
     ds = separable_dataset(per_class=12, t=7, k=4, seed=3)
     model_cfg = ModelConfig(arch=arch, conv_channels=3)
-    cfg = TrainConfig(learning_rate=0.05, epochs=3, hidden=4, batch_size=batch_size, seed=5)
+    cfg = TrainConfig(epochs=3, hidden=4, batch_size=batch_size, seed=5)
     params, history = train(model_cfg, ds, cfg)
 
     def no_predict(*_args, **_kwargs):
@@ -1002,17 +1001,19 @@ def test_train_without_epoch_accuracy_trains_the_same_bits(arch, batch_size, mon
         assert np.array_equal(arr, named_params(params)[name]), name
 
 
-def test_train_diverges_with_absurd_rate():
+def test_train_diverges_with_absurd_rate(monkeypatch):
+    monkeypatch.setattr(neural, "LEARNING_RATE", 1e6)
     ds = separable_dataset(per_class=4)
     with pytest.raises(DivergedLoss):
         with np.errstate(all="ignore"):
             train(ModelConfig(arch="lstm"), ds,
-                  TrainConfig(learning_rate=1e6, epochs=6, hidden=4, seed=0))
+                  TrainConfig(epochs=6, hidden=4, batch_size=16, seed=0))
 
 
 def test_train_rejects_bad_inputs():
     with pytest.raises(EmptyTrainSet):
-        train(ModelConfig(), LabeledDataset(records=(), l=2), TrainConfig())
+        train(ModelConfig(), LabeledDataset(records=(), l=2),
+              TrainConfig(epochs=12, hidden=24, batch_size=16, seed=0))
     params = init_params(ModelConfig(), input_dim=3, classes=2, hidden=3)
     with pytest.raises(ValueError, match="label 5 outside 1..2"):
         batch_loss(params, np.zeros((1, 4, 3)), [5])
