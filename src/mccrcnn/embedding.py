@@ -83,23 +83,6 @@ GLOVE_STEP = 0.05
 
 
 @dataclass(frozen=True)
-class Vocabulary:
-    """Token ids assigned from 1 by descending frequency, ties lexicographic."""
-
-    token_to_id: dict[str, int]
-
-    def __len__(self) -> int:
-        return len(self.token_to_id)
-
-    def __contains__(self, token: str) -> bool:
-        return token in self.token_to_id
-
-    def ordered_tokens(self) -> tuple[str, ...]:
-        """Tokens sorted by id (row order of the embedding table)."""
-        return tuple(sorted(self.token_to_id, key=self.token_to_id.get))
-
-
-@dataclass(frozen=True)
 class CooccurrenceMatrix:
     """Sparse symmetric co-occurrence counts keyed by (id, id) pairs."""
 
@@ -143,11 +126,13 @@ class EmbeddingTable:
         return final[[self._row.get(tok, n) for tok in tokens]]
 
 
-def build_vocab(corpus) -> Vocabulary:
+def build_vocab(corpus) -> dict[str, int]:
     """Count tokens across all sequences and assign ids; every token is kept.
 
-    ``corpus`` is an iterable of TokenSequence (or anything with a
-    ``tokens`` attribute).  Raises EmptyVocabulary when it holds no token.
+    Returns {token: id} with ids from 1 by descending count, ties by
+    name, inserted in id order.  ``corpus`` is an iterable of
+    TokenSequence (or anything with a ``tokens`` attribute).  Raises
+    EmptyVocabulary when it holds no token.
     """
     counts: Counter[str] = Counter()
     for seq in corpus:
@@ -155,10 +140,10 @@ def build_vocab(corpus) -> Vocabulary:
     if not counts:
         raise EmptyVocabulary("no token in any sequence")
     ordered = sorted(counts, key=lambda tok: (-counts[tok], tok))
-    return Vocabulary(token_to_id={tok: i + 1 for i, tok in enumerate(ordered)})
+    return {tok: i + 1 for i, tok in enumerate(ordered)}
 
 
-def count_cooccurrence(corpus, vocab: Vocabulary, window: int) -> CooccurrenceMatrix:
+def count_cooccurrence(corpus, vocab: dict[str, int], window: int) -> CooccurrenceMatrix:
     """Windowed co-occurrence counts with 1/distance weighting.
 
     Out-of-vocabulary tokens occupy positions (distances are measured in
@@ -167,14 +152,13 @@ def count_cooccurrence(corpus, vocab: Vocabulary, window: int) -> CooccurrenceMa
     if window < 1:
         raise ValueError("window must be >= 1")
     base = len(vocab) + 1  # pair key i * base + j for ids i <= j in 1..|V|
-    get_id = vocab.token_to_id.get
     gap = np.zeros(window, dtype=np.int64)  # no pair spans a gap, nor two sequences
     keys = np.zeros(0, dtype=np.int64)
     sums = np.zeros(0, dtype=np.float64)
     chunk, size = [], 0
     for seq in corpus:
         toks = seq.tokens
-        chunk += [np.fromiter(map(get_id, toks, repeat(PAD_ID)), np.int64, len(toks)), gap]
+        chunk += [np.fromiter(map(vocab.get, toks, repeat(PAD_ID)), np.int64, len(toks)), gap]
         size += len(toks) + window
         if size >= COOC_CHUNK_TOKENS:
             keys, sums = _add_pairs(keys, sums, np.concatenate(chunk), window, base)
@@ -274,7 +258,7 @@ def glove_gradients(cooc: CooccurrenceMatrix, table: EmbeddingTable):
     return {"w": grad[:n, :k], "w_ctx": grad[n:, :k], "b": grad[:n, k], "b_ctx": grad[n:, k]}
 
 
-def train_glove(cooc: CooccurrenceMatrix, vocab: Vocabulary, k: int,
+def train_glove(cooc: CooccurrenceMatrix, vocab: dict[str, int], k: int,
                 epochs: int = GLOVE_EPOCHS, seed: int = 0) -> tuple[EmbeddingTable, list[float]]:
     """Train embeddings by per-entry AdaGrad on shuffled nonzero entries.
 
@@ -346,7 +330,8 @@ def train_glove(cooc: CooccurrenceMatrix, vocab: Vocabulary, k: int,
         losses.append(j_epoch)
         log.debug("glove epoch %d: J=%.6f", epoch + 1, j_epoch)
 
-    table = EmbeddingTable(vocab.ordered_tokens(), *(a.copy() for a in (w, w_ctx, b, b_ctx)))
+    tokens = tuple(sorted(vocab, key=vocab.get))  # row r is the token with id r + 1
+    table = EmbeddingTable(tokens, *(a.copy() for a in (w, w_ctx, b, b_ctx)))
     return table, losses
 
 

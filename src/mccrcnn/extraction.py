@@ -38,15 +38,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from enum import Enum
 
 from .asmlite import AsmFile, LineKind, ParsedLine
 from .errors import PipelineError
-
-
-class SequenceKind(Enum):
-    OPCODE = "opcode"
-    API = "api"
 
 
 class NoCode(PipelineError):
@@ -67,7 +61,6 @@ _HEX_LIT = re.compile(r"^(?:0[xX][0-9A-Fa-f]{1,16}|[0-9A-Fa-f]{1,16}[hH])$")
 @dataclass(frozen=True)
 class TokenSequence:
     sample_id: str
-    kind: SequenceKind
     tokens: tuple[str, ...]
 
 
@@ -94,7 +87,7 @@ def extract_opcode_sequence(asm: AsmFile) -> TokenSequence:
         for ln in asm.lines
         if ln.kind is LineKind.INSTRUCTION and ln.section in CODE_SECTIONS
     )
-    return TokenSequence(asm.sample_id, SequenceKind.OPCODE, tokens)
+    return TokenSequence(asm.sample_id, tokens)
 
 
 def _strip_import_prefix(name: str) -> str:
@@ -208,11 +201,11 @@ def extract_key_api_sequence(graph: RelationGraph, asm: AsmFile) -> TokenSequenc
             if nxt is not None and nxt not in visited:
                 stack.append(nxt)
 
-    return TokenSequence(asm.sample_id, SequenceKind.API, tuple(out))
+    return TokenSequence(asm.sample_id, tuple(out))
 
 
-def write_sequences(path, sequences) -> None:
-    """Dump sequences as `sample_id<TAB>kind<TAB>space-joined tokens` lines."""
+def write_sequences(path, stream: str, sequences) -> None:
+    """Dump sequences as `sample_id<TAB>stream<TAB>space-joined tokens` lines."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for seq in sequences:
-            fh.write(f"{seq.sample_id}\t{seq.kind.value}\t{' '.join(seq.tokens)}\n")
+            fh.write(f"{seq.sample_id}\t{stream}\t{' '.join(seq.tokens)}\n")

@@ -12,7 +12,7 @@ as a per-position gram-id sequence (sequence models).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain, islice, repeat
 
 import numpy as np
@@ -27,18 +27,11 @@ NGRAM_LIMIT = 700
 
 @dataclass(frozen=True)
 class NgramFeatureSet:
-    """The selected grams of one fitted n-gram featurizer, in rank order."""
+    """The selected grams of one fitted n-gram featurizer: gram -> rank,
+    inserted in rank order."""
 
     n: int
-    grams: tuple[tuple[str, ...], ...]
-    _index: dict[tuple[str, ...], int] = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_index", {g: i for i, g in enumerate(self.grams)})
-
-    def index(self) -> dict[tuple[str, ...], int]:
-        """Gram -> rank, built once per feature set."""
-        return self._index
+    grams: dict[tuple[str, ...], int]
 
 
 @dataclass(frozen=True)
@@ -123,8 +116,8 @@ def select_ngram_features(corpus, n: int) -> NgramFeatureSet:
             key * len(vocab) + ids[starts + m],
             return_index=True, return_inverse=True, return_counts=True)
     top = np.argsort(-counts, kind="stable")[:NGRAM_LIMIT]  # count ties stay in gram order
-    grams = tuple(tuple(vocab[r] for r in ids[p:p + n].tolist())
-                  for p in starts[first[top]].tolist())
+    grams = {tuple(vocab[r] for r in ids[p:p + n].tolist()): rank
+             for rank, p in enumerate(starts[first[top]].tolist())}
     return NgramFeatureSet(n=n, grams=grams)
 
 
@@ -134,7 +127,7 @@ def ngram_vector(seq: TokenSequence, feature_set: NgramFeatureSet) -> np.ndarray
     toks = seq.tokens
     grams = zip(*(toks[i:] for i in range(feature_set.n)))
     # unselected grams count in one extra slot that is cut off
-    hits = np.fromiter(map(feature_set.index().get, grams, repeat(size)), dtype=np.int64)
+    hits = np.fromiter(map(feature_set.grams.get, grams, repeat(size)), dtype=np.int64)
     return np.bincount(hits, minlength=size + 1)[:size]
 
 
@@ -147,7 +140,7 @@ def ngram_id_sequence(seq: TokenSequence, feature_set: NgramFeatureSet, t: int) 
     out = _zeros((t,), np.int64)
     grams = islice(zip(*(seq.tokens[i:] for i in range(feature_set.n))), t)
     # unselected grams get rank -1, so id 0
-    ids = np.fromiter(map(feature_set.index().get, grams, repeat(-1)), dtype=np.int64) + 1
+    ids = np.fromiter(map(feature_set.grams.get, grams, repeat(-1)), dtype=np.int64) + 1
     out[:len(ids)] = ids
     return out
 

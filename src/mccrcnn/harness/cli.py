@@ -67,7 +67,8 @@ def _cmd_extract(cfg: ExperimentConfig, args) -> int:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for i, stream in enumerate(STREAMS):
-        write_sequences(out / f"{stream}_sequences.tsv", [p[i] for p in dataset.payloads()])
+        write_sequences(out / f"{stream}_sequences.tsv", stream,
+                        [p[i] for p in dataset.payloads()])
     print(f"wrote sequences for {len(dataset)} samples under {out}")
     return 0
 

@@ -21,7 +21,7 @@ A settable value's default is in the settings classes below, which read
 [embedding] epochs from ``embedding.GLOVE_EPOCHS`` and [synthetic] from
 ``SyntheticCorpusSpec``.  ``kfold_split``, ``count_cooccurrence``'s
 window and ``neural.TrainConfig`` have no default of their own;
-``neural.ModelConfig`` still repeats [model]'s arch and kernel_width.
+``neural.ModelConfig`` repeats only [model]'s arch.
 """
 
 from __future__ import annotations

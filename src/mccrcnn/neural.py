@@ -158,14 +158,6 @@ class ModelParams:
         return self.dense_w.shape[0]
 
     @property
-    def arch(self) -> str:
-        layers = (self.lstm is not None, self.conv is not None)
-        for name, has in _LAYERS.items():
-            if has == layers:
-                return name
-        raise ValueError("model has neither an LSTM nor a convolution")
-
-    @property
     def input_dim(self) -> int:
         if self.lstm is not None:
             return self.lstm.input_dim
@@ -176,9 +168,9 @@ class ModelParams:
 class ModelConfig:
     """Architecture knobs; hidden size lives in TrainConfig."""
 
+    conv_channels: int
+    kernel_width: int
     arch: str = "mcc_rcnn"  # a name in ARCHS
-    conv_channels: int | None = None  # defaults to the hidden size
-    kernel_width: int = 3
 
 
 @dataclass
@@ -224,7 +216,7 @@ def init_params(model_cfg: ModelConfig, input_dim: int, classes: int,
         pooled_dim = hidden
     if use_conv:
         in_ch = hidden if use_lstm else input_dim
-        out_ch = model_cfg.conv_channels or hidden
+        out_ch = model_cfg.conv_channels
         width = model_cfg.kernel_width
         # the linear kernel's draw, then the gate kernel's, side by side
         kernels = uniform((2, width, in_ch, out_ch), width * in_ch)

@@ -26,7 +26,6 @@ from mccrcnn.embedding import (
     train_glove,
 )
 from mccrcnn.extraction import (
-    SequenceKind,
     TokenSequence,
     build_relation_graph,
     extract_key_api_sequence,
@@ -88,7 +87,7 @@ def _criterion(num, desc, body):
 
 def _token_seqs(lists):
     return [
-        TokenSequence(f"s{i}", SequenceKind.OPCODE, tuple(toks))
+        TokenSequence(f"s{i}", tuple(toks))
         for i, toks in enumerate(lists)
     ]
 
@@ -418,7 +417,7 @@ def test_criterion_03_cooccurrence_matches_brute_force():
 
             want = {}
             for seq in lists:
-                ids = [vocab.token_to_id[t] for t in seq]
+                ids = [vocab[t] for t in seq]
                 for i in range(len(ids)):
                     for j in range(i + 1, min(len(ids), i + window + 1)):
                         inc = 1.0 / (j - i)
@@ -457,7 +456,7 @@ def test_criterion_04_glove_gradient_and_descent():
         for point in range(10):
             prng = np.random.default_rng(100 + point)
             table = EmbeddingTable(
-                tokens=vocab.ordered_tokens(),
+                tokens=tuple(sorted(vocab, key=vocab.get)),
                 w=prng.normal(scale=0.3, size=(n, k)),
                 w_ctx=prng.normal(scale=0.3, size=(n, k)),
                 b=prng.normal(scale=0.3, size=n),

@@ -14,7 +14,6 @@ from mccrcnn.embedding import (
     EmbeddingTable,
     EmptyCooccurrence,
     EmptyVocabulary,
-    Vocabulary,
     ZeroVector,
     build_vocab,
     cosine_similarity,
@@ -24,7 +23,7 @@ from mccrcnn.embedding import (
     train_glove,
     write_text_embeddings,
 )
-from mccrcnn.extraction import SequenceKind, TokenSequence
+from mccrcnn.extraction import TokenSequence
 from mccrcnn.harness import experiments
 from mccrcnn.harness.config import (
     EmbeddingSettings,
@@ -37,7 +36,7 @@ from mccrcnn.harness.synth import SyntheticCorpusSpec, generate_synthetic_corpus
 
 def seqs(*token_lists):
     return [
-        TokenSequence(f"s{i}", SequenceKind.OPCODE, tuple(toks))
+        TokenSequence(f"s{i}", tuple(toks))
         for i, toks in enumerate(token_lists)
     ]
 
@@ -64,14 +63,14 @@ def zero_table(n, k):
 
 def test_vocab_ids_by_frequency_then_lexicographic():
     v = build_vocab(seqs(["b", "a", "b", "a", "c", "b", "a"]))
-    assert v.token_to_id == {"a": 1, "b": 2, "c": 3}  # a ties b at 3, wins on name
-    assert v.ordered_tokens() == ("a", "b", "c")
-    assert PAD_ID == 0 and 0 not in v.token_to_id.values()
+    assert v == {"a": 1, "b": 2, "c": 3}  # a ties b at 3, wins on name
+    assert list(v) == ["a", "b", "c"]  # inserted in id order
+    assert PAD_ID == 0 and 0 not in v.values()
 
 
 def test_vocab_keeps_every_token_and_needs_one():
     v = build_vocab(seqs(["a", "a", "b"], ["c"]))
-    assert v.token_to_id == {"a": 1, "b": 2, "c": 3}
+    assert v == {"a": 1, "b": 2, "c": 3}
     with pytest.raises(EmptyVocabulary, match="^no token"):
         build_vocab(seqs([], []))
 
@@ -81,14 +80,14 @@ def test_vocab_keeps_every_token_and_needs_one():
 def test_cooc_hand_example_window_one():
     v = build_vocab(seqs(["a", "b", "a"]))
     x = count_cooccurrence(seqs(["a", "b", "a"]), v, window=1)
-    a, b = v.token_to_id["a"], v.token_to_id["b"]
+    a, b = v["a"], v["b"]
     assert x.entries == {(a, b): 2.0, (b, a): 2.0}
 
 
 def test_cooc_hand_example_window_two_adds_self_pair():
     v = build_vocab(seqs(["a", "b", "a"]))
     x = count_cooccurrence(seqs(["a", "b", "a"]), v, window=2)
-    a, b = v.token_to_id["a"], v.token_to_id["b"]
+    a, b = v["a"], v["b"]
     assert x.entries[(a, a)] == 1.0  # 0.5 from each direction of the (0,2) pair
     assert x.entries[(a, b)] == 2.0
     assert x.window == 2 and x.vocab_size == 2
@@ -96,7 +95,7 @@ def test_cooc_hand_example_window_two_adds_self_pair():
 
 def test_cooc_oov_tokens_keep_their_distance():
     corpus = seqs(["a", "x", "b"])
-    v = Vocabulary(token_to_id={"a": 1, "b": 2})
+    v = {"a": 1, "b": 2}
     assert count_cooccurrence(corpus, v, window=1).entries == {}
     x2 = count_cooccurrence(corpus, v, window=2)
     assert x2.entries == {(1, 2): 0.5, (2, 1): 0.5}
@@ -115,7 +114,7 @@ def test_cooc_brute_force_oracle_random_corpora():
         got = count_cooccurrence(corpus, v, window=window).entries
         want: dict = {}
         for seq in corpus:
-            ids = [v.token_to_id.get(t, PAD_ID) for t in seq.tokens]
+            ids = [v.get(t, PAD_ID) for t in seq.tokens]
             for p in range(len(ids)):
                 for q in range(len(ids)):
                     d = abs(p - q)
@@ -146,7 +145,7 @@ def test_cooc_symmetry_is_bitwise():
 def reference_count_cooccurrence(corpus, vocab, window=8):
     """Frozen one-pair-at-a-time dict loop: what count_cooccurrence must equal."""
     entries = {}
-    get_id = vocab.token_to_id.get
+    get_id = vocab.get
     for seq in corpus:
         ids = [get_id(tok, PAD_ID) for tok in seq.tokens]
         n = len(ids)
@@ -180,7 +179,7 @@ def vocab_of_common(corpus, min_count):
     counts = Counter(tok for seq in corpus for tok in seq.tokens)
     kept = sorted((tok for tok, c in counts.items() if c >= min_count),
                   key=lambda tok: (-counts[tok], tok))
-    return Vocabulary(token_to_id={tok: i + 1 for i, tok in enumerate(kept)}) if kept else None
+    return {tok: i + 1 for i, tok in enumerate(kept)} if kept else None
 
 
 def cooc_cases():
@@ -474,7 +473,7 @@ def reference_train_glove(cooc, vocab, k, epochs=50, learning_rate=0.05,
             acc_b[i] += coef * coef
             acc_bc[j] += coef * coef
         losses.append(current_loss())
-    table = EmbeddingTable(tokens=vocab.ordered_tokens(), w=w, w_ctx=w_ctx, b=b, b_ctx=b_ctx)
+    table = EmbeddingTable(tokens=tuple(sorted(vocab, key=vocab.get)), w=w, w_ctx=w_ctx, b=b, b_ctx=b_ctx)
     return table, losses
 
 
@@ -501,7 +500,7 @@ def exactness_cases():
         v = build_vocab(corpus)
         cases.append((count_cooccurrence(corpus, v, window=4), v))
     # a chain: every entry shares center row 1, so each level holds one entry
-    chain = Vocabulary(token_to_id={f"t{j}": j for j in range(1, 9)})
+    chain = {f"t{j}": j for j in range(1, 9)}
     entries = {(1, j): 1.0 + j / 3 for j in range(1, 9)}
     cases.append((CooccurrenceMatrix(entries=entries, window=1, vocab_size=8), chain))
     return cases

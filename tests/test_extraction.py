@@ -12,7 +12,6 @@ from mccrcnn.extraction import (
     RET_MNEMONICS,
     NoCode,
     RelationGraph,
-    SequenceKind,
     TokenSequence,
     _IDENT,
     _api_name,
@@ -218,7 +217,6 @@ def test_opcode_sequence_file_order_code_sections_only():
         ".text:00401011 retn",
     )
     seq = extract_opcode_sequence(asm)
-    assert seq.kind is SequenceKind.OPCODE
     assert list(seq.tokens) == ["push", "mov", "xor", "pop", "retn"]
     # align is a data directive, so it never reaches the opcode sequence
     align = asm.lines[3]
@@ -625,12 +623,9 @@ def test_extrn_in_code_section_is_both_code_and_import():
 # -------------------------------------------------------------- sequences
 
 def test_sequence_tsv_round_trip(tmp_path):
-    seqs = [
-        TokenSequence("a", SequenceKind.OPCODE, ("mov", "push", "retn")),
-        TokenSequence("b", SequenceKind.API, ()),
-        TokenSequence("c", SequenceKind.API, ("CreateFileA",)),
-    ]
     path = tmp_path / "seqs.tsv"
-    write_sequences(path, seqs)
+    write_sequences(path, "api", [TokenSequence("b", ()), TokenSequence("c", ("CreateFileA",))])
     assert path.read_text(encoding="utf-8").split("\n") == [
-        "a\topcode\tmov push retn", "b\tapi\t", "c\tapi\tCreateFileA", ""]
+        "b\tapi\t", "c\tapi\tCreateFileA", ""]
+    write_sequences(path, "opcode", [TokenSequence("a", ("mov", "push", "retn"))])
+    assert path.read_text(encoding="utf-8").split("\n") == ["a\topcode\tmov push retn", ""]

@@ -8,7 +8,7 @@ import pytest
 from mccrcnn import features
 from mccrcnn.embedding import EmbeddingTable
 from mccrcnn.errors import ShapeMismatch
-from mccrcnn.extraction import SequenceKind, TokenSequence
+from mccrcnn.extraction import TokenSequence
 from mccrcnn.features import (
     LabeledDataset,
     NgramFeatureSet,
@@ -30,8 +30,8 @@ def table_for(tokens, k=3, scale=1.0):
     )
 
 
-def seq(tokens, kind=SequenceKind.OPCODE, sid="s1"):
-    return TokenSequence(sid, kind, tuple(tokens))
+def seq(tokens, sid="s1"):
+    return TokenSequence(sid, tuple(tokens))
 
 
 # --------------------------------------------------------- embed to matrix
@@ -93,7 +93,7 @@ def test_fuse_puts_opcode_columns_first():
     top = table_for(["a"], k=2, scale=1.0)
     tap = table_for(["x"], k=2, scale=10.0)
     om = sequence_to_matrix(seq(["a"]), top, t=2)
-    am = sequence_to_matrix(seq(["x"], kind=SequenceKind.API), tap, t=2)
+    am = sequence_to_matrix(seq(["x"]), tap, t=2)
     f = fuse(om, am)
     assert f.shape == (2, 4)
     assert np.array_equal(f[:, :2], om)
@@ -103,8 +103,8 @@ def test_fuse_puts_opcode_columns_first():
 def test_fuse_rejects_mismatched_shapes():
     t = table_for(["a"], k=2)
     a = sequence_to_matrix(seq(["a"]), t, t=2)
-    longer = sequence_to_matrix(seq(["a"], kind=SequenceKind.API), t, t=3)
-    wider = sequence_to_matrix(seq(["a"], kind=SequenceKind.API), table_for(["a"], k=3), t=2)
+    longer = sequence_to_matrix(seq(["a"]), t, t=3)
+    wider = sequence_to_matrix(seq(["a"]), table_for(["a"], k=3), t=2)
     for other in (longer, wider):
         with pytest.raises(ShapeMismatch):
             fuse(a, other)
@@ -126,10 +126,10 @@ def test_labeled_dataset_subset_keeps_l():
 def test_ngram_selection_orders_by_count_then_gram(monkeypatch):
     corpus = [seq(["b", "a", "b", "a", "b"])]  # bigrams: (b,a) x2, (a,b) x2
     fs = select_ngram_features(corpus, n=2)
-    assert fs.grams == (("a", "b"), ("b", "a"))
+    assert tuple(fs.grams) == (("a", "b"), ("b", "a"))
     monkeypatch.setattr(features, "NGRAM_LIMIT", 1)
     fs1 = select_ngram_features(corpus, n=2)
-    assert fs1.grams == (("a", "b"),)
+    assert tuple(fs1.grams) == (("a", "b"),)
     with pytest.raises(ValueError):
         select_ngram_features(corpus, n=0)
 
@@ -140,7 +140,7 @@ def test_ngram_vector_counts_every_window_when_all_selected():
     vec = ngram_vector(corpus[0], fs)
     assert vec.dtype == np.int64
     assert vec.sum() == len(corpus[0].tokens) - 2 + 1
-    idx = fs.index()
+    idx = fs.grams
     assert vec[idx[("a", "b")]] == 2
     assert vec[idx[("b", "c")]] == 1
 
@@ -163,8 +163,7 @@ def test_ngram_id_sequence_ranks_and_pads():
 
 def test_ngram_index_is_rank_of_each_gram():
     fs = select_ngram_features([seq(["a", "b", "c", "a", "b"])], n=2)
-    assert fs.index() == {g: r for r, g in enumerate(fs.grams)}
-    assert fs.index() is fs.index()
+    assert fs.grams == {g: r for r, g in enumerate(fs.grams)}
     assert fs == select_ngram_features([seq(["a", "b", "c", "a", "b"])], n=2)
 
 
@@ -182,7 +181,7 @@ def test_ngram_vector_and_ids_match_naive_recount(monkeypatch):
             want = [sum(g == sel for g in grams) for sel in fs.grams]
             assert ngram_vector(s, fs).tolist() == want, trial
             t = 10
-            ids = [fs.grams.index(g) + 1 if g in fs.grams else 0 for g in grams[:t]]
+            ids = [fs.grams[g] + 1 if g in fs.grams else 0 for g in grams[:t]]
             assert ngram_id_sequence(s, fs, t).tolist() == ids + [0] * (t - len(ids)), trial
 
 
@@ -196,12 +195,12 @@ def reference_select_ngram_features(corpus, n, limit=700):
         for i in range(len(toks) - n + 1):
             counts[tuple(toks[i:i + n])] += 1
     ordered = sorted(counts, key=lambda g: (-counts[g], g))
-    return NgramFeatureSet(n=n, grams=tuple(ordered[:limit]))
+    return NgramFeatureSet(n=n, grams={g: r for r, g in enumerate(ordered[:limit])})
 
 
 def reference_ngram_vector(s, feature_set):
     """Frozen per-position lookup loop: what ngram_vector must equal."""
-    idx = feature_set.index()
+    idx = feature_set.grams
     out = np.zeros(len(feature_set.grams), dtype=np.int64)
     toks = s.tokens
     n = feature_set.n
@@ -241,7 +240,7 @@ def test_ngram_selection_and_vectors_match_tuple_counting(n, monkeypatch):
             monkeypatch.setattr(features, "NGRAM_LIMIT", limit)
             got = select_ngram_features(corpus, n)
             want = reference_select_ngram_features(corpus, n, limit)
-            assert got == want and got.grams == want.grams, (n, limit)
+            assert got == want and tuple(got.grams) == tuple(want.grams), (n, limit)
             for s in apply_to:
                 vec = ngram_vector(s, got)
                 assert vec.dtype == np.int64

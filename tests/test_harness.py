@@ -32,6 +32,7 @@ from mccrcnn.harness.config import (
     MAX_KERNEL_WIDTH,
     MAX_NGRAM_N,
     MAX_WINDOW,
+    STREAMS,
     EmbeddingSettings,
     ExperimentConfig,
     ModelSettings,
@@ -783,13 +784,13 @@ def test_embedding_checkpoint_round_trip(tmp_path):
 
 @pytest.mark.parametrize("arch", ["mcc_rcnn", "lstm", "gcnn"])
 def test_model_checkpoint_round_trip(tmp_path, arch):
-    params = init_params(ModelConfig(arch=arch, conv_channels=5),
+    params = init_params(ModelConfig(arch=arch, conv_channels=5, kernel_width=3),
                          input_dim=4, classes=3, hidden=6, seed=2)
     path = tmp_path / "model.ckpt"
     save_model(path, params, seq_len=17)
     back, seq_len = load_model(path)
     assert seq_len == 17
-    assert back.arch == arch
+    assert (back.lstm is None, back.conv is None) == (params.lstm is None, params.conv is None)
     want = named_params(params)
     got = named_params(back)
     assert list(got) == list(want)
@@ -827,7 +828,8 @@ def test_checkpoint_version_gate_beats_checksum(tmp_path):
     with pytest.raises(FormatVersionMismatch):
         load_embedding(path)
     model_path = tmp_path / "model.ckpt"
-    params = init_params(ModelConfig(), input_dim=3, classes=2, hidden=4)
+    params = init_params(ModelConfig(conv_channels=4, kernel_width=3),
+                         input_dim=3, classes=2, hidden=4)
     save_model(model_path, params, seq_len=8)
     with pytest.raises(FormatVersionMismatch):
         load_embedding(model_path)  # wrong magic for this loader
@@ -899,7 +901,8 @@ def write_old_model(path, params, seq_len, version):
 
 
 def test_v1_model_checkpoint_is_refused(tmp_path):
-    params = init_params(ModelConfig(), input_dim=3, classes=2, hidden=4)
+    params = init_params(ModelConfig(conv_channels=4, kernel_width=3),
+                         input_dim=3, classes=2, hidden=4)
     path = tmp_path / "model.ckpt"
     write_old_model(path, params, seq_len=8, version="v1")
     with pytest.raises(FormatVersionMismatch, match="format v1, expected v3"):
@@ -907,7 +910,8 @@ def test_v1_model_checkpoint_is_refused(tmp_path):
 
 
 def test_v2_model_checkpoint_is_refused(tmp_path):
-    params = init_params(ModelConfig(), input_dim=3, classes=2, hidden=4)
+    params = init_params(ModelConfig(conv_channels=4, kernel_width=3),
+                         input_dim=3, classes=2, hidden=4)
     path = tmp_path / "model.ckpt"
     write_old_model(path, params, seq_len=8, version="v2")
     blocks = [ln.split()[0] for ln in path.read_text().splitlines() if ln[:1].isalpha()]
@@ -932,8 +936,14 @@ def test_cli_pipeline_end_to_end(tmp_path, capsys):
         "samples=12 classes=2", "class 1: 6", "class 2: 6"]
     assert main(["extract", str(cfg)]) == 0
     out = tmp_path / "out"
-    assert (out / "opcode_sequences.tsv").exists()
-    assert (out / "api_sequences.tsv").exists()
+    run = dataclasses.replace(load_config(cfg), labels=corpus / "labels.csv")
+    payloads = prepare_dataset(run).payloads()
+    assert len(payloads) == 12
+    for i, stream in enumerate(STREAMS):  # one row per sample: id, stream name, tokens
+        text = (out / f"{stream}_sequences.tsv").read_text(encoding="utf-8")
+        rows = [line.split("\t") for line in text.splitlines()]
+        assert [(sid, kind, tuple(toks.split())) for sid, kind, toks in rows] == [
+            (p[i].sample_id, stream, p[i].tokens) for p in payloads]
 
     assert main(["embed", str(cfg)]) == 0
     assert (out / "opcode_glove.ckpt").exists()
@@ -1038,7 +1048,8 @@ def test_cli_exit_code_matrix(tmp_path, capsys):
     assert main(["gen", str(cfg)]) == 0
     out = tmp_path / "out"
     out.mkdir()
-    params = init_params(ModelConfig(), input_dim=6, classes=2, hidden=4, seed=1)
+    params = init_params(ModelConfig(conv_channels=4, kernel_width=3),
+                         input_dim=6, classes=2, hidden=4, seed=1)
     save_model(out / "model.ckpt", params, seq_len=16)
     model = (out / "model.ckpt").read_bytes()
     for layer in ("opcode", "api"):  # fused k = 6 tables: 12 columns, not 6
@@ -1112,7 +1123,8 @@ def test_cli_exit_code_matrix(tmp_path, capsys):
     # checksums hold, but float() parsed a non-finite value; on a model of
     # the right width (6 + 6 fused columns) eval ran and exited 0 with
     # NaN probabilities
-    save_model(tmp_path / "fused.ckpt", init_params(ModelConfig(), input_dim=12, classes=2,
+    model_cfg = ModelConfig(conv_channels=4, kernel_width=3)
+    save_model(tmp_path / "fused.ckpt", init_params(model_cfg, input_dim=12, classes=2,
                                                     hidden=4, seed=1), seq_len=16)
     fused = (tmp_path / "fused.ckpt").read_bytes()
     emb = (out / "opcode_glove.ckpt").read_bytes()
@@ -1121,7 +1133,7 @@ def test_cli_exit_code_matrix(tmp_path, capsys):
     # past numpy's intp; eval and train raised MemoryError or ValueError
     long_models = []
     for seq_len in (10**16, 2**60):
-        save_model(tmp_path / "long.ckpt", init_params(ModelConfig(), input_dim=12, classes=2,
+        save_model(tmp_path / "long.ckpt", init_params(model_cfg, input_dim=12, classes=2,
                                                        hidden=4, seed=1), seq_len=seq_len)
         long_models.append((tmp_path / "long.ckpt").read_bytes())
     write_cfg(tmp_path, ini_text(model={"seq_len": str(10**16)}), "longseq.ini")
@@ -1131,7 +1143,7 @@ def test_cli_exit_code_matrix(tmp_path, capsys):
     labels[1] = f"{labels[1].split(',')[0]},{MAX_CLASSES + 1}"
     (tmp_path / "bigclass.csv").write_text("\n".join(labels), encoding="utf-8")
     write_cfg(tmp_path, ini_text(data={"labels": "bigclass.csv"}), "bigclass.ini")
-    save_model(tmp_path / "many.ckpt", init_params(ModelConfig(), input_dim=12,
+    save_model(tmp_path / "many.ckpt", init_params(model_cfg, input_dim=12,
                                                    classes=MAX_CLASSES + 1, hidden=4, seed=1),
                seq_len=16)
     many_classes = (tmp_path / "many.ckpt").read_bytes()
@@ -1219,9 +1231,15 @@ FUZZ_CHECKPOINT_CASES = 180
 FUZZ_CONFIG_VALUES = FUZZ_VALUES + ("0", "1", "3", "-1", "1,1", "true")
 
 
-def assert_clean_exit(case, code, err, report=None):
-    """Exit 0 (with finite values in ``report``, if given), or 2 or 3 with
-    one error line and no traceback."""
+#: train runs of the label-table and listing fuzz, half of each kind
+FUZZ_TRAIN_CASES = 60
+#: tokens the listing fuzz swaps in: control flow, labels and an import
+FUZZ_LISTING_TOKENS = (b"jmp", b"call", b"loc_401000:", b"start:", b"extrn")
+
+
+def assert_clean_exit(case, code, err, report=None, columns=("value",)):
+    """Exit 0 (with finite ``columns`` in ``report``, if given), or 2 or 3
+    with one error line and no traceback."""
     assert code in (0, 2, 3), case
     if code:
         assert sum("error:" in line for line in err.splitlines()) == 1, (case, err)
@@ -1229,7 +1247,7 @@ def assert_clean_exit(case, code, err, report=None):
     elif report is not None:
         with open(report, encoding="utf-8") as fh:
             rows = list(csv.DictReader(fh))
-        assert rows and all(np.isfinite(float(r["value"])) for r in rows), (case, rows)
+        assert rows and all(np.isfinite(float(r[c])) for r in rows for c in columns), (case, rows)
 
 
 def test_mutation_fuzz_ends_in_a_result_or_one_error_line(tmp_path, capsys):
@@ -1271,6 +1289,57 @@ def test_mutation_fuzz_ends_in_a_result_or_one_error_line(tmp_path, capsys):
             code = main(["ingest", str(tmp_path / "fuzz.ini")])
             assert_clean_exit((key, value), code, capsys.readouterr().err)
 
+
+def mutate_listing(data: bytes, rng) -> bytes:
+    """Flip one bit, truncate, duplicate a line, or swap in one token."""
+    op = int(rng.integers(4))
+    if op == 0 and data:
+        pos = int(rng.integers(len(data)))
+        return data[:pos] + bytes([data[pos] ^ 1 << int(rng.integers(8))]) + data[pos + 1:]
+    if op == 1:
+        return data[:int(rng.integers(len(data) + 1))]
+    lines = data.split(b"\n")
+    row = int(rng.integers(len(lines)))
+    if op == 2:
+        return b"\n".join(lines[:row + 1] + lines[row:])
+    tokens = lines[row].split(b" ")
+    tokens[int(rng.integers(len(tokens)))] = FUZZ_LISTING_TOKENS[
+        int(rng.integers(len(FUZZ_LISTING_TOKENS)))]
+    return b"\n".join(lines[:row] + [b" ".join(tokens)] + lines[row + 1:])
+
+
+def test_mutation_fuzz_of_labels_and_listings_ends_in_a_result_or_one_error_line(
+        tmp_path, capsys):
+    """One field of labels.csv set to a hostile value, or one listing
+    mutated: train ends in exit 0 with finite history.csv values, or in
+    exit 2 or 3 with one error line, never in a traceback."""
+    cfg = write_cfg(tmp_path)
+    assert main(["gen", str(cfg)]) == 0
+    corpus, history = tmp_path / "corpus", tmp_path / "out" / "history.csv"
+    labels = (corpus / "labels.csv").read_text(encoding="utf-8").split("\n")
+    listings = sorted(corpus.glob("*.asm"))
+    capsys.readouterr()
+    rng = np.random.default_rng(11)
+    for case in range(FUZZ_TRAIN_CASES):
+        if case % 2:
+            path = listings[int(rng.integers(len(listings)))]
+            original = path.read_bytes()
+            path.write_bytes(mutate_listing(original, rng))
+            what = (path.name, case)
+        else:
+            path, original = corpus / "labels.csv", "\n".join(labels).encode("utf-8")
+            row = int(rng.integers(len(labels) - 1))  # the last line is empty
+            fields = labels[row].split(",")
+            col = int(rng.integers(len(fields)))
+            fields[col] = FUZZ_CONFIG_VALUES[int(rng.integers(len(FUZZ_CONFIG_VALUES)))]
+            path.write_text("\n".join(labels[:row] + [",".join(fields)] + labels[row + 1:]),
+                            encoding="utf-8")
+            what = (row, col, fields[col])
+        history.unlink(missing_ok=True)
+        code = main(["train", str(cfg)])
+        assert_clean_exit(what, code, capsys.readouterr().err, history,
+                          columns=("loss", "accuracy"))
+        path.write_bytes(original)
 
 def test_cli_suite_a_seq_len_too_large_exit_3(tmp_path, capsys):
     """Suite A's n-gram rows take seq_len too; 10**16 of them cannot exist."""

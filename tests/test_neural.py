@@ -81,7 +81,8 @@ def test_lstm_single_unit_matches_scalar_recurrence():
 
 def test_lstm_batch_agrees_with_single():
     rng = np.random.default_rng(0)
-    params = init_params(ModelConfig(arch="lstm"), input_dim=3, classes=2,
+    params = init_params(ModelConfig(arch="lstm", conv_channels=4, kernel_width=3),
+                         input_dim=3, classes=2,
                          hidden=4, seed=1).lstm
     xs = rng.normal(size=(5, 6, 3))
     batch_h, _ = lstm_forward(params, xs)
@@ -190,7 +191,8 @@ def head_loss_and_grad(params, out, labels):
 @pytest.mark.parametrize("b,t", [(1, 1), (1, 7), (5, 1), (5, 7)])
 def test_stacked_lstm_matches_four_gate_reference(b, t):
     k, h = 3, 4
-    params = init_params(ModelConfig(arch="lstm"), input_dim=k, classes=3,
+    params = init_params(ModelConfig(arch="lstm", conv_channels=h, kernel_width=3),
+                         input_dim=k, classes=3,
                          hidden=h, seed=11)
     rng = np.random.default_rng(12)
     params.lstm.b[:] = rng.normal(scale=0.5, size=4 * h)  # nonzero biases
@@ -253,7 +255,8 @@ def reference_lstm_backward(p, cache, dh_seq):
 def test_lstm_backward_matches_step_by_step_reference(b, t, dh_kind):
     k, h = 48, 24  # the fused input width and hidden size the pipeline trains
     rng = np.random.default_rng(100 * b + t)
-    params = init_params(ModelConfig(arch="lstm"), input_dim=k, classes=3,
+    params = init_params(ModelConfig(arch="lstm", conv_channels=h, kernel_width=3),
+                         input_dim=k, classes=3,
                          hidden=h, seed=b + t).lstm
     params.b[:] = rng.normal(scale=0.5, size=4 * h)
     hs, cache = lstm_forward(params, rng.normal(size=(b, t, k)))
@@ -391,7 +394,7 @@ def test_even_kernel_width_rejected():
     with pytest.raises(EvenKernelWidth):
         GatedConvParams(w=np.zeros((2, 1, 2)), b=np.zeros(2))
     with pytest.raises(EvenKernelWidth):
-        init_params(ModelConfig(arch="gcnn", kernel_width=4), input_dim=2,
+        init_params(ModelConfig(arch="gcnn", kernel_width=4, conv_channels=3), input_dim=2,
                     classes=2, hidden=3)
 
 
@@ -552,7 +555,8 @@ def test_forward_matches_scalar_reimplementation():
 
 
 def test_zeroed_dense_layer_gives_uniform_probs():
-    params = init_params(ModelConfig(arch="mcc_rcnn"), input_dim=3,
+    params = init_params(ModelConfig(arch="mcc_rcnn", conv_channels=5, kernel_width=3),
+                         input_dim=3,
                          classes=4, hidden=5, seed=0)
     params.dense_w[:] = 0.0
     params.dense_b[:] = 0.0
@@ -564,31 +568,35 @@ def test_zeroed_dense_layer_gives_uniform_probs():
 
 
 def test_arch_property_and_ablation_shapes():
-    full = init_params(ModelConfig(arch="mcc_rcnn", conv_channels=7),
+    full = init_params(ModelConfig(arch="mcc_rcnn", conv_channels=7, kernel_width=3),
                        input_dim=3, classes=2, hidden=4, seed=0)
-    assert full.arch == "mcc_rcnn"
+    assert full.lstm is not None and full.conv is not None
     assert full.conv.in_channels == 4 and full.conv.out_channels == 7
     assert full.dense_w.shape == (2, 7)
 
-    only_lstm = init_params(ModelConfig(arch="lstm"), input_dim=3,
+    only_lstm = init_params(ModelConfig(arch="lstm", conv_channels=4, kernel_width=3), input_dim=3,
                             classes=2, hidden=4, seed=0)
-    assert only_lstm.arch == "lstm" and only_lstm.conv is None
+    assert only_lstm.lstm is not None and only_lstm.conv is None
     assert only_lstm.dense_w.shape == (2, 4)
 
-    only_conv = init_params(ModelConfig(arch="gcnn", conv_channels=5),
+    only_conv = init_params(ModelConfig(arch="gcnn", conv_channels=5, kernel_width=3),
                             input_dim=3, classes=2, hidden=4, seed=0)
-    assert only_conv.arch == "gcnn" and only_conv.lstm is None
+    assert only_conv.conv is not None and only_conv.lstm is None
     assert only_conv.conv.in_channels == 3  # convolves the raw input
     assert only_conv.input_dim == 3
 
     with pytest.raises(ValueError):
-        init_params(ModelConfig(arch="rnn"), input_dim=3, classes=2, hidden=4)
+        init_params(ModelConfig(arch="rnn", conv_channels=4, kernel_width=3),
+                    input_dim=3, classes=2, hidden=4)
 
 
 def test_init_is_seeded_and_biases_zero():
-    a = init_params(ModelConfig(), input_dim=3, classes=2, hidden=4, seed=5)
-    b = init_params(ModelConfig(), input_dim=3, classes=2, hidden=4, seed=5)
-    c = init_params(ModelConfig(), input_dim=3, classes=2, hidden=4, seed=6)
+    a = init_params(ModelConfig(conv_channels=4, kernel_width=3),
+                    input_dim=3, classes=2, hidden=4, seed=5)
+    b = init_params(ModelConfig(conv_channels=4, kernel_width=3),
+                    input_dim=3, classes=2, hidden=4, seed=5)
+    c = init_params(ModelConfig(conv_channels=4, kernel_width=3),
+                    input_dim=3, classes=2, hidden=4, seed=6)
     assert np.array_equal(a.lstm.w, b.lstm.w)
     assert np.array_equal(a.dense_w, b.dense_w)
     assert not np.array_equal(a.lstm.w, c.lstm.w)
@@ -703,7 +711,7 @@ def busy_params(arch, k=12, hidden=6, seed=0):
     gate kernel and bias, so the model is the one these tests used when
     the two halves were separate tensors.
     """
-    params = init_params(ModelConfig(arch=arch, conv_channels=5), input_dim=k,
+    params = init_params(ModelConfig(arch=arch, conv_channels=5, kernel_width=3), input_dim=k,
                          classes=3, hidden=hidden, seed=seed)
     rng = np.random.default_rng(seed + 100)
     for name, arr in named_params(params).items():
@@ -833,14 +841,15 @@ def sample_for(params, seed=0):
 @pytest.mark.parametrize("arch", ["mcc_rcnn", "lstm", "gcnn"])
 def test_gradient_check_passes_every_arch(arch):
     for seed in (0, 1, 2):
-        params = init_params(ModelConfig(arch=arch, conv_channels=5),
+        params = init_params(ModelConfig(arch=arch, conv_channels=5, kernel_width=3),
                              input_dim=3, classes=3, hidden=4, seed=seed)
         err = gradient_check(params, sample_for(params, seed))
         assert err <= 1e-4, (arch, seed, err)
 
 
 def test_gradient_check_flags_corrupted_gradients():
-    params = init_params(ModelConfig(arch="mcc_rcnn"), input_dim=3,
+    params = init_params(ModelConfig(arch="mcc_rcnn", conv_channels=4, kernel_width=3),
+                         input_dim=3,
                          classes=3, hidden=4, seed=3)
     sample = sample_for(params, 3)
     _, grads = loss_and_gradients(params, sample[0][None], [sample[1]])
@@ -850,7 +859,8 @@ def test_gradient_check_flags_corrupted_gradients():
 
 
 def test_gradient_check_subsampling_is_cheap_and_seeded():
-    params = init_params(ModelConfig(arch="mcc_rcnn"), input_dim=3,
+    params = init_params(ModelConfig(arch="mcc_rcnn", conv_channels=4, kernel_width=3),
+                         input_dim=3,
                          classes=3, hidden=4, seed=4)
     sample = sample_for(params, 4)
     e1 = gradient_check(params, sample, max_params=40, seed=9)
@@ -859,7 +869,8 @@ def test_gradient_check_subsampling_is_cheap_and_seeded():
 
 
 def test_named_params_covers_every_tensor():
-    params = init_params(ModelConfig(arch="mcc_rcnn"), input_dim=3,
+    params = init_params(ModelConfig(arch="mcc_rcnn", conv_channels=4, kernel_width=3),
+                         input_dim=3,
                          classes=2, hidden=4, seed=0)
     names = list(named_params(params))
     assert names == [
@@ -888,7 +899,7 @@ def separable_dataset(l=3, per_class=10, t=6, k=3, seed=0):
 def test_train_reaches_full_accuracy_on_separable_toy():
     ds = separable_dataset()
     params, history = train(
-        ModelConfig(arch="mcc_rcnn"), ds,
+        ModelConfig(arch="mcc_rcnn", conv_channels=6, kernel_width=3), ds,
         TrainConfig(epochs=15, hidden=6, batch_size=8, seed=0),
     )
     assert history[-1]["accuracy"] == 1.0
@@ -901,12 +912,12 @@ def test_train_reaches_full_accuracy_on_separable_toy():
 def test_train_is_deterministic_under_seed():
     ds = separable_dataset(per_class=4)
     cfg = TrainConfig(epochs=3, hidden=4, batch_size=4, seed=2)
-    p1, h1 = train(ModelConfig(arch="lstm"), ds, cfg)
-    p2, h2 = train(ModelConfig(arch="lstm"), ds, cfg)
+    p1, h1 = train(ModelConfig(arch="lstm", conv_channels=4, kernel_width=3), ds, cfg)
+    p2, h2 = train(ModelConfig(arch="lstm", conv_channels=4, kernel_width=3), ds, cfg)
     assert h1 == h2
     for name, arr in named_params(p1).items():
         assert np.array_equal(arr, named_params(p2)[name]), name
-    p3, _ = train(ModelConfig(arch="lstm"), ds,
+    p3, _ = train(ModelConfig(arch="lstm", conv_channels=4, kernel_width=3), ds,
                   TrainConfig(epochs=3, hidden=4, batch_size=4, seed=3))
     assert not np.array_equal(p1.dense_w, p3.dense_w)
 
@@ -971,7 +982,7 @@ def test_train_matches_frozen_list_batch_train_bit_for_bit(arch, batch_size):
     """36 samples: batches of 5 and 16 leave a partial last batch, and the
     epoch predict runs a chunk of 32 and one of 4."""
     ds = separable_dataset(per_class=12, t=7, k=4, seed=3)
-    model_cfg = ModelConfig(arch=arch, conv_channels=3)
+    model_cfg = ModelConfig(arch=arch, conv_channels=3, kernel_width=3)
     cfg = TrainConfig(epochs=3, hidden=4, batch_size=batch_size, seed=5)
     params, history = train(model_cfg, ds, cfg)
     want_params, want_history = frozen_train(model_cfg, ds, cfg)
@@ -986,7 +997,7 @@ def test_train_without_epoch_accuracy_trains_the_same_bits(arch, batch_size, mon
     """The post-epoch predict only reads the parameters, so skipping it
     drops the accuracy column and changes no trained bit and no loss."""
     ds = separable_dataset(per_class=12, t=7, k=4, seed=3)
-    model_cfg = ModelConfig(arch=arch, conv_channels=3)
+    model_cfg = ModelConfig(arch=arch, conv_channels=3, kernel_width=3)
     cfg = TrainConfig(epochs=3, hidden=4, batch_size=batch_size, seed=5)
     params, history = train(model_cfg, ds, cfg)
 
@@ -1006,15 +1017,16 @@ def test_train_diverges_with_absurd_rate(monkeypatch):
     ds = separable_dataset(per_class=4)
     with pytest.raises(DivergedLoss):
         with np.errstate(all="ignore"):
-            train(ModelConfig(arch="lstm"), ds,
+            train(ModelConfig(arch="lstm", conv_channels=4, kernel_width=3), ds,
                   TrainConfig(epochs=6, hidden=4, batch_size=16, seed=0))
 
 
 def test_train_rejects_bad_inputs():
     with pytest.raises(EmptyTrainSet):
-        train(ModelConfig(), LabeledDataset(records=(), l=2),
+        train(ModelConfig(conv_channels=24, kernel_width=3), LabeledDataset(records=(), l=2),
               TrainConfig(epochs=12, hidden=24, batch_size=16, seed=0))
-    params = init_params(ModelConfig(), input_dim=3, classes=2, hidden=3)
+    params = init_params(ModelConfig(conv_channels=3, kernel_width=3),
+                         input_dim=3, classes=2, hidden=3)
     with pytest.raises(ValueError, match="label 5 outside 1..2"):
         batch_loss(params, np.zeros((1, 4, 3)), [5])
 
@@ -1023,9 +1035,10 @@ def test_train_rejects_bad_inputs():
 def test_every_forward_refuses_a_wrong_input_width(arch):
     """The model checks its input width itself, before any matmul, so
     every entry point fails with a typed error, not numpy's ValueError."""
-    params = init_params(ModelConfig(arch=arch, conv_channels=3),
+    params = init_params(ModelConfig(arch=arch, conv_channels=3, kernel_width=3),
                          input_dim=4, classes=2, hidden=3, seed=0)
-    assert params.arch == arch and params.input_dim == 4
+    assert (params.lstm is None) == (arch == "gcnn") and (params.conv is None) == (arch == "lstm")
+    assert params.input_dim == 4
     assert issubclass(ShapeMismatch, PipelineError)
     rng = np.random.default_rng(0)
     for width in (3, 5):  # one column too narrow, one too wide
@@ -1041,7 +1054,7 @@ def test_every_forward_refuses_a_wrong_input_width(arch):
 
 
 def test_predict_is_one_based_and_batch_invariant():
-    params = init_params(ModelConfig(arch="gcnn", conv_channels=4),
+    params = init_params(ModelConfig(arch="gcnn", conv_channels=4, kernel_width=3),
                          input_dim=2, classes=3, hidden=3, seed=1)
     rng = np.random.default_rng(0)
     mats = [rng.normal(size=(5, 2)) for _ in range(9)]
