@@ -7,7 +7,9 @@ neighbours with explicit tie-breaking, and a one-vs-rest linear SVM
 trained by subgradient descent on hinge loss plus L2.  Logistic, SVM and
 KNN expect standardized inputs (fit the Standardizer on training folds
 only); naive Bayes consumes raw non-negative counts.  Their settings are
-the fixed constants below.
+the fixed constants below.  Every trainer takes the class count l from
+its caller, so a training split that lacks its top class still builds an
+l-class model.
 """
 
 from __future__ import annotations
@@ -101,7 +103,9 @@ class NaiveBayesModel:
         return scores.argmax(axis=1) + 1
 
 
-def _check_xy(x, y, l=None):
+def _check_xy(x, y, l):
+    """Checked float rows and int labels; labels lie in 1..l, or are >= 1
+    when l is None (knn_predict needs no class count)."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     if x.ndim != 2:
@@ -112,10 +116,11 @@ def _check_xy(x, y, l=None):
         raise ValueError("x must be finite")
     if len(x) != len(y):
         raise ValueError("x and y length mismatch")
-    classes = int(y.max()) if l is None else l
-    if y.min() < 1 or y.max() > classes:
-        raise ValueError(f"labels must lie in 1..{classes}")
-    return x, y, classes
+    if y.min() < 1:
+        raise ValueError("labels must be >= 1")
+    if l is not None and y.max() > l:
+        raise ValueError(f"labels must lie in 1..{l}")
+    return x, y
 
 
 def logistic_loss_and_grad(weights, biases, x, y_idx):
@@ -141,28 +146,28 @@ def _descend(loss_and_grad, args, shape, learning_rate: float, epochs: int, what
     return LinearModel(weights=weights, biases=biases), history
 
 
-def train_logistic(x, y, l=None):
+def train_logistic(x, y, l: int):
     """Multinomial logistic regression by full-batch gradient descent.
 
     Weights start at zero (the untrained model predicts the uniform
     distribution), so runs are deterministic.  Returns (model, per-epoch
     loss history).
     """
-    x, y, classes = _check_xy(x, y, l)
-    return _descend(logistic_loss_and_grad, (x, y - 1), (classes, x.shape[1]),
+    x, y = _check_xy(x, y, l)
+    return _descend(logistic_loss_and_grad, (x, y - 1), (l, x.shape[1]),
                     LOGISTIC_STEP, LOGISTIC_EPOCHS, "logistic loss")
 
 
-def train_nb(x, y, l=None) -> NaiveBayesModel:
+def train_nb(x, y, l: int) -> NaiveBayesModel:
     """Multinomial naive Bayes with Laplace smoothing on raw counts."""
-    x, y, classes = _check_xy(x, y, l)
+    x, y = _check_xy(x, y, l)
     if (x < 0).any():
         raise ValueError("naive Bayes needs non-negative counts")
     d = x.shape[1]
-    log_priors = np.zeros(classes)
-    log_likelihood = np.zeros((classes, d))
+    log_priors = np.zeros(l)
+    log_likelihood = np.zeros((l, d))
     n = len(x)
-    for c in range(classes):
+    for c in range(l):
         rows = x[y == c + 1]
         # empty classes keep a -inf prior and never win argmax
         log_priors[c] = np.log(len(rows) / n) if len(rows) else -np.inf
@@ -258,7 +263,7 @@ def knn_predict(train_x, train_y, queries) -> np.ndarray:
     the cost is that of the full distances; the result is never wrong.
     The screen holds at most ``_SCREEN_ENTRIES`` floats at once.
     """
-    train_x, train_y, _ = _check_xy(train_x, train_y)
+    train_x, train_y = _check_xy(train_x, train_y, None)
     queries = _finite_rows(np.atleast_2d(queries), train_x.shape[1], "queries")
     k = min(KNN_NEIGHBORS, len(train_x))
     out = np.zeros(len(queries), dtype=np.int64)
@@ -283,13 +288,13 @@ def svm_loss_and_grad(weights, biases, x, targets):
     return loss, weights + coef.T @ x, coef.sum(axis=0)
 
 
-def train_svm(x, y, l=None):
+def train_svm(x, y, l: int):
     """One-vs-rest linear SVM by full-batch subgradient descent.
 
     With SVM_C = 0 only the L2 term remains and the weights shrink toward
     zero.  Returns (model, per-epoch objective history).
     """
-    x, y, classes = _check_xy(x, y, l)
-    targets = np.where((np.arange(classes) + 1)[None, :] == y[:, None], 1.0, -1.0)
-    return _descend(svm_loss_and_grad, (x, targets), (classes, x.shape[1]),
+    x, y = _check_xy(x, y, l)
+    targets = np.where((np.arange(l) + 1)[None, :] == y[:, None], 1.0, -1.0)
+    return _descend(svm_loss_and_grad, (x, targets), (l, x.shape[1]),
                     SVM_STEP, SVM_EPOCHS, "SVM objective")

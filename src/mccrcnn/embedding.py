@@ -215,16 +215,16 @@ def _entry_arrays(cooc: CooccurrenceMatrix):
     return ii, jj, xs
 
 
-def _residual(w, w_ctx, b, b_ctx, ii, jj, logx) -> np.ndarray:
-    """w[i]·w̃[j] + b[i] + b̃[j] − ln X_ij for every nonzero entry (i, j)."""
-    return np.einsum("nk,nk->n", w[ii], w_ctx[jj]) + b[ii] + b_ctx[jj] - logx
+def _objective(w, w_ctx, b, b_ctx, ii, jj, logx, fx) -> float:
+    """J = Σ f(X_ij) (w[i]·w̃[j] + b[i] + b̃[j] − ln X_ij)² over the nonzero entries."""
+    diff = np.einsum("nk,nk->n", w[ii], w_ctx[jj]) + b[ii] + b_ctx[jj] - logx
+    return float(np.sum(fx * diff * diff))
 
 
 def glove_loss(cooc: CooccurrenceMatrix, table: EmbeddingTable) -> float:
     """Exact objective J for the given parameters."""
     ii, jj, xs = _entry_arrays(cooc)
-    diff = _residual(table.w, table.w_ctx, table.b, table.b_ctx, ii, jj, np.log(xs))
-    return float(np.sum(_weight(xs) * diff * diff))
+    return _objective(table.w, table.w_ctx, table.b, table.b_ctx, ii, jj, np.log(xs), _weight(xs))
 
 
 def _entry_gradients(pair, fx2, logx) -> np.ndarray:
@@ -296,13 +296,8 @@ def train_glove(cooc: CooccurrenceMatrix, vocab: dict[str, int], k: int,
     logx = np.log(xs)
     fx = _weight(xs)
     rows = np.stack([ii, jj + n], axis=1)
-
-    def current_loss() -> float:
-        diff = _residual(w, w_ctx, b, b_ctx, ii, jj, logx)
-        return float(np.sum(fx * diff * diff))
-
     i_list, j_list = ii.tolist(), jj.tolist()
-    losses = [current_loss()]
+    losses = [_objective(w, w_ctx, b, b_ctx, ii, jj, logx, fx)]
     for epoch in range(epochs):
         perm = rng.permutation(len(xs))
         # level of an entry: one past the last level that touched its rows
@@ -324,7 +319,7 @@ def train_glove(cooc: CooccurrenceMatrix, vocab: dict[str, int], k: int,
             pair[..., :k + 1] -= GLOVE_STEP * g / np.sqrt(pair[..., k + 1:])
             pair[..., k + 1:] += g * g
             state[rid[2 * lo:2 * hi]] = flat
-        j_epoch = current_loss()
+        j_epoch = _objective(w, w_ctx, b, b_ctx, ii, jj, logx, fx)
         if not np.isfinite(j_epoch):
             raise DivergedLoss(f"objective became non-finite at epoch {epoch + 1}")
         losses.append(j_epoch)

@@ -24,10 +24,15 @@ The manifest records, per sample, the family, the style bits, and the
 API order a control-flow walk from the entry should produce (main-block
 APIs in position order, then the subroutine API at its call site).
 
-Draws: every random choice comes from one ``np.random.default_rng(seed)``
-stream, in a fixed order.  Each chain's transition rows and start row are
-turned into cumulative tables once, the way ``Generator.choice(p=row)``
-builds them, and a Markov walk of n tokens takes n uniforms in one
+Draws: every random choice comes from one
+``np.random.default_rng(seed)`` stream, in a fixed order.  ``_chain``
+draws a chain's transition rows, then its start row, and turns each into
+a cumulative table once, the way ``Generator.choice(p=row)`` builds
+them.  Each corpus mode builds one style table (chains, alphabets and
+motifs, in draw order: fusion mode draws its two motifs and then one
+chain per half-alphabet, family mode a motif and then a chain per
+family), and every sample picks its chain, alphabet and motif from it by
+index, on one path.  A Markov walk of n tokens takes n uniforms in one
 ``rng.random(n)`` call and finds each state by bisection in its row's
 table, so it draws the same stream and picks the same states as n
 ``choice`` calls.  A sample's instruction sizes come from one
@@ -128,24 +133,6 @@ def _validate_spec(spec: SyntheticCorpusSpec) -> None:
         raise ValueError(f"max_len must be <= {MAX_LEN} instructions per sample")
 
 
-def _transition(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Row-stochastic matrix with two strongly preferred successors per row."""
-    mat = np.zeros((n, n))
-    for i in range(n):
-        pref = rng.choice(n, size=2, replace=False)
-        row = np.full(n, 0.3 / (n - 2))
-        row[pref] = 0.35
-        mat[i] = row / row.sum()
-    return mat
-
-
-def _start_dist(rng: np.random.Generator, n: int) -> np.ndarray:
-    sig = rng.choice(n, size=4, replace=False)
-    row = np.full(n, 0.5 / (n - 4))
-    row[sig] = 0.125
-    return row / row.sum()
-
-
 def _cdf(row: np.ndarray) -> list[float]:
     """The table ``Generator.choice(p=row)`` searches, as Python floats."""
     cdf = row.cumsum()
@@ -154,10 +141,20 @@ def _cdf(row: np.ndarray) -> list[float]:
 
 
 def _chain(rng: np.random.Generator, n: int) -> tuple[list[float], list[list[float]]]:
-    """Draw one n-state opcode chain: (start CDF, one CDF per state's row)."""
-    trans = _transition(rng, n)
-    start = _start_dist(rng, n)
-    return _cdf(start), [_cdf(row) for row in trans]
+    """Draw one n-state opcode chain: (start CDF, one CDF per state's row).
+
+    Each row gives two drawn successors 0.35 and spreads 0.3 over the
+    rest; then the start row gives four drawn states 0.125 each and
+    spreads 0.5 over the rest.
+    """
+    rows = []
+    for _ in range(n):
+        row = np.full(n, 0.3 / (n - 2))
+        row[rng.choice(n, size=2, replace=False)] = 0.35
+        rows.append(_cdf(row / row.sum()))
+    start = np.full(n, 0.5 / (n - 4))
+    start[rng.choice(n, size=4, replace=False)] = 0.125
+    return _cdf(start / start.sum()), rows
 
 
 def _markov(rng, chain, alphabet, length) -> list[str]:
@@ -300,41 +297,34 @@ def _draw_samples(spec: SyntheticCorpusSpec):
     """Yield (manifest entry, listing text) per sample, in id order."""
     rng = np.random.default_rng(spec.seed)
     ops, apis = DEFAULT_OPCODES, DEFAULT_APIS
-    n_ops = len(ops)
-
+    # the style table: sample i of family f takes chains[op] over
+    # alphabets[op] and motifs[api], and the manifest records its style
+    # bits, for (op, api, opcode_style, api_style) = picks[f - 1][i % 2]
     if spec.fusion_mode:
         chosen = rng.choice(len(apis), size=2 * _MOTIF_LEN, replace=False)
-        half = n_ops // 2
-        sub_alphabets = (ops[:half], ops[half:])
-        styles = []
-        for s in range(2):
-            motif = tuple(apis[i] for i in chosen[s * _MOTIF_LEN:(s + 1) * _MOTIF_LEN])
-            sub = sub_alphabets[s]
-            styles.append((_chain(rng, len(sub)), motif, sub))
+        motifs = [tuple(apis[i] for i in chosen[s * _MOTIF_LEN:(s + 1) * _MOTIF_LEN])
+                  for s in range(2)]
+        alphabets = (ops[:len(ops) // 2], ops[len(ops) // 2:])
+        chains = [_chain(rng, len(sub)) for sub in alphabets]
+        picks = [[(s, s ^ f, s, s ^ f) for s in range(2)] for f in range(2)]
     else:
-        profiles = []
+        motifs, chains = [], []
         for _ in range(spec.families):
-            motif_idx = rng.choice(len(apis), size=_MOTIF_LEN, replace=False)
-            motif = tuple(apis[i] for i in motif_idx)
-            profiles.append((_chain(rng, n_ops), motif))
+            picked = rng.choice(len(apis), size=_MOTIF_LEN, replace=False)
+            motifs.append(tuple(apis[i] for i in picked))
+            chains.append(_chain(rng, len(ops)))
+        alphabets = (ops,) * spec.families
+        picks = [[(f, f, None, None)] * 2 for f in range(spec.families)]
 
     for family in range(1, spec.families + 1):
         for i in range(spec.samples_per_family):
-            if spec.fusion_mode:
-                op_style = i % 2
-                api_style = op_style if family == 1 else 1 - op_style
-                chain, _, alphabet = styles[op_style]
-                motif = styles[api_style][1]
-            else:
-                op_style = api_style = None
-                chain, motif = profiles[family - 1]
-                alphabet = ops
+            op, api, op_style, api_style = picks[family - 1][i % 2]
             total = int(rng.integers(spec.min_len, spec.max_len + 1))
             sub_len = int(rng.integers(5, 9))
-            main_ops = _markov(rng, chain, alphabet, total - sub_len)
-            sub_ops = _markov(rng, chain, alphabet, sub_len)
+            main_ops = _markov(rng, chains[op], alphabets[op], total - sub_len)
+            sub_ops = _markov(rng, chains[op], alphabets[op], sub_len)
             sid = f"{family:02d}_{i:04d}"
-            text, api_seq = _render_sample(rng, main_ops, sub_ops, motif)
+            text, api_seq = _render_sample(rng, main_ops, sub_ops, motifs[api])
             yield {
                 "id": sid,
                 "file": f"{sid}.asm",

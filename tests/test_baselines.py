@@ -64,7 +64,7 @@ def test_logistic_starts_at_uniform_and_learns(monkeypatch):
     set_constants(monkeypatch, LOGISTIC_EPOCHS=150)
     x, y = blobs(seed=1)
     x = Standardizer.fit(x).transform(x)
-    model, losses = train_logistic(x, y)
+    model, losses = train_logistic(x, y, l=3)
     assert losses[0] == pytest.approx(math.log(3))  # zero weights, 3 classes
     assert losses[-1] < 0.2 * losses[0]
     assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
@@ -74,8 +74,8 @@ def test_logistic_starts_at_uniform_and_learns(monkeypatch):
 def test_logistic_is_deterministic(monkeypatch):
     set_constants(monkeypatch, LOGISTIC_EPOCHS=20)
     x, y = blobs(seed=5, per_class=8)
-    m1, l1 = train_logistic(x, y)
-    m2, l2 = train_logistic(x, y)
+    m1, l1 = train_logistic(x, y, l=3)
+    m2, l2 = train_logistic(x, y, l=3)
     assert l1 == l2
     assert np.array_equal(m1.weights, m2.weights)
     assert np.array_equal(m1.biases, m2.biases)
@@ -100,7 +100,7 @@ def test_logistic_diverges_with_absurd_rate(monkeypatch):
     x, y = diverging_points()
     with pytest.raises(DivergedLoss, match="logistic loss became non-finite"):
         with np.errstate(all="ignore"):
-            train_logistic(x, y)
+            train_logistic(x, y, l=3)
 
 
 # ------------------------------------------------------------- naive Bayes
@@ -109,7 +109,7 @@ def test_nb_matches_hand_computation():
     x = np.array([[2, 0, 1], [1, 1, 0], [0, 3, 0]], dtype=np.float64)
     y = np.array([1, 1, 2])
     assert baselines.NB_ALPHA == 1.0
-    model = train_nb(x, y)
+    model = train_nb(x, y, l=2)
     assert model.log_priors == pytest.approx([math.log(2 / 3), math.log(1 / 3)])
     # class 1 totals (3, 1, 1), sum 5, d = 3: (count + 1) / (5 + 3)
     assert model.log_likelihood[0] == pytest.approx(
@@ -150,7 +150,7 @@ def test_nb_empty_class_never_wins():
 
 def test_nb_rejects_negative_counts():
     with pytest.raises(ValueError):
-        train_nb(np.array([[1.0, -0.5]]), np.array([1]))
+        train_nb(np.array([[1.0, -0.5]]), np.array([1]), l=1)
 
 
 def test_nb_separates_blobby_counts():
@@ -159,7 +159,7 @@ def test_nb_separates_blobby_counts():
     x2 = rng.poisson(lam=[1, 8, 1], size=(25, 3)).astype(np.float64)
     x = np.vstack([x1, x2])
     y = np.repeat([1, 2], 25)
-    model = train_nb(x, y)
+    model = train_nb(x, y, l=2)
     assert (model.predict(x) == y).mean() >= 0.95
 
 
@@ -419,7 +419,7 @@ def test_svm_history_recorded_before_each_update(monkeypatch):
     set_constants(monkeypatch, SVM_EPOCHS=40, SVM_STEP=0.05)
     x, y = blobs(seed=4, per_class=6, l=2, d=3)
     x = Standardizer.fit(x).transform(x)
-    model, history = train_svm(x, y)
+    model, history = train_svm(x, y, l=2)
     assert history[0] == pytest.approx(1.0 * 2)  # untrained objective
     assert history[-1] < history[0]
     assert (model.predict(x) == y).mean() == 1.0
@@ -430,7 +430,7 @@ def test_svm_first_step_matches_hand_computation(monkeypatch):
     assert baselines.SVM_C == 1.0
     x = np.array([[1.0, 0.0], [0.0, 1.0]])
     y = np.array([1, 2])
-    model, _ = train_svm(x, y)
+    model, _ = train_svm(x, y, l=2)
     # all hinges active at zero weights: step = lr * (c/n) * targets.T @ x
     assert np.allclose(model.weights, [[0.05, -0.05], [-0.05, 0.05]], atol=1e-12)
     assert model.biases == pytest.approx([0.0, 0.0])
@@ -439,7 +439,7 @@ def test_svm_first_step_matches_hand_computation(monkeypatch):
 def test_svm_with_zero_penalty_stays_at_zero(monkeypatch):
     set_constants(monkeypatch, SVM_EPOCHS=10, SVM_C=0.0)
     x, y = blobs(seed=6, per_class=4, l=2, d=2)
-    model, history = train_svm(x, y)
+    model, history = train_svm(x, y, l=2)
     assert not model.weights.any() and not model.biases.any()
     assert history == [0.0] * 10
 
@@ -451,7 +451,7 @@ def test_svm_diverges_with_absurd_rate(monkeypatch):
     x, y = diverging_points()
     with pytest.raises(DivergedLoss, match="SVM objective became non-finite"):
         with np.errstate(all="ignore"):
-            train_svm(x, y)
+            train_svm(x, y, l=3)
 
 
 # ------------------------------------------------------------ standardizer
@@ -479,9 +479,9 @@ def test_standardizer_refuses_rows_of_another_width():
 
 
 @pytest.mark.parametrize("fit", [
-    lambda x, y: train_logistic(x, y)[0],
-    lambda x, y: train_svm(x, y)[0],
-    lambda x, y: train_nb(x, y),
+    lambda x, y: train_logistic(x, y, l=2)[0],
+    lambda x, y: train_svm(x, y, l=2)[0],
+    lambda x, y: train_nb(x, y, l=2),
 ], ids=["logistic", "svm", "nb"])
 def test_fitted_models_refuse_non_finite_and_wrong_width_rows(fit):
     """A NaN row used to get class 1 silently, and a row of another width
@@ -501,15 +501,15 @@ def test_fitted_models_refuse_non_finite_and_wrong_width_rows(fit):
 
 def test_empty_train_set_raises():
     with pytest.raises(EmptyTrainSet):
-        train_logistic(np.zeros((0, 3)), np.array([], dtype=np.int64))
+        train_logistic(np.zeros((0, 3)), np.array([], dtype=np.int64), l=3)
     with pytest.raises(ValueError):
-        train_svm(np.zeros((2, 1)), np.array([1]))
+        train_svm(np.zeros((2, 1)), np.array([1]), l=1)
 
 
 @pytest.mark.parametrize("fit", [
-    lambda x, y: train_logistic(x, y),
-    lambda x, y: train_nb(x, y),
-    lambda x, y: train_svm(x, y),
+    lambda x, y: train_logistic(x, y, l=2),
+    lambda x, y: train_nb(x, y, l=2),
+    lambda x, y: train_svm(x, y, l=2),
     lambda x, y: knn_predict(x, y, np.ones((1, 2))),
 ], ids=["logistic", "nb", "svm", "knn"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

@@ -4,9 +4,10 @@
 array searched in CDF tables, and draws a sample's instruction sizes in
 one array.  The frozen reference below is the generator as it was
 before that: one ``rng.choice(n, p=row)`` per token and one
-``rng.integers(2, 8)`` per instruction.  Every file it writes must come
-out byte for byte the same, and every walk must leave the generator in
-the same state.  These run on the installed numpy, so each numpy version
+``rng.integers(2, 8)`` per instruction, with its own copies of the
+helpers that drew each chain's transition matrix and start row.  Every
+file it writes must come out byte for byte the same, and every walk must
+leave the generator in the same state.  These run on the installed numpy, so each numpy version
 the suite runs on checks the stream argument for itself.
 """
 
@@ -22,6 +23,24 @@ from mccrcnn.harness.synth import SyntheticCorpusSpec, generate_synthetic_corpus
 
 
 # ------------------------------------------------ frozen per-token reference
+
+def reference_transition(rng, n):
+    """Row-stochastic matrix with two strongly preferred successors per row."""
+    mat = np.zeros((n, n))
+    for i in range(n):
+        pref = rng.choice(n, size=2, replace=False)
+        row = np.full(n, 0.3 / (n - 2))
+        row[pref] = 0.35
+        mat[i] = row / row.sum()
+    return mat
+
+
+def reference_start_dist(rng, n):
+    sig = rng.choice(n, size=4, replace=False)
+    row = np.full(n, 0.5 / (n - 4))
+    row[sig] = 0.125
+    return row / row.sum()
+
 
 def reference_markov(rng, trans, start, alphabet, length):
     state = int(rng.choice(len(alphabet), p=start))
@@ -169,14 +188,14 @@ def reference_corpus(spec):
         for s in range(2):
             motif = tuple(apis[i] for i in chosen[s * n:(s + 1) * n])
             sub = sub_alphabets[s]
-            styles.append((synth._transition(rng, len(sub)), synth._start_dist(rng, len(sub)),
-                           motif, sub))
+            styles.append((reference_transition(rng, len(sub)),
+                           reference_start_dist(rng, len(sub)), motif, sub))
     else:
         profiles = []
         for _ in range(spec.families):
             motif = tuple(apis[i] for i in rng.choice(len(apis), size=n, replace=False))
-            profiles.append((synth._transition(rng, len(ops)), synth._start_dist(rng, len(ops)),
-                             motif))
+            profiles.append((reference_transition(rng, len(ops)),
+                             reference_start_dist(rng, len(ops)), motif))
 
     files, samples = {}, []
     for family in range(1, spec.families + 1):
@@ -229,9 +248,11 @@ def test_corpus_bytes_equal_per_token_reference(tmp_path, kw):
 @pytest.mark.parametrize("n", [6, 13, 26])
 def test_walk_draws_the_per_token_stream(n):
     rng = np.random.default_rng(n)
-    trans = synth._transition(rng, n)
-    start = synth._start_dist(rng, n)
-    chain = (synth._cdf(start), [synth._cdf(row) for row in trans])
+    ref_rng = np.random.default_rng(n)
+    chain = synth._chain(rng, n)
+    trans = reference_transition(ref_rng, n)
+    start = reference_start_dist(ref_rng, n)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
     alphabet = tuple(f"t{i}" for i in range(n))
     for length in (1, 2, 5, 30, 300):
         # an odd count of 32-bit draws leaves half a 64-bit word buffered
