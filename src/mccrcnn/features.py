@@ -63,7 +63,7 @@ class LabeledDataset:
         return LabeledDataset(records=kept, l=self.l)
 
 
-def _zeros(shape: tuple[int, ...], dtype) -> np.ndarray:
+def checked_zeros(shape: tuple[int, ...], dtype) -> np.ndarray:
     """np.zeros, raising PipelineError when a seq_len makes it too large."""
     try:
         return np.zeros(shape, dtype=dtype)
@@ -77,7 +77,7 @@ def sequence_to_matrix(seq: TokenSequence, table: EmbeddingTable, t: int) -> np.
     if t < 1:
         raise ValueError("t must be >= 1")
     rows = table.vectors(seq.tokens[:t])
-    out = _zeros((t, table.k), np.float64)
+    out = checked_zeros((t, table.k), np.float64)
     out[:len(rows)] = rows
     return out
 
@@ -137,7 +137,7 @@ def ngram_id_sequence(seq: TokenSequence, feature_set: NgramFeatureSet, t: int) 
     Position p maps to 1 + rank of the gram starting at p, or 0 when that
     gram was not selected (or p is past the end).  Truncated/padded to t.
     """
-    out = _zeros((t,), np.int64)
+    out = checked_zeros((t,), np.int64)
     grams = islice(zip(*(seq.tokens[i:] for i in range(feature_set.n))), t)
     # unselected grams get rank -1, so id 0
     ids = np.fromiter(map(feature_set.grams.get, grams, repeat(-1)), dtype=np.int64) + 1
@@ -147,7 +147,7 @@ def ngram_id_sequence(seq: TokenSequence, feature_set: NgramFeatureSet, t: int) 
 
 def onehot_matrix(ids: np.ndarray, dim: int) -> np.ndarray:
     """Expand a gram-id sequence to one-hot rows; id 0 gives a zero row."""
-    out = _zeros((len(ids), dim), np.float64)
+    out = checked_zeros((len(ids), dim), np.float64)
     pos = np.nonzero(ids)[0]
     out[pos, ids[pos] - 1] = 1.0
     return out

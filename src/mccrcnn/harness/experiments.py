@@ -52,6 +52,7 @@ from ..embedding import (
     count_cooccurrence,
     train_glove,
 )
+from ..errors import ShapeMismatch
 from ..extraction import (
     NoCode,
     build_relation_graph,
@@ -60,12 +61,11 @@ from ..extraction import (
 )
 from ..features import (
     LabeledDataset,
-    fuse,
+    checked_zeros,
     ngram_vector,
     ngram_id_sequence,
     onehot_matrix,
     select_ngram_features,
-    sequence_to_matrix,
 )
 from ..metrics import confusion, kfold_split, ovr_accuracy, standard_metrics
 from ..neural import ARCHS, ModelConfig, TrainConfig, predict, train
@@ -158,13 +158,36 @@ def fit_tables(which: str, train_split: LabeledDataset,
 
 
 def matrix_fn(which: str, op_table, api_table, seq_len: int):
-    """payload -> (T, k) matrix function over fitted embedding tables."""
+    """payload -> (T, k) matrix function over fitted embedding tables.
+
+    Each used table's final rows are read here, once, by one ``vectors``
+    call whose last row is the zero row of a token outside the table;
+    each payload then gathers its first T tokens' rows into zeros, one
+    stream's columns after the other.  The matrices are
+    ``sequence_to_matrix`` per stream joined by ``fuse``, bit for bit, of
+    the tables as they are when this is called.
+    """
+    if seq_len < 1:
+        raise ValueError("t must be >= 1")
     tables = (op_table, api_table)
-    used = [i for i, stream in enumerate(STREAMS) if stream in LAYERS[which]]
+    used = [(i, tables[i]) for i, stream in enumerate(STREAMS) if stream in LAYERS[which]]
+    widths = [table.k for _, table in used]
+    if len(set(widths)) > 1:
+        raise ShapeMismatch(f"opcode rows of {widths[0]} columns vs api rows of {widths[1]}")
+    width = sum(widths)
+    reads = []
+    for n, (i, table) in enumerate(used):
+        row = {tok: r for r, tok in enumerate(table.tokens)}
+        final = table.vectors([*table.tokens, None])  # None is in no table
+        cols = slice(n * table.k, (n + 1) * table.k)
+        reads.append((i, row, len(table.tokens), cols, final))
 
     def to_matrix(payload):
-        mats = [sequence_to_matrix(payload[i], tables[i], seq_len) for i in used]
-        return mats[0] if len(mats) == 1 else fuse(*mats)
+        out = checked_zeros((seq_len, width), np.float64)
+        for i, row, oov, cols, final in reads:
+            ids = [row.get(tok, oov) for tok in payload[i].tokens[:seq_len]]
+            out[:len(ids), cols] = final[ids]
+        return out
 
     return to_matrix
 

@@ -31,15 +31,17 @@ a cumulative table once, the way ``Generator.choice(p=row)`` builds
 them.  Each corpus mode builds one style table (chains, alphabets and
 motifs, in draw order: fusion mode draws its two motifs and then one
 chain per half-alphabet, family mode a motif and then a chain per
-family), and every sample picks its chain, alphabet and motif from it by
-index, on one path.  A Markov walk of n tokens takes n uniforms in one
-``rng.random(n)`` call and finds each state by bisection in its row's
-table, so it draws the same stream and picks the same states as n
-``choice`` calls.  A sample's instruction sizes come from one
-``rng.integers(2, 8, size=...)`` call.  Operands, byte columns, comments
-and jump forms draw from different distributions in line order, so they
-stay scalar draws.  On the same numpy version, identical specs and seeds
-yield byte-identical corpora; numpy does not promise its generator
+family) with the Generator's own ``choice``, and every sample picks its
+chain, alphabet and motif from it by index, on one path.  Every later
+draw (lengths, walks, masks, sizes, operands, comments, jump forms, byte
+columns and the data section) goes through ``_Draws``, which reads
+PCG64's raw 64-bit words in blocks and applies numpy's transforms to
+them, so each value is the one the Generator's ``random`` or
+``integers`` call in that place would give, without a numpy call per
+draw.  A Markov walk of n tokens takes n uniforms in one run and finds
+each state by bisection in its row's table, so it picks the same states
+as n ``choice`` calls.  On the same numpy version, identical specs and
+seeds yield byte-identical corpora; numpy does not promise its generator
 streams across releases.
 """
 
@@ -86,7 +88,7 @@ _OPERAND_POOL = (
 _COMMENT_POOL = ("; ----------------", "; main body", "; check result", "; cleanup")
 
 #: upper bound on max_len, the instructions of one sample; every walk
-#: draws its uniforms as one array, so a larger length is refused, not
+#: takes its uniforms as one list, so a larger length is refused, not
 #: allocated
 MAX_LEN = 100_000
 
@@ -108,6 +110,10 @@ _TEXT_BASE = 0x401000
 _DATA_BASE = 0x403000
 _IDATA_BASE = 0x40F000
 _MOTIF_LEN = 4
+
+#: raw 64-bit words _Draws takes from the bit generator at a time; 4096
+#: drew no faster and left the ``scan`` benchmark's peak RSS ~0.4 MB higher
+_BLOCK_WORDS = 1024
 
 
 @dataclass(frozen=True)
@@ -157,10 +163,93 @@ def _chain(rng: np.random.Generator, n: int) -> tuple[list[float], list[list[flo
     return _cdf(start / start.sum()), rows
 
 
-def _markov(rng, chain, alphabet, length) -> list[str]:
-    """Walk ``length`` states; ``bisect_right`` is ``searchsorted(side="right")``."""
+class _Draws:
+    """Generator draws read from the bit generator's raw 64-bit words.
+
+    Built from a ``default_rng`` Generator, it hands out what that
+    Generator's ``random()``, ``random(n)`` and ``integers(low, high)``
+    would, value for value, by taking PCG64's words with ``random_raw``
+    in blocks of _BLOCK_WORDS and applying numpy's own transforms:
+
+    * a double is ``(w >> 11) * 2**-53`` of a fresh word;
+    * a 32-bit draw is the low half of a fresh word, and the high half
+      is kept for the next 32-bit draw (PCG64's ``has_uint32`` and
+      ``uinteger``, which the reader starts from); a double never
+      touches that half;
+    * ``integers(low, high)`` with ``high - low`` below 2**32 is Lemire's
+      multiply-and-shift on 32-bit draws, with numpy's rejection loop,
+      and a span of 1 takes no draw.
+
+    The Generator itself runs ahead by the unused rest of the last
+    block, ``len(words) - pos`` words, so it must draw nothing more once
+    the reader exists; ``has_half`` and ``half`` are PCG64's buffered
+    half-word.
+    """
+
+    def __init__(self, rng: np.random.Generator):
+        self._bitgen = rng.bit_generator
+        state = self._bitgen.state
+        self.has_half = bool(state["has_uint32"])
+        self.half = int(state["uinteger"])
+        self.words: list[int] = []
+        self._doubles: list[float] = []
+        self.pos = 0
+
+    def _refill(self) -> None:
+        words = self._bitgen.random_raw(_BLOCK_WORDS)
+        self.words = words.tolist()
+        self._doubles = ((words >> np.uint64(11)) * 2.0 ** -53).tolist()
+        self.pos = 0
+
+    def random(self) -> float:
+        """One ``Generator.random()``."""
+        if self.pos == len(self.words):
+            self._refill()
+        self.pos += 1
+        return self._doubles[self.pos - 1]
+
+    def uniforms(self, n: int) -> list[float]:
+        """``Generator.random(n).tolist()``."""
+        out = self._doubles[self.pos:self.pos + n]
+        self.pos += len(out)
+        while len(out) < n:
+            self._refill()
+            more = self._doubles[:n - len(out)]
+            self.pos = len(more)
+            out += more
+        return out
+
+    def _uint32(self) -> int:
+        if self.has_half:
+            self.has_half = False
+            return self.half
+        if self.pos == len(self.words):
+            self._refill()
+        word = self.words[self.pos]
+        self.pos += 1
+        self.has_half = True
+        self.half = word >> 32
+        return word & 0xFFFFFFFF
+
+    def integers(self, low: int, high: int) -> int:
+        """One ``Generator.integers(low, high)``, for ``high - low`` in 1..2**32 - 1."""
+        span = high - low
+        if span == 1:
+            return low
+        m = self._uint32() * span
+        if m & 0xFFFFFFFF < span:
+            threshold = (1 << 32) % span  # numpy: (UINT32_MAX - rng) % rng_excl
+            while m & 0xFFFFFFFF < threshold:
+                m = self._uint32() * span
+        return low + (m >> 32)
+
+
+def _markov(draws, chain, alphabet, length) -> list[str]:
+    """Walk ``length`` states on ``length`` uniforms from ``draws``;
+    ``bisect_right`` is ``searchsorted(side="right")``, so each state is
+    the one ``Generator.choice(p=row)`` picks for the same uniform."""
     start, rows = chain
-    uniforms = rng.random(length).tolist()
+    uniforms = draws.uniforms(length)
     state = bisect_right(start, uniforms[0])
     seq = [alphabet[state]]
     for u in uniforms[1:]:
@@ -169,7 +258,7 @@ def _markov(rng, chain, alphabet, length) -> list[str]:
     return seq
 
 
-def _render_sample(rng, ops_stream_main, ops_stream_sub, motif):
+def _render_sample(draws, ops_stream_main, ops_stream_sub, motif):
     """Lay out and render one program; returns (text, expected api order)."""
     m = len(ops_stream_main)
     main_apis = list(motif[:-1])
@@ -185,12 +274,12 @@ def _render_sample(rng, ops_stream_main, ops_stream_sub, motif):
     jf = m // 4
     put(jf, ("jmpc", "S1"))
     put(min(jf + 3, m - 1), ("label", "S1"))
-    if rng.random() < 0.5:
+    if draws.random() < 0.5:
         put((3 * m) // 5, ("label", "S2"))
         put((4 * m) // 5, ("jmpc", "S2"))
-    align_mask = rng.random(m) < 0.06
-    comment_mask = rng.random(m) < 0.05
-    blank_mask = rng.random(m) < 0.05
+    align_mask = [u < 0.06 for u in draws.uniforms(m)]
+    comment_mask = [u < 0.05 for u in draws.uniforms(m)]
+    blank_mask = [u < 0.05 for u in draws.uniforms(m)]
 
     items: list[tuple] = [("label", "start")]
     for idx, op in enumerate(ops_stream_main):
@@ -212,14 +301,12 @@ def _render_sample(rng, ops_stream_main, ops_stream_sub, motif):
         items.append(("op", op))
     items.append(("ret", None))
 
-    # address pass; every instruction's size comes from one draw
-    n_sized = sum(kind not in _UNSIZED for kind, _ in items)
-    sizes = iter(rng.integers(2, 8, size=n_sized).tolist())
+    # address pass; the instruction sizes are its only draws, in item order
     cursor = _TEXT_BASE
     sym: dict[str, int] = {}
     recs: list[tuple] = []
     for kind, payload in items:
-        advance = 0 if kind in _UNSIZED else next(sizes)
+        advance = 0 if kind in _UNSIZED else draws.integers(2, 8)
         recs.append((kind, payload, cursor, advance))
         if kind == "label":
             sym[payload] = cursor
@@ -241,7 +328,7 @@ def _render_sample(rng, ops_stream_main, ops_stream_sub, motif):
             lines.append(prefix + resolve(payload) + ":")
             continue
         if kind == "comment":
-            lines.append(prefix + _COMMENT_POOL[int(rng.integers(len(_COMMENT_POOL)))])
+            lines.append(prefix + _COMMENT_POOL[draws.integers(0, len(_COMMENT_POOL))])
             continue
         if kind == "blank":
             lines.append("")
@@ -250,32 +337,32 @@ def _render_sample(rng, ops_stream_main, ops_stream_sub, motif):
             lines.append(prefix + "align 10h")
             continue
         if kind == "op":
-            operand = _OPERAND_POOL[int(rng.integers(len(_OPERAND_POOL)))]
+            operand = _OPERAND_POOL[draws.integers(0, len(_OPERAND_POOL))]
             content = payload if payload == "nop" or not operand else f"{payload} {operand}"
         elif kind == "api":
             content = f"call ds:{payload}"
         elif kind == "callsub":
             content = f"call {resolve('SUB')}"
         elif kind == "jmpc":
-            short = "short " if rng.random() < 0.5 else ""
+            short = "short " if draws.random() < 0.5 else ""
             content = f"jnz {short}{resolve(payload)}"
         else:  # ret
             content = "ret"
         byte_text = ""
-        if rng.random() < 0.5 and advance:
-            raw = rng.integers(0, 256, size=min(advance, 4))
-            byte_text = " ".join([_HEX[v] for v in raw.tolist()]) + " "
+        if draws.random() < 0.5 and advance:
+            raw = [draws.integers(0, 256) for _ in range(min(advance, 4))]
+            byte_text = " ".join([_HEX[v] for v in raw]) + " "
         lines.append(prefix + byte_text + content)
 
     lines.append("")
     daddr = _DATA_BASE
-    for _ in range(int(rng.integers(2, 5))):
-        pick = rng.random()
+    for _ in range(draws.integers(2, 5)):
+        pick = draws.random()
         if pick < 0.4:
-            content = f"db 0{_HEX[int(rng.integers(0, 256))]}h"
+            content = f"db 0{_HEX[draws.integers(0, 256)]}h"
             step = 1
         elif pick < 0.8:
-            content = f"dd {int(rng.integers(0, 65536))}"
+            content = f"dd {draws.integers(0, 65536)}"
             step = 4
         else:
             content = "db 'payload; data',0"
@@ -316,15 +403,16 @@ def _draw_samples(spec: SyntheticCorpusSpec):
         alphabets = (ops,) * spec.families
         picks = [[(f, f, None, None)] * 2 for f in range(spec.families)]
 
+    draws = _Draws(rng)  # every later draw, in the Generator's stream order
     for family in range(1, spec.families + 1):
         for i in range(spec.samples_per_family):
             op, api, op_style, api_style = picks[family - 1][i % 2]
-            total = int(rng.integers(spec.min_len, spec.max_len + 1))
-            sub_len = int(rng.integers(5, 9))
-            main_ops = _markov(rng, chains[op], alphabets[op], total - sub_len)
-            sub_ops = _markov(rng, chains[op], alphabets[op], sub_len)
+            total = draws.integers(spec.min_len, spec.max_len + 1)
+            sub_len = draws.integers(5, 9)
+            main_ops = _markov(draws, chains[op], alphabets[op], total - sub_len)
+            sub_ops = _markov(draws, chains[op], alphabets[op], sub_len)
             sid = f"{family:02d}_{i:04d}"
-            text, api_seq = _render_sample(rng, main_ops, sub_ops, motifs[api])
+            text, api_seq = _render_sample(draws, main_ops, sub_ops, motifs[api])
             yield {
                 "id": sid,
                 "file": f"{sid}.asm",

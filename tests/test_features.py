@@ -19,6 +19,7 @@ from mccrcnn.features import (
     select_ngram_features,
     sequence_to_matrix,
 )
+from mccrcnn.harness.experiments import matrix_fn
 
 
 def table_for(tokens, k=3, scale=1.0):
@@ -85,6 +86,47 @@ def test_matrix_matches_per_token_vectors():
 def test_matrix_rejects_zero_length():
     with pytest.raises(ValueError):
         sequence_to_matrix(seq(["mov"]), table_for(["mov"]), t=0)
+
+
+def test_matrix_fn_equals_sequence_to_matrix_and_fuse():
+    """matrix_fn reads each table's final rows once and gathers from
+    them; every layer's matrix is the per-stream sequence_to_matrix,
+    fused, bit for bit."""
+    rng = np.random.default_rng(21)
+    k = 4
+
+    def random_table(tokens):
+        n = len(tokens)
+        return EmbeddingTable(tokens=tuple(tokens), w=rng.normal(size=(n, k)),
+                              w_ctx=rng.normal(size=(n, k)), b=np.zeros(n), b_ctx=np.zeros(n))
+
+    def random_seq(pool):
+        return seq([pool[int(i)] for i in rng.integers(len(pool), size=int(rng.integers(1, 12)))])
+
+    ops, apis = ["mov", "push", "pop", "xor"], ["Sleep", "ReadFile", "WriteFile"]
+    pairs = [(random_table(ops), random_table(apis)),
+             (random_table(["mov"]), random_table(apis)),  # one-token tables
+             (random_table(ops), random_table(["Sleep"]))]
+    for op_table, api_table in pairs:
+        # empty, all out of the table, then random mixes with OOV tokens
+        payloads = [(seq([]), seq([])), (seq(["mystery", "nop"]), seq(["Unknown"]))]
+        payloads += [(random_seq(ops + ["mystery", "nop"]), random_seq(apis + ["Unknown"]))
+                     for _ in range(20)]
+        for t in (1, 3, 8, 15):  # shorter and longer than the sequences
+            fns = {which: matrix_fn(which, op_table, api_table, t)
+                   for which in ("opcode", "api", "fused")}
+            for payload in payloads:
+                om = sequence_to_matrix(payload[0], op_table, t)
+                am = sequence_to_matrix(payload[1], api_table, t)
+                for which, want in (("opcode", om), ("api", am), ("fused", fuse(om, am))):
+                    got = fns[which](payload)
+                    assert got.shape == want.shape and got.dtype == want.dtype
+                    assert np.array_equal(got, want), (which, payload, t)
+                    assert got.tobytes() == want.tobytes(), (which, payload, t)
+    # the one-layer functions need only their own table
+    assert matrix_fn("api", None, api_table, 3)(payloads[-1]).shape == (3, k)
+    with pytest.raises(ShapeMismatch):
+        matrix_fn("fused", table_for(["a"], k=2), table_for(["x"], k=3), 2)
 
 
 # ------------------------------------------------------------------ fusion

@@ -1,14 +1,18 @@
 """The synthetic generator draws the stream of its per-token reference.
 
-``generate_synthetic_corpus`` walks each Markov chain with one uniform
-array searched in CDF tables, and draws a sample's instruction sizes in
-one array.  The frozen reference below is the generator as it was
-before that: one ``rng.choice(n, p=row)`` per token and one
-``rng.integers(2, 8)`` per instruction, with its own copies of the
-helpers that drew each chain's transition matrix and start row.  Every
-file it writes must come out byte for byte the same, and every walk must
-leave the generator in the same state.  These run on the installed numpy, so each numpy version
-the suite runs on checks the stream argument for itself.
+``generate_synthetic_corpus`` takes every draw after its style table
+from ``synth._Draws``, which reads the bit generator's raw 64-bit words
+in blocks, and walks each Markov chain with one run of uniforms searched
+in CDF tables.  The frozen reference below is the generator as it was
+before that: numpy Generator calls throughout, one
+``rng.choice(n, p=row)`` per token and one ``rng.integers(2, 8)`` per
+instruction, with its own copies of the helpers that drew each chain's
+transition matrix and start row.  Every file it writes must come out
+byte for byte the same, every walk must leave the stream in the same
+state, and the reader must hand out the Generator's own values through
+any interleaving of its calls.  These run on the installed numpy, so
+each numpy version the suite runs on checks the stream argument for
+itself.
 """
 
 import copy
@@ -235,7 +239,9 @@ def reference_corpus(spec):
     dict(families=2, samples_per_family=30, seed=7, fusion_mode=True),
     dict(families=3, samples_per_family=10, seed=9, min_len=30, max_len=30),
     dict(families=5, samples_per_family=6, seed=11, max_len=300),
-], ids=["3x100", "fusion1", "fusion2", "fusion7", "len30", "5fam_len300"])
+    # every walk and mask takes more uniforms than one block of words
+    dict(families=2, samples_per_family=2, seed=3, min_len=5000, max_len=6000),
+], ids=["3x100", "fusion1", "fusion2", "fusion7", "len30", "5fam_len300", "len5000"])
 def test_corpus_bytes_equal_per_token_reference(tmp_path, kw):
     spec = SyntheticCorpusSpec(**kw)
     generate_synthetic_corpus(spec, tmp_path)
@@ -243,6 +249,28 @@ def test_corpus_bytes_equal_per_token_reference(tmp_path, kw):
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(want)
     for name, data in want.items():
         assert (tmp_path / name).read_bytes() == data, name
+
+
+def reader_state(start, live, draws):
+    """The bit generator state ``draws`` stands for: ``start`` advanced
+    by the words it has handed out, with its buffered half-word.
+
+    ``live`` is the Generator the reader was built from; it stands a
+    whole number of blocks past ``start``, ``len(draws.words) -
+    draws.pos`` words ahead of the reader."""
+    bitgen = np.random.PCG64()
+    bitgen.state = start
+    ahead = live.bit_generator.state["state"]
+    fetched = 0
+    while bitgen.state["state"] != ahead:
+        assert fetched < 10**4 * synth._BLOCK_WORDS, "not a whole number of blocks"
+        bitgen.advance(synth._BLOCK_WORDS)
+        fetched += synth._BLOCK_WORDS
+    bitgen.state = start
+    state = bitgen.advance(fetched - (len(draws.words) - draws.pos)).state
+    state["has_uint32"] = int(draws.has_half)
+    state["uinteger"] = draws.half
+    return state
 
 
 @pytest.mark.parametrize("n", [6, 13, 26])
@@ -254,25 +282,61 @@ def test_walk_draws_the_per_token_stream(n):
     start = reference_start_dist(ref_rng, n)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
     alphabet = tuple(f"t{i}" for i in range(n))
-    for length in (1, 2, 5, 30, 300):
+    for length in (1, 2, 5, 30, 300, 5000):
         # an odd count of 32-bit draws leaves half a 64-bit word buffered
         rng.integers(0, 6, size=length % 3)
-        ref_rng, new_rng = copy.deepcopy(rng), copy.deepcopy(rng)
+        ref_rng = copy.deepcopy(rng)
+        live = copy.deepcopy(rng)
+        draws = synth._Draws(live)
         want = reference_markov(ref_rng, trans, start, alphabet, length)
-        got = synth._markov(new_rng, chain, alphabet, length)
+        got = synth._markov(draws, chain, alphabet, length)
         assert got == want, length
-        assert new_rng.bit_generator.state == ref_rng.bit_generator.state, length
-        rng = new_rng
+        state = reader_state(rng.bit_generator.state, live, draws)
+        assert state == ref_rng.bit_generator.state, length
+        rng = np.random.Generator(np.random.PCG64())
+        rng.bit_generator.state = state
+
+
+#: spans the generator draws (4, 16, 256, 65536 without rejection; 6, 3,
+#: 51 and 4 with), spans where most draws are rejected, the span of 1
+#: that takes no draw and the widest span the reader takes
+READER_SPANS = (4, 16, 256, 65536, 6, 3, 51, 3 * 2**30, 2**31 + 1, 1, 2**32 - 1)
+
+
+@pytest.mark.parametrize("seed", range(50))
+def test_reader_hands_out_the_generators_draws(seed):
+    plan = np.random.default_rng(10_000 + seed)
+    rng = np.random.default_rng(seed)
+    if seed % 2:
+        rng.integers(0, 6)  # start with half a word buffered
+    start = rng.bit_generator.state
+    live = copy.deepcopy(rng)
+    draws = synth._Draws(live)
+    for step in range(200):
+        kind = int(plan.integers(3))
+        if kind == 0:
+            assert draws.random() == rng.random(), step
+        elif kind == 1:
+            # runs of every size, one of them longer than a block
+            n = int(plan.choice([0, 1, 2, 7, 120, synth._BLOCK_WORDS + 5]))
+            assert draws.uniforms(n) == rng.random(n).tolist(), (step, n)
+        else:
+            span = READER_SPANS[int(plan.integers(len(READER_SPANS)))]
+            low = int(plan.integers(-1000, 1000))
+            for _ in range(int(plan.integers(1, 6))):
+                assert draws.integers(low, low + span) == rng.integers(low, low + span), \
+                    (step, span)
+    assert reader_state(start, live, draws) == rng.bit_generator.state
 
 
 class StubRng:
-    """Hands out preset uniforms."""
+    """Hands out preset uniforms, as ``_Draws.uniforms`` does."""
 
     def __init__(self, uniforms):
-        self.uniforms = np.array(uniforms)
+        self.preset = list(uniforms)
 
-    def random(self, size):
-        out, self.uniforms = self.uniforms[:size], self.uniforms[size:]
+    def uniforms(self, n):
+        out, self.preset = self.preset[:n], self.preset[n:]
         return out
 
 
