@@ -26,16 +26,19 @@ digits).  ``dd 0`` therefore parses as a data directive, not as a byte
 column followed by a mnemonic "0".
 
 Every line goes through one loop, ``_parse_lines``: ``parse_asm_file``
-runs it over a listing and ``parse_line`` over a list of one line.
-Operand text repeats within a listing, so the loop splits each distinct
-operand text once per call and gives equal texts one shared tuple.  It
-also lower-cases each mnemonic spelling once per call, and equal
-mnemonics share one ``str``, in the records and in the opcode tokens
-extracted from them.  Both memos are dropped when the call returns, so
-no input grows them past its own listing.  On the seed-1 synthetic
-corpus (300 listings, 46,657 lines, ``parse_asm_bytes``, minimum of 10
-interleaved runs, 2 vCPUs) parsing takes 2.1 µs/line, against 3.3
-µs/line for the per-line loop it replaced on the same host.
+runs it over a listing and ``parse_line`` over a list of one line.  One
+``_LINE`` match per line recovers the prefix, the code part and the
+instruction shape; only lines that may be labels split the code part
+into tokens.  Operand text repeats within a listing, so the loop splits
+each distinct operand text once per call and gives equal texts one
+shared tuple.  It also lower-cases each mnemonic spelling once per call,
+and equal mnemonics share one ``str``, in the records and in the opcode
+tokens extracted from them.  Both memos are dropped when the call
+returns, so no input grows them past its own listing.  On the seed-1
+synthetic corpus (300 listings, 46,657 lines, ``parse_asm_bytes``,
+minimum of 100 interleaved runs, 2 vCPUs) parsing takes 2.34 µs/line,
+against 2.43 for the two-pattern loop it replaced and 3.3 for the
+per-line loop before that, on the same host.
 """
 
 from __future__ import annotations
@@ -64,12 +67,17 @@ class EmptyFile(PipelineError):
 #: mnemonics that declare data rather than executable instructions
 DATA_DIRECTIVES = frozenset({"db", "dw", "dd", "dq", "align"})
 
-#: SECTION:HEXADDR, then the code part up to the first ';' outside single quotes
+#: SECTION:HEXADDR; a lookahead captures the code part, up to the first ';'
+#: outside single quotes; then the optional instruction shape: greedy byte
+#: columns, backtracking to the last mnemonic-shaped token, and a "proc" marker
+#: after it.  Byte columns and mnemonics hold no quote and no ';', so
+#: ``(?![^\s;])`` is the end of a token within the code part.
 _LINE = re.compile(
-    r"([A-Za-z_.$][A-Za-z0-9_.$]*):([0-9A-Fa-f]{1,16})(?=\s|\Z)((?:[^';]+|'[^']*'?)*)"
+    r"([A-Za-z_.$][A-Za-z0-9_.$]*):([0-9A-Fa-f]{1,16})(?=\s|\Z)"
+    r"(?=((?:[^';]+|'[^']*'?)*))"
+    r"(?:\s*(?:(?:[0-9A-Fa-f]{2}|\?\?)\s+)*([A-Za-z][A-Za-z0-9]*)(?![^\s;])"
+    r"(?:\s+((?i:proc))(?![^\s;]))?)?"
 )
-#: greedy byte columns; backtracking walks back to the last mnemonic-shaped token
-_INSN = re.compile(r"\s*(?:(?:[0-9A-Fa-f]{2}|\?\?)\s+)*([A-Za-z][A-Za-z0-9]*)(?!\S)(.*)")
 #: one operand of whitespace-normalised text: a run between commas outside single
 #: quotes (an unclosed quote runs to the end), with no space at either end
 _OPERAND = re.compile(r"(?:[^,' ]|'[^']*'?)(?:[^,']|'[^']*'?)*(?<! )")
@@ -114,19 +122,34 @@ def parse_line(line: str) -> ParsedLine:
     return _parse_lines((line,))[0]
 
 
+def _label(code: str) -> str | None:
+    """The label a code part declares: a lone "name:" token, or "name proc ..."."""
+    tokens = code.split(None, 2)
+    if len(tokens) == 1:
+        return tokens[0][:-1] if _LABEL.match(tokens[0]) else None
+    return tokens[0] if len(tokens) > 1 and tokens[1].lower() == "proc" else None
+
+
 def _parse_lines(lines: Iterable[str]) -> tuple[ParsedLine, ...]:
     """The line grammar, applied to each of ``lines`` in order.
 
+    One ``_LINE`` match per line gives the prefix, the code part and the
+    instruction shape.  A line whose mnemonic matched, with no "proc"
+    marker after it and not itself "proc", is an instruction or a
+    directive at once; every other addressed line (~6% of them in the
+    synthetic corpora) goes through ``_label``, and is a label, or else
+    an instruction if a mnemonic matched, or else unparsed.
+
     Operand text repeats within a listing, so the split of each distinct
-    operand text (``_INSN``'s last group) is memoised for this call only;
-    records with equal operand text share one tuple.  ``names`` maps each
-    mnemonic spelling, and each lower-case mnemonic, to the one lower-case
-    string this call uses for it, so equal mnemonics share one ``str``
-    (``MOV`` and ``mov`` included).  Records are built
-    by ``tuple.__new__`` from positional tuples, which skips the call to
+    operand text (the code part after the mnemonic) is memoised for this
+    call only; records with equal operand text share one tuple.  ``names``
+    maps each mnemonic spelling, and each lower-case mnemonic, to the one
+    lower-case string this call uses for it, so equal mnemonics share one
+    ``str`` (``MOV`` and ``mov`` included).  Records are built by
+    ``tuple.__new__`` from positional tuples, which skips the call to
     ``ParsedLine.__new__`` and its argument binding.
     """
-    line_match, insn_match, label_match = _LINE.match, _INSN.match, _LABEL.match
+    line_match = _LINE.match
     split_operands = _OPERAND.findall
     new = tuple.__new__
     insn_kind, data_kind = LineKind.INSTRUCTION, LineKind.DATA_DIRECTIVE
@@ -142,31 +165,23 @@ def _parse_lines(lines: Iterable[str]) -> tuple[ParsedLine, ...]:
             kind = unparsed if line.strip() else LineKind.BLANK
             append(new(ParsedLine, (kind, None, None, None, (), None)))
             continue
-        section, addr, code = m.groups()
+        section, addr, code, spelling, proc = m.groups()
         address = int(addr, 16)
-
-        tokens = code.split(None, 2)
-        if not tokens:
-            # address-only or comment-only line
-            append(new(ParsedLine, (unparsed, section, address, None, (), None)))
+        if spelling is None:
+            label = _label(code)
+            kind = unparsed if label is None else label_kind
+            append(new(ParsedLine, (kind, section, address, None, (), label)))
             continue
-        if len(tokens) == 1:
-            if label_match(tokens[0]):
-                append(new(ParsedLine, (label_kind, section, address, None, (), tokens[0][:-1])))
-                continue
-        elif tokens[1].lower() == "proc":
-            append(new(ParsedLine, (label_kind, section, address, None, (), tokens[0])))
-            continue
-
-        insn = insn_match(code)
-        if insn is None:
-            append(new(ParsedLine, (unparsed, section, address, None, (), None)))
-            continue
-        spelling, rest = insn.groups()
         mnemonic = names.get(spelling)
         if mnemonic is None:
             lower = spelling.lower()
             mnemonic = names[spelling] = names.setdefault(lower, lower)
+        if proc is not None or mnemonic == "proc":
+            label = _label(code)
+            if label is not None:
+                append(new(ParsedLine, (label_kind, section, address, None, (), label)))
+                continue
+        rest = line[m.end(4):m.end(3)]
         operands = memo.get(rest)
         if operands is None:
             operands = memo[rest] = tuple(split_operands(" ".join(rest.split())))

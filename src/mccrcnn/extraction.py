@@ -9,9 +9,12 @@ Two extractors feed the classifier:
   opcode sequence.
 
 * ``build_relation_graph`` reads the listing once: one loop over its
-  lines collects the code-section instructions, the labels and the
-  ``extrn`` imports, and one loop over the code decides each
-  instruction's successors once, in the order the walk pushes them:
+  records keeps the (address, mnemonic, operands) of each code-section
+  instruction and collects the labels and the ``extrn`` imports, and one
+  loop over the code, beside the list of next addresses, decides each
+  instruction's successors once, in the order the walk pushes them.  An
+  instruction that is no call or ``j*`` jump, or has no operands, is
+  settled before any operand is resolved:
 
   - plain instructions fall through to the next instruction in file order
   - conditional jumps push (target, fall-through), so the fall-through
@@ -39,7 +42,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .asmlite import AsmFile, LineKind, ParsedLine
+from .asmlite import AsmFile, LineKind
 from .errors import PipelineError
 
 
@@ -82,11 +85,9 @@ class RelationGraph:
 
 def extract_opcode_sequence(asm: AsmFile) -> TokenSequence:
     """Mnemonics of code-section instructions in file order."""
-    tokens = tuple(
-        ln.mnemonic
-        for ln in asm.lines
-        if ln.kind is LineKind.INSTRUCTION and ln.section in CODE_SECTIONS
-    )
+    insn, code = LineKind.INSTRUCTION, CODE_SECTIONS
+    tokens = tuple([mnemonic for kind, section, _a, mnemonic, _o, _l in asm.lines
+                    if kind is insn and section in code])
     return TokenSequence(asm.sample_id, tokens)
 
 
@@ -129,18 +130,21 @@ def build_relation_graph(asm: AsmFile) -> RelationGraph:
     code-section instruction; API targets stay external by nature.
     Raises NoCode when the sample has no code-section instruction.
     """
-    code: list[ParsedLine] = []
+    insn_kind, label_kind, code_sections = LineKind.INSTRUCTION, LineKind.LABEL, CODE_SECTIONS
+    rets = RET_MNEMONICS
+    code: list[tuple[int, str, tuple[str, ...]]] = []  # (address, mnemonic, operands)
     seen: set[int] = set()
     label_addr: dict[str, int] = {}
     imports: set[str] = set()
-    for ln in asm.lines:
-        kind, section, address, mnemonic, operands, label = ln
-        if kind is LineKind.INSTRUCTION and section in CODE_SECTIONS:
-            if address not in seen:
+    for kind, section, address, mnemonic, operands, label in asm.lines:
+        if kind is insn_kind:
+            if section in code_sections and address not in seen:
                 seen.add(address)
-                code.append(ln)
-        elif kind is LineKind.LABEL and address is not None:
-            label_addr.setdefault(label, address)
+                code.append((address, mnemonic, operands))
+        elif kind is label_kind:  # a label line has no mnemonic, so no import
+            if address is not None:
+                label_addr.setdefault(label, address)
+            continue
         # an import whatever its section, so not an elif of the code check
         if mnemonic == "extrn" and operands:
             name = _strip_import_prefix(operands[0].split(":", 1)[0].strip())
@@ -154,17 +158,22 @@ def build_relation_graph(asm: AsmFile) -> RelationGraph:
     api_calls: dict[int, str] = {}
     # push order; the walk's stack is LIFO, so the last one pushed runs first
     successors: dict[int, tuple[int | None, ...]] = {}
-    # i indexes the instruction after this one: the fall-through and return address
-    for i, (_kind, _section, address, mnemonic, operands, _label) in enumerate(code, 1):
-        nxt = code[i].address if i < len(code) else None
-        api = _api_name(operands[0], frozen_imports) if mnemonic == "call" and operands else None
-        if api is not None:
-            api_calls[address] = api
-        target = (_resolve_target(operands[0], label_addr)
-                  if api is None and operands and (mnemonic == "call" or mnemonic.startswith("j"))
-                  else None)
-        if target not in seen:  # fall through, unless a jmp or a return ends the path
-            successors[address] = () if mnemonic == "jmp" or mnemonic in RET_MNEMONICS else (nxt,)
+    # each instruction's fall-through and return address: the next one's, or None
+    nexts = [address for address, _m, _o in code[1:]] + [None]
+    for (address, mnemonic, operands), nxt in zip(code, nexts):
+        if not operands or (mnemonic != "call" and mnemonic[:1] != "j"):
+            # no target: fall through, unless a jmp or a return ends the path
+            successors[address] = () if mnemonic == "jmp" or mnemonic in rets else (nxt,)
+            continue
+        if mnemonic == "call":
+            api = _api_name(operands[0], frozen_imports)
+            if api is not None:
+                api_calls[address] = api
+                successors[address] = (nxt,)
+                continue
+        target = _resolve_target(operands[0], label_addr)
+        if target not in seen:  # no code target: only a jmp ends the path
+            successors[address] = () if mnemonic == "jmp" else (nxt,)
         elif mnemonic == "call":
             successors[address] = (nxt, target)  # descend into the callee first
         elif mnemonic == "jmp":
@@ -182,7 +191,7 @@ def extract_key_api_sequence(graph: RelationGraph, asm: AsmFile) -> TokenSequenc
     successor exploration order is fixed, so repeated runs give identical
     output.
     """
-    succ = graph.successors
+    succ, api_calls = graph.successors, graph.api_calls
     entry: int | None = graph.entry_address
     if entry not in succ:
         entry = min((a for a in succ if a >= graph.entry_address), default=None)
@@ -195,8 +204,8 @@ def extract_key_api_sequence(graph: RelationGraph, asm: AsmFile) -> TokenSequenc
         if addr in visited:
             continue
         visited.add(addr)
-        if addr in graph.api_calls:
-            out.append(graph.api_calls[addr])
+        if addr in api_calls:
+            out.append(api_calls[addr])
         for nxt in succ[addr]:
             if nxt is not None and nxt not in visited:
                 stack.append(nxt)

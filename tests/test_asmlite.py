@@ -392,6 +392,18 @@ FIXTURE_LINES = KAGGLE_STYLE.split("\n") + [
     ".text:00401000 loc_401000:",
     "junk line # 401000",
     ".text:00401000 ; comment 401000",
+    # "proc" labels, lines that are not "proc" labels, comment boundaries
+    # right after a mnemonic, and a mnemonic that is "proc" alone
+    ".text:00401000 start proc near",
+    ".text:00401000 55 PROC",
+    ".text:00401000 AB proc x",
+    ".text:00401000 start ProC;c",
+    ".text:00401000 a'b proc",
+    ".text:00401000 x;y proc",
+    ".text:00401000 start proc'x",
+    ".text:00401000 mov;c",
+    ".data:00403000 dd;1",
+    ".text:00401000 proc",
 ] + [f".data:00403000 {d} 1, 2" for d in sorted(DATA_DIRECTIVES)]
 
 

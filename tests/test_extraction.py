@@ -23,6 +23,7 @@ from mccrcnn.extraction import (
     write_sequences,
 )
 from mccrcnn.harness.synth import SyntheticCorpusSpec, generate_synthetic_corpus
+from test_asmlite import random_lines
 
 
 def program(*lines):
@@ -605,6 +606,52 @@ def test_graph_and_walk_equal_two_pass_reference(tmp_path):
         assert_matches_reference(asm, path.name)
         assert_matches_reference(scrambled(asm, data.decode("latin-1"), rng),
                                  ("scrambled", path.name))
+
+
+BRANCH_MNEMONICS = ["call", "j", "jmp", "jz", "extrn", "retn", "mov"]
+
+
+def hostile_listings(seed, count, length):
+    """``count`` listings of ``length`` of the parser's seeded hostile lines
+    after the import table, about half of them rewritten as a line whose
+    mnemonic is one the graph builder branches on and whose operand text is
+    another hostile line, an import or a local target.  So a bare ``j``, a
+    call without operands and ``extrn`` with quoted operands occur in code
+    sections."""
+    lines = random_lines(seed, 2 * count * length)
+    rng = random.Random(seed)
+    rows = []
+    for head, tail in zip(lines[::2], lines[1::2]):
+        if rng.random() < 0.5:
+            rows.append(head)
+            continue
+        operand = rng.choice([tail, tail, "Alpha", "ds:Beta", f"loc_{rng.randrange(16):X}"])
+        rows.append(f"{rng.choice(['.text', 'CODE', '.idata'])}:{rng.randrange(16):X}"
+                    f" {rng.choice(BRANCH_MNEMONICS)} {operand}")
+    return ["\n".join([*IMPORTS, *rows[i:i + length]]) for i in range(0, len(rows), length)]
+
+
+def test_graph_and_walk_equal_two_pass_reference_on_hostile_parses():
+    rng = random.Random(31)
+    reached = set()
+    for trial, text in enumerate(hostile_listings(seed=31, count=200, length=150)):
+        asm = parse_asm_file(text, "h")
+        for case, where in ((asm, trial), (scrambled(asm, text, rng), ("scrambled", trial))):
+            assert_matches_reference(case, where)
+            graph = build_relation_graph(case)
+            if graph.api_calls:
+                reached.add("api call")
+            if any(len(succ) == 2 for succ in graph.successors.values()):
+                reached.add("code target")
+            for ln in case.lines:
+                if ln.kind is LineKind.INSTRUCTION and ln.section in CODE_SECTIONS:
+                    reached.update(name for name, hit in [
+                        ("bare j", ln.mnemonic == "j"),
+                        ("call without operands", ln.mnemonic == "call" and not ln.operands),
+                        ("quoted extrn", ln.mnemonic == "extrn" and "'" in "".join(ln.operands)),
+                    ] if hit)
+    assert reached == {"api call", "code target", "bare j", "call without operands",
+                       "quoted extrn"}
 
 
 def test_extrn_in_code_section_is_both_code_and_import():
