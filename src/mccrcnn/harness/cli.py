@@ -7,6 +7,12 @@ loads it once, requires [data] corpus, defaults [data] labels to
 success, 2 configuration problems, 3 pipeline failures (bad corpora,
 unreadable checkpoints, diverged training, I/O).
 
+experiment takes one or more suite names (A, B1, B2, C), each at most
+once, and runs them over shared folds: each fold's tables and models
+are made once for all of them, and each suite writes the same
+report_<name>.csv and summary_<name>.txt as a run of it alone.  An
+unknown or repeated name is a configuration problem.
+
 Files are named per token stream (config.STREAMS): extract writes
 <stream>_sequences.tsv for every stream; embed and train write
 <stream>_glove.ckpt and <stream>_vectors.txt for the streams of the
@@ -35,7 +41,7 @@ from .experiments import (
     metric_rows,
     model_cfg_for,
     prepare_dataset,
-    run_experiment,
+    run_experiments,
     train_cfg_for,
 )
 from .ingest import ingest_corpus
@@ -136,8 +142,8 @@ def _cmd_eval(cfg: ExperimentConfig, args) -> int:
 
 
 def _cmd_experiment(cfg: ExperimentConfig, args) -> int:
-    csv_path = run_experiment(args.name, cfg)
-    print(f"wrote {csv_path}")
+    for csv_path in run_experiments(args.names, cfg):
+        print(f"wrote {csv_path}")
     return 0
 
 
@@ -166,8 +172,8 @@ def _build_parser() -> argparse.ArgumentParser:
         common(sp)
         sp.set_defaults(func=fn)
 
-    sp = sub.add_parser("experiment", help="run a cross-validated suite")
-    sp.add_argument("name", choices=tuple(EXPERIMENTS), help="suite to run")
+    sp = sub.add_parser("experiment", help="run cross-validated suites on shared folds")
+    sp.add_argument("names", nargs="+", metavar="|".join(EXPERIMENTS), help="suites to run")
     common(sp)
     sp.set_defaults(func=_cmd_experiment)
     return parser

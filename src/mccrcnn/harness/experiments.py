@@ -14,10 +14,16 @@ only and applied to the held-out split.
   C   feature ablation of the combined model: opcode-only, API-only,
       fused.
 
-A suite is a generator over one fold: given (cfg, fold, train split,
-test split) it yields (variant, test-split predictions) in a fixed
-order.  run_experiment owns the one fold loop and scores every yielded
-pair the same way, as one confusion matrix and its metric_rows.
+The fold is the unit of work.  run_experiments owns the one fold loop
+and builds one _Fold context per fold, which fits each stream's GloVe
+table (fit_tables), builds each feature layer's matrix_fn and trains
+each (arch, source) model once, on first use.  A suite is a generator
+over that context: it yields (variant, test-split predictions) in a
+fixed order, and the loop scores every pair the same way, as one
+confusion matrix and its metric_rows.  Several suites in one run share
+the context, and so share tables and models: every seed depends on the
+stage and the fold, never on the suite or the arch, so each suite's
+files are the ones a run of that suite alone writes.
 
 Feature layers come from config.LAYERS: fit_tables fits one GloVe
 table per stream of a layer and matrix_fn embeds and fuses those
@@ -52,7 +58,7 @@ from ..embedding import (
     count_cooccurrence,
     train_glove,
 )
-from ..errors import ShapeMismatch
+from ..errors import ConfigError, ShapeMismatch
 from ..extraction import (
     NoCode,
     build_relation_graph,
@@ -192,13 +198,6 @@ def matrix_fn(which: str, op_table, api_table, seq_len: int):
     return to_matrix
 
 
-def glove_matrixer(which: str, train_split: LabeledDataset,
-                   cfg: ExperimentConfig, fold: int):
-    """payload -> (T, k) matrix function with embeddings fit on the split."""
-    op_table, api_table = fit_tables(which, train_split, cfg, fold)
-    return matrix_fn(which, op_table, api_table, cfg.model.seq_len)
-
-
 def metric_rows(cm) -> list[tuple[str, float]]:
     """(metric, value) rows of one confusion matrix, in report order."""
     std = standard_metrics(cm)
@@ -281,103 +280,137 @@ def _iter_folds(cfg: ExperimentConfig, dataset: LabeledDataset):
         yield fold, dataset.subset(train_ids), dataset.subset(test_ids)
 
 
-def _nn_predictions(arch, to_matrix, cfg, fold, train_split, test_split):
-    """Train one model on the split, then predict the test split chunk by chunk."""
+def _nn_predictions(arch, to_matrix, ctx):
+    """Train one model on the fold's training split, then predict its test
+    split chunk by chunk."""
     params, _history = train(
-        model_cfg_for(cfg, arch), train_split, train_cfg_for(cfg, fold),
+        model_cfg_for(ctx.cfg, arch), ctx.train_split, train_cfg_for(ctx.cfg, ctx.fold),
         to_matrix=to_matrix, epoch_accuracy=False,
     )
-    return predict(params, test_split.payloads(), to_matrix=to_matrix)
+    return predict(params, ctx.test_split.payloads(), to_matrix=to_matrix)
 
 
-def _suite_a(cfg, fold, train_split, test_split):
-    op_train = [p[0] for p in train_split.payloads()]
-    for n in cfg.ngram.sweep:
-        fs = select_ngram_features(op_train, n)
-        dim = len(fs.grams)
+class _Fold:
+    """One fold's splits, and what is fit or trained on its training split.
 
-        def onehot_of(payload, fs=fs, dim=dim):
-            return onehot_matrix(ngram_id_sequence(payload[0], fs, cfg.model.seq_len), dim)
+    A source is a feature layer of config.LAYERS, or an n-gram size n:
+    one-hot rows of the n-grams selected on the training opcodes.  Each
+    stream's table, each source's matrix function and each (arch, source)
+    model's test predictions are made on first use and kept for the
+    fold.  Every seed depends on the stage and the fold, never on the
+    suite or the arch that asks, so what several suites share is what
+    each would make alone, bit for bit.
+    """
 
-        yield f"ngram{n}_lstm", _nn_predictions("lstm", onehot_of, cfg, fold,
-                                                train_split, test_split)
-    to_matrix = glove_matrixer("opcode", train_split, cfg, fold)
-    yield "glove_lstm", _nn_predictions("lstm", to_matrix, cfg, fold, train_split, test_split)
+    def __init__(self, cfg, fold, train_split, test_split):
+        self.cfg, self.fold = cfg, fold
+        self.train_split, self.test_split = train_split, test_split
+        self._tables, self._made = {}, {}
+
+    def to_matrix(self, source):
+        """payload -> (T, k) matrix function of the source."""
+        if source not in self._made:
+            seq_len = self.cfg.model.seq_len
+            if source in LAYERS:
+                for stream in [s for s in LAYERS[source] if s not in self._tables]:
+                    self._tables[stream] = fit_tables(stream, self.train_split, self.cfg,
+                                                      self.fold)[STREAMS.index(stream)]
+                self._made[source] = matrix_fn(source, *map(self._tables.get, STREAMS), seq_len)
+            else:
+                fs = select_ngram_features([p[0] for p in self.train_split.payloads()], source)
+                self._made[source] = lambda payload: onehot_matrix(
+                    ngram_id_sequence(payload[0], fs, seq_len), len(fs.grams))
+        return self._made[source]
+
+    def predictions(self, arch, source):
+        """Test-split predictions of an ``arch`` model trained on the source."""
+        if (arch, source) not in self._made:
+            self._made[arch, source] = _nn_predictions(arch, self.to_matrix(source), self)
+        return self._made[arch, source]
 
 
-def _suite_b1(cfg, fold, train_split, test_split):
-    to_matrix = glove_matrixer("opcode", train_split, cfg, fold)
+def _suite_a(ctx):
+    for n in ctx.cfg.ngram.sweep:
+        yield f"ngram{n}_lstm", ctx.predictions("lstm", n)
+    yield "glove_lstm", ctx.predictions("lstm", "opcode")
+
+
+def _suite_b1(ctx):
     for arch in ARCHS:
-        yield (f"opcode_{arch.replace('_', '')}",
-               _nn_predictions(arch, to_matrix, cfg, fold, train_split, test_split))
+        yield f"opcode_{arch.replace('_', '')}", ctx.predictions(arch, "opcode")
     # linear SVM on the time average of the embedded sequence
+    to_matrix, train_split = ctx.to_matrix("opcode"), ctx.train_split
     xtr = np.stack([to_matrix(p).mean(axis=0) for p in train_split.payloads()])
-    xte = np.stack([to_matrix(p).mean(axis=0) for p in test_split.payloads()])
+    xte = np.stack([to_matrix(p).mean(axis=0) for p in ctx.test_split.payloads()])
     std = Standardizer.fit(xtr)
     model, _ = train_svm(std.transform(xtr), np.array(train_split.labels()), l=train_split.l)
     yield "opcode_svm", model.predict(std.transform(xte))
 
 
-def _ngram_predictions(n, op_train, ytr, train_split, test_split):
+def _ngram_predictions(n, ctx):
     """The three n-gram baselines' (variant, predictions) pairs for one n.
 
     The count and standardized arrays die on return, before the next n's
     are built.
     """
-    fs = select_ngram_features(op_train, n)
-    xtr = np.array([ngram_vector(p[0], fs) for p in train_split.payloads()], np.float64)
-    xte = np.array([ngram_vector(p[0], fs) for p in test_split.payloads()], np.float64)
+    fs = select_ngram_features([p[0] for p in ctx.train_split.payloads()], n)
+    xtr = np.array([ngram_vector(p[0], fs) for p in ctx.train_split.payloads()], np.float64)
+    xte = np.array([ngram_vector(p[0], fs) for p in ctx.test_split.payloads()], np.float64)
+    ytr, l = np.array(ctx.train_split.labels()), ctx.train_split.l
     std = Standardizer.fit(xtr)
     ztr, zte = std.transform(xtr), std.transform(xte)
-    logi, _ = train_logistic(ztr, ytr, l=train_split.l)
+    logi, _ = train_logistic(ztr, ytr, l=l)
     return [(f"logistic_ngram{n}", logi.predict(zte)),
-            (f"nb_ngram{n}", train_nb(xtr, ytr, l=train_split.l).predict(xte)),
+            (f"nb_ngram{n}", train_nb(xtr, ytr, l=l).predict(xte)),
             (f"knn_ngram{n}", knn_predict(ztr, ytr, zte))]
 
 
-def _suite_b2(cfg, fold, train_split, test_split):
-    to_matrix = glove_matrixer("fused", train_split, cfg, fold)
-    yield "fused_mccrcnn", _nn_predictions("mcc_rcnn", to_matrix, cfg, fold,
-                                           train_split, test_split)
-    op_train = [p[0] for p in train_split.payloads()]
-    ytr = np.array(train_split.labels())
-    for n in cfg.ngram.sweep:
-        yield from _ngram_predictions(n, op_train, ytr, train_split, test_split)
+def _suite_b2(ctx):
+    yield "fused_mccrcnn", ctx.predictions("mcc_rcnn", "fused")
+    for n in ctx.cfg.ngram.sweep:
+        yield from _ngram_predictions(n, ctx)
 
 
-def _suite_c(cfg, fold, train_split, test_split):
-    # each table is fit once and shared by the layers that read its
-    # stream: fit_tables seeds it from the stream and fold, not the layer
-    tables = fit_tables("fused", train_split, cfg, fold)
+def _suite_c(ctx):
     for which in LAYERS:
-        to_matrix = matrix_fn(which, *tables, cfg.model.seq_len)
-        yield f"{which}_mccrcnn", _nn_predictions("mcc_rcnn", to_matrix, cfg, fold,
-                                                  train_split, test_split)
+        yield f"{which}_mccrcnn", ctx.predictions("mcc_rcnn", which)
 
 
 EXPERIMENTS = {"A": _suite_a, "B1": _suite_b1, "B2": _suite_b2, "C": _suite_c}
 
 
-def run_experiment(name: str, cfg: ExperimentConfig) -> Path:
-    """Run one suite and write its report files; returns the CSV path."""
-    if name not in EXPERIMENTS:
-        raise ValueError(f"unknown experiment {name!r}, expected one of "
-                         f"{sorted(EXPERIMENTS)}")
+def run_experiments(names, cfg: ExperimentConfig) -> list[Path]:
+    """Run suites over one shared fold context and write each one's report
+    files; returns the CSV paths in the order of ``names``.
+
+    Each suite's files are byte-identical to a run of that suite alone.
+    An unknown or repeated name raises ConfigError before any work.
+    """
+    for name in names:
+        if name not in EXPERIMENTS or names.count(name) > 1:
+            raise ConfigError(f"experiment {name!r}: expected each of "
+                              f"{sorted(EXPERIMENTS)} at most once")
     dataset = prepare_dataset(cfg)
-    rep = _Report(name)
-    rep.add("-", "seed", cfg.seed)
-    suite = EXPERIMENTS[name]
+    reports = {name: _Report(name) for name in names}
+    for rep in reports.values():
+        rep.add("-", "seed", cfg.seed)
     for fold, train_split, test_split in _iter_folds(cfg, dataset):
-        for variant, preds in suite(cfg, fold, train_split, test_split):
-            cm = confusion(preds.tolist(), test_split.labels(), dataset.l)
-            for metric, value in metric_rows(cm):
-                rep.add(fold, f"{variant}/{metric}", value)
-    rep.finish(cfg.folds)
+        ctx = _Fold(cfg, fold, train_split, test_split)
+        for name, rep in reports.items():
+            for variant, preds in EXPERIMENTS[name](ctx):
+                cm = confusion(preds.tolist(), test_split.labels(), dataset.l)
+                for metric, value in metric_rows(cm):
+                    rep.add(fold, f"{variant}/{metric}", value)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    csv_path = out / f"report_{name}.csv"
-    with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(rep.csv_text())
-    with open(out / f"summary_{name}.txt", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(rep.summary_text(cfg))
-    return csv_path
+    for name, rep in reports.items():
+        rep.finish(cfg.folds)
+        (out / f"report_{name}.csv").write_text(rep.csv_text(), encoding="utf-8", newline="\n")
+        (out / f"summary_{name}.txt").write_text(
+            rep.summary_text(cfg), encoding="utf-8", newline="\n")
+    return [out / f"report_{name}.csv" for name in names]
+
+
+def run_experiment(name: str, cfg: ExperimentConfig) -> Path:
+    """Run one suite and write its report files; returns the CSV path."""
+    return run_experiments([name], cfg)[0]

@@ -42,7 +42,8 @@ from mccrcnn.harness.experiments import (
     REFERENCE_FULL_CORPUS_PCT,
     _iter_folds,
     _Report,
-    glove_matrixer,
+    fit_tables,
+    matrix_fn,
     model_cfg_for,
     prepare_dataset,
     run_experiment,
@@ -598,7 +599,8 @@ def test_criterion_08_end_to_end_separable_corpus(tmp_path):
             problems.append(f"expected 300 usable samples, got {len(dataset.records)}")
         accs = []
         for fold, train_split, test_split in _iter_folds(cfg, dataset):
-            to_matrix = glove_matrixer("fused", train_split, cfg, fold)
+            to_matrix = matrix_fn("fused", *fit_tables("fused", train_split, cfg, fold),
+                                  cfg.model.seq_len)
             params, _hist = train(model_cfg_for(cfg, "mcc_rcnn"), train_split,
                                   train_cfg_for(cfg, fold), to_matrix=to_matrix)
             preds = predict(params, [to_matrix(p) for p in test_split.payloads()])
@@ -631,7 +633,8 @@ def test_criterion_09_fusion_beats_single_layers(tmp_path):
             for which in ("opcode", "api", "fused"):
                 accs = []
                 for fold, train_split, test_split in _iter_folds(cfg, dataset):
-                    to_matrix = glove_matrixer(which, train_split, cfg, fold)
+                    to_matrix = matrix_fn(which, *fit_tables(which, train_split, cfg, fold),
+                                          cfg.model.seq_len)
                     params, _hist = train(
                         model_cfg_for(cfg, "mcc_rcnn"), train_split,
                         train_cfg_for(cfg, fold), to_matrix=to_matrix)

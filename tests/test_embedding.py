@@ -7,7 +7,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from mccrcnn import embedding
+from mccrcnn import embedding, neural
 from mccrcnn.embedding import (
     PAD_ID,
     CooccurrenceMatrix,
@@ -555,30 +555,41 @@ def test_b2_report_unchanged_with_reference_trainer(tmp_path, monkeypatch):
         assert_same_fit(got, want)
 
 
-def test_suite_c_fits_each_table_once_per_fold(tmp_path, monkeypatch):
-    """Opcode, API and fused variants share one opcode and one API fit."""
+def test_suites_fit_each_table_and_train_each_model_once_per_fold(tmp_path, monkeypatch):
+    """Each suite alone, and all four in one run, fit each stream's table
+    once per fold, in stream order, and train each distinct model once:
+    the variants that read the same (arch, layer) share one model, and
+    the layers that read a stream share its table."""
     corpus = tmp_path / "corpus"
     generate_synthetic_corpus(
         SyntheticCorpusSpec(families=3, samples_per_family=6, seed=5), corpus)
-    seeds = []
+    seeds, trained = [], []
 
     def recording(*args, **kw):
         seeds.append(kw["seed"])
         return train_glove(*args, **kw)
 
+    def counting(*args, **kw):
+        trained.append(args[0].arch)
+        return neural.train(*args, **kw)
+
     monkeypatch.setattr(experiments, "train_glove", recording)
+    monkeypatch.setattr(experiments, "train", counting)
     cfg = ExperimentConfig(
         seed=5, corpus=corpus, labels=corpus / "labels.csv", out_dir=tmp_path / "out",
         folds=2, embedding=EmbeddingSettings(k=6, window=4, epochs=4),
         model=ModelSettings(seq_len=16, hidden=6, conv_channels=6),
         train=TrainSettings(epochs=2, batch_size=4),
     )
-    experiments.run_experiment("C", cfg)
-    assert seeds == [
-        experiments.derive_seed(5, stage, fold)
-        for fold in (1, 2)
-        for stage in (experiments.STAGE_EMBED_OP, experiments.STAGE_EMBED_API)
-    ]
+    stages = (experiments.STAGE_EMBED_OP, experiments.STAGE_EMBED_API)
+    for names, streams, models in ((["A"], 1, 5), (["B1"], 1, 3), (["B2"], 2, 1),
+                                   (["C"], 2, 3), (["A", "B1", "B2", "C"], 2, 9)):
+        seeds.clear()
+        trained.clear()
+        experiments.run_experiments(names, cfg)
+        assert seeds == [experiments.derive_seed(5, stage, fold)
+                         for fold in (1, 2) for stage in stages[:streams]], names
+        assert len(trained) == cfg.folds * models, (names, trained)
 
 
 # ---------------------------------------------------------------- cosine

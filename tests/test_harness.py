@@ -46,11 +46,11 @@ from mccrcnn.harness.experiments import (
     _iter_folds,
     _Report,
     fit_tables,
-    glove_matrixer,
     matrix_fn,
     model_cfg_for,
     prepare_dataset,
     run_experiment,
+    run_experiments,
     train_cfg_for,
 )
 from mccrcnn.harness.ingest import (
@@ -586,14 +586,16 @@ def reference_experiment_a(cfg, dataset, rep):
 
             reference_run_nn(f"ngram{n}_lstm", "lstm", onehot_of, cfg, fold,
                              train_split, test_split, rep, dataset.l)
-        to_matrix = glove_matrixer("opcode", train_split, cfg, fold)
+        to_matrix = matrix_fn("opcode", *fit_tables("opcode", train_split, cfg, fold),
+                              cfg.model.seq_len)
         reference_run_nn("glove_lstm", "lstm", to_matrix, cfg, fold,
                          train_split, test_split, rep, dataset.l)
 
 
 def reference_experiment_b1(cfg, dataset, rep):
     for fold, train_split, test_split in _iter_folds(cfg, dataset):
-        to_matrix = glove_matrixer("opcode", train_split, cfg, fold)
+        to_matrix = matrix_fn("opcode", *fit_tables("opcode", train_split, cfg, fold),
+                              cfg.model.seq_len)
         for variant, arch in (
             ("opcode_lstm", "lstm"),
             ("opcode_gcnn", "gcnn"),
@@ -614,7 +616,8 @@ def reference_experiment_b1(cfg, dataset, rep):
 
 def reference_experiment_b2(cfg, dataset, rep):
     for fold, train_split, test_split in _iter_folds(cfg, dataset):
-        to_matrix = glove_matrixer("fused", train_split, cfg, fold)
+        to_matrix = matrix_fn("fused", *fit_tables("fused", train_split, cfg, fold),
+                              cfg.model.seq_len)
         reference_run_nn("fused_mccrcnn", "mcc_rcnn", to_matrix, cfg, fold,
                          train_split, test_split, rep, dataset.l)
         op_train = [p[0] for p in train_split.payloads()]
@@ -660,9 +663,10 @@ REFERENCE_SUITES = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(REFERENCE_SUITES))
+@pytest.mark.parametrize("name", [*sorted(REFERENCE_SUITES), "A+B1+B2+C"])
 def test_suite_reports_equal_frozen_suites(tmp_path, name):
-    """Each suite's report and summary are byte-identical to the frozen copy."""
+    """Each suite's report and summary are byte-identical to the frozen
+    copy, from a run of that suite alone and from one run of all four."""
     corpus = tmp_path / "corpus"
     generate_synthetic_corpus(
         SyntheticCorpusSpec(families=3, samples_per_family=8, seed=5), corpus)
@@ -673,16 +677,19 @@ def test_suite_reports_equal_frozen_suites(tmp_path, name):
         model=ModelSettings(seq_len=24, hidden=6, conv_channels=6),
         train=TrainSettings(epochs=6, batch_size=4),
     )
-    csv_path = run_experiment(name, cfg)
-    rep = _Report(name)
-    rep.add("-", "seed", cfg.seed)
-    REFERENCE_SUITES[name](cfg, prepare_dataset(cfg), rep)
-    rep.finish(cfg.folds)
-    assert csv_path.read_text(encoding="utf-8") == rep.csv_text()
-    summary = (tmp_path / "out" / f"summary_{name}.txt").read_text(encoding="utf-8")
-    assert summary == rep.summary_text(cfg)
-    variants = {m.split("/")[0] for m in rep.fold_values()}
-    assert len(variants) == {"A": 5, "B1": 4, "B2": 13, "C": 3}[name]
+    names = name.split("+")
+    csv_paths = run_experiments(names, cfg)
+    assert csv_paths == [tmp_path / "out" / f"report_{suite}.csv" for suite in names]
+    for suite, csv_path in zip(names, csv_paths):
+        rep = _Report(suite)
+        rep.add("-", "seed", cfg.seed)
+        REFERENCE_SUITES[suite](cfg, prepare_dataset(cfg), rep)
+        rep.finish(cfg.folds)
+        assert csv_path.read_text(encoding="utf-8") == rep.csv_text()
+        summary = (tmp_path / "out" / f"summary_{suite}.txt").read_text(encoding="utf-8")
+        assert summary == rep.summary_text(cfg)
+        variants = {m.split("/")[0] for m in rep.fold_values()}
+        assert len(variants) == {"A": 5, "B1": 4, "B2": 13, "C": 3}[suite]
 
 
 def test_b2_holds_one_ngram_size_at_a_time(tmp_path, monkeypatch):
@@ -1194,11 +1201,15 @@ def test_cli_exit_code_matrix(tmp_path, capsys):
         ("train", "longseq.ini", {}, 3),
         ("train", "bigclass.ini", {}, 3),
         ("embed", "oneimport.ini", {}, 3),
+        # a suite named twice, or a name that is no suite: one config error
+        # line, not argparse's usage text
+        ("experiment B2 B2", "cfg.ini", {}, 2),
+        ("experiment B2 Z", "cfg.ini", {}, 2),
     ] + [("train", f"{stem}.ini", {}, 2) for stem in bad_values]
     for verb, name, files, code in cases:
         for file_name, data in files.items():
             (out / file_name).write_bytes(data)
-        assert main([verb, str(tmp_path / name)]) == code, (verb, name)
+        assert main([*verb.split(), str(tmp_path / name)]) == code, (verb, name)
         err = capsys.readouterr().err
         assert err.startswith("config error:" if code == 2 else "error:"), err
         assert sum("error:" in line for line in err.splitlines()) == 1, err
